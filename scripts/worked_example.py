@@ -46,7 +46,7 @@ def main():
     cuts = find_cut_vertices(wg)
     print("\ncut vertices:", ", ".join(ab.spell_caret(r.letter) for r in cuts))
 
-    step = reduce_step(gens, ab)
+    step = reduce_step(core, gens)
     print("\nchosen automorphism:", step.phi.format(ab))
     print("collapse origin/terminus sets:", step.collapse.s_o, step.collapse.s_t)
     print("OSE:", ", ".join(step.ose_before.render(ab)))
@@ -60,7 +60,7 @@ def main():
     vec = step.pf1.eigenvector / step.pf1.eigenvector[5]
     print("eigenvector (6th entry 1):", [round(float(x), 4) for x in vec])
 
-    cert = certify_inequality(step.m, step.m1, step.s_states, u_override=3.0)
+    cert = certify_inequality(step.m, step.m1, step.s_states, step.pf1, u_override=3.0)
     print("\ncertificate with both tail entries set to 3:")
     print("  strict slack at NSE rows:", cert.strict_rows)
     for state, (value, lo, hi) in cert.s_values.items():

@@ -38,7 +38,6 @@ from .spectral import (
     AdjacencyMatrix,
     adjacency,
     certify_inequality,
-    cogrowth_rate,
     decompose,
     derive_m1,
     make_nse,

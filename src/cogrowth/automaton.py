@@ -72,29 +72,9 @@ class Automaton:
                 raise PreconditionError(
                     "transition labeled with the inverse of the entry letter"
                 )
-        if not self.is_ergodic():
+        arcs = ((q, target) for (q, _), target in self.transitions.items())
+        if not strongly_connected(self.states, arcs):
             raise PreconditionError("transition diagram is not strongly connected")
-
-    def is_ergodic(self) -> bool:
-        if not self.states:
-            return False
-        fwd: dict[State, list[State]] = {q: [] for q in self.states}
-        bwd: dict[State, list[State]] = {q: [] for q in self.states}
-        for (q, _), target in self.transitions.items():
-            fwd[q].append(target)
-            bwd[target].append(q)
-        start = self.states[0]
-        for graph in (fwd, bwd):
-            seen = {start}
-            stack = [start]
-            while stack:
-                for w in graph[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(self.states):
-                return False
-        return True
 
     def to_json(self) -> str:
         spell = lambda q: format_state(q, self.alphabet)
@@ -134,6 +114,30 @@ class Automaton:
             )
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def strongly_connected(nodes, arcs) -> bool:
+    """Whether the digraph on `nodes` with (source, target) `arcs` is
+    nonempty and strongly connected."""
+    fwd: dict = {q: [] for q in nodes}
+    bwd: dict = {q: [] for q in nodes}
+    for p, q in arcs:
+        fwd[p].append(q)
+        bwd[q].append(p)
+    if not fwd:
+        return False
+    start = next(iter(fwd))
+    for graph in (fwd, bwd):
+        seen = {start}
+        stack = [start]
+        while stack:
+            for w in graph[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != len(fwd):
+            return False
+    return True
 
 
 def build_automaton(graph: CoreGraph) -> Automaton:

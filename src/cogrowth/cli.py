@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -23,10 +24,8 @@ import numpy as np
 
 from . import pipeline
 from .automaton import (
-    SStateSet,
     accepts,
     build_automaton,
-    collapse_automaton,
     format_state,
     isomorphic,
     sample_accepted_word,
@@ -36,14 +35,13 @@ from .core_graph import build_core, collapse_core, label_sets, rooted_isomorphic
 from .errors import (
     CogrowthError,
     NoCutVertexError,
-    NotCyclicallyReducedError,
     NoValidAutomorphismError,
     NumericalError,
     PreconditionError,
     WordParseError,
 )
-from .spectral import adjacency, certify_inequality, derive_m1, make_nse, ose, pf_eigen
-from .whitehead import choose_automorphism, find_cut_vertices, whitehead_graph_of_core
+from .spectral import adjacency, certify_inequality, ose, pf_eigen
+from .whitehead import find_cut_vertices, whitehead_graph_of_core
 from .words import Alphabet, format_word, letter_key, parse_word
 
 EXIT_OK = 0
@@ -52,6 +50,16 @@ EXIT_PRECONDITION = 3
 EXIT_NO_CUT_VERTEX = 4
 EXIT_NO_AUTOMORPHISM = 5
 EXIT_NUMERICAL = 6
+
+# what an error prints and exits with; the first matching type wins
+EXIT_CODES = (
+    (WordParseError, "parse error", EXIT_PARSE),
+    (PreconditionError, "precondition violation", EXIT_PRECONDITION),
+    (NoCutVertexError, "no cut vertex", EXIT_NO_CUT_VERTEX),
+    (NoValidAutomorphismError, "no valid automorphism", EXIT_NO_AUTOMORPHISM),
+    (NumericalError, "numerical failure", EXIT_NUMERICAL),
+    (CogrowthError, "error", 1),
+)
 
 
 @dataclass
@@ -63,10 +71,6 @@ class PipelineConfig:
     u_choice: int
     tol: float
     n_max: int
-
-    @property
-    def slack_tol(self) -> float:
-        return 10 * self.tol
 
 
 def _config(args) -> PipelineConfig:
@@ -127,23 +131,15 @@ def cmd_whitehead(args) -> int:
     graph = build_core(cfg.gens, cfg.alphabet)
     wg = whitehead_graph_of_core(label_sets(graph), cfg.alphabet.rank)
     cuts = find_cut_vertices(wg)
+    spell = cfg.alphabet.spell_caret
+    edges = [[spell(u), spell(v), mult] for u, v, mult in wg.sorted_edges()]
     if cfg.fmt == "dot":
         out = wg.to_dot(cfg.alphabet)
     elif cfg.fmt == "json":
         out = (
             json.dumps(
                 {
-                    "edges": [
-                        [
-                            cfg.alphabet.spell_caret(u),
-                            cfg.alphabet.spell_caret(v),
-                            mult,
-                        ]
-                        for (u, v), mult in sorted(
-                            wg.multiplicity.items(),
-                            key=lambda kv: (letter_key(kv[0][0]), letter_key(kv[0][1])),
-                        )
-                    ],
+                    "edges": edges,
                     "cut_vertices": [json.loads(r.to_json(cfg.alphabet)) for r in cuts],
                 },
                 indent=2,
@@ -153,20 +149,17 @@ def cmd_whitehead(args) -> int:
     else:
         lines = [f"whitehead graph: {wg.n_edges_simple} edges "
                  f"({wg.n_edges_multiset} with multiplicity)"]
-        for (u, v), mult in sorted(
-            wg.multiplicity.items(),
-            key=lambda kv: (letter_key(kv[0][0]), letter_key(kv[0][1])),
-        ):
+        for u, v, mult in edges:
             extra = f"  (x{mult})" if mult > 1 else ""
-            lines.append(
-                f"  {cfg.alphabet.spell_caret(u)} -- {cfg.alphabet.spell_caret(v)}{extra}"
-            )
+            lines.append(f"  {u} -- {v}{extra}")
         if cuts:
             lines.append("cut vertices:")
             for r in cuts:
                 lines.append(
                     f"  {cfg.alphabet.spell_caret(r.letter)} (configuration {r.configuration})"
                 )
+        elif graph.n_vertices == 1:
+            lines.append("cut vertices: none (the core is a rose: a free factor)")
         else:
             lines.append("cut vertices: none (not a free factor)")
         out = "\n".join(lines) + "\n"
@@ -198,18 +191,10 @@ def cmd_automaton(args) -> int:
     return EXIT_OK
 
 
-def _nse_matrix(cfg: PipelineConfig):
-    graph = build_core(cfg.gens, cfg.alphabet)
-    phi, cd = choose_automorphism(graph)
-    aut = build_automaton(graph)
-    s = SStateSet.from_collapse(aut, cd)
-    return aut, s, adjacency(aut, make_nse(aut, s))
-
-
 def cmd_matrix(args) -> int:
     cfg = _config(args)
     if args.ordering == "nse":
-        _, _, mat = _nse_matrix(cfg)
+        mat = pipeline.step_head(build_core(cfg.gens, cfg.alphabet))[-1]
     else:
         aut = build_automaton(build_core(cfg.gens, cfg.alphabet))
         mat = adjacency(aut, ose(aut))
@@ -314,9 +299,7 @@ def cmd_reduce_step(args) -> int:
     if graph.n_vertices == 1:
         _emit("already reduced: the core has a single vertex\n", cfg)
         return EXIT_OK
-    step = pipeline.reduce_step(
-        cfg.gens, cfg.alphabet, u_choice=cfg.u_choice, tol=cfg.tol
-    )
+    step = pipeline.reduce_step(graph, cfg.gens, u_choice=cfg.u_choice, tol=cfg.tol)
     if cfg.fmt == "json":
         out = json.dumps(_step_json(step), indent=2) + "\n"
     else:
@@ -395,9 +378,11 @@ def cmd_verify(args) -> int:
     ok = True
 
     def check(name, fn):
+        """The check fails when `fn` raises or returns False."""
         nonlocal ok
         try:
-            fn()
+            if fn() is False:
+                raise AssertionError()
             lines.append(f"ok   {name}")
         except Exception as exc:  # report and keep going
             ok = False
@@ -418,53 +403,44 @@ def cmd_verify(args) -> int:
     check("homogeneous ambiguity on 50 sampled words", ambiguity_check)
 
     try:
-        _, cd = choose_automorphism(graph)
+        step = pipeline.reduce_step(graph, cfg.gens, u_choice=cfg.u_choice, tol=cfg.tol)
     except (NoCutVertexError, NoValidAutomorphismError) as exc:
         lines.append(f"note {exc}")
         _emit("\n".join(lines) + "\n", cfg)
         raise
 
-    step = pipeline.reduce_step(cfg.gens, cfg.alphabet, u_choice=cfg.u_choice, tol=cfg.tol)
-    s = SStateSet.from_collapse(aut, cd)
-    nse = make_nse(aut, s)
-    m = adjacency(aut, nse)
-    m1 = derive_m1(m, s)
-    collapsed = collapse_automaton(aut, s)
-    rebuilt_core = build_core(list(step.gens_after), cfg.alphabet)
-
+    collapsed = step.aut_after
     check(
         "row-transformed matrix equals collapsed adjacency",
-        lambda: _assert(
-            np.array_equal(m1.matrix, adjacency(collapsed, ose(collapsed)).matrix)
-        ),
+        lambda: np.array_equal(step.m1.matrix, adjacency(collapsed, ose(collapsed)).matrix),
     )
     check(
         "collapsed automaton isomorphic to rebuilt automaton",
-        lambda: _assert(isomorphic(collapsed, build_automaton(rebuilt_core))),
+        lambda: isomorphic(collapsed, build_automaton(step.core_after)),
     )
     check(
         "collapsed core matches rebuilt core",
-        lambda: _assert(rooted_isomorphic(collapse_core(graph, cd), rebuilt_core)),
+        lambda: rooted_isomorphic(collapse_core(graph, step.collapse), step.core_after),
     )
-    pf = pf_eigen(m, tol=cfg.tol)
-    pf1 = pf_eigen(m1, tol=cfg.tol)
-    check(
-        "strict spectral gap",
-        lambda: _assert(pf.eigenvalue < pf1.eigenvalue - 1e-8),
-    )
+    check("strict spectral gap", lambda: step.pf.eigenvalue < step.pf1.eigenvalue - 1e-8)
     for choice in (1, 2, 3):
         check(
             f"inequality certificate, choice {choice}",
             lambda c=choice: certify_inequality(
-                m, m1, s, u_choice=c, tol=cfg.tol, slack_tol=cfg.slack_tol
+                step.m, step.m1, step.s_states, step.pf1, u_choice=c, tol=cfg.tol
             ),
         )
     _emit("\n".join(lines) + "\n", cfg)
     return EXIT_OK if ok else 1
 
 
-def _assert(value):
-    assert value
+def _out_path(path: str) -> str:
+    folder = os.path.dirname(path)
+    if folder and not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"no such directory: {folder}")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"is a directory: {path}")
+    return path
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -481,7 +457,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--alphabet", required=True, help='generator names, e.g. "xyzt" or "x,y,z,t"'
         )
-        p.add_argument("--out", default=None, help="output file (default stdout)")
+        p.add_argument(
+            "--out", type=_out_path, default=None, help="output file (default stdout)"
+        )
         p.add_argument(
             "--tol", type=float, default=1e-10, help="eigen residual tolerance"
         )
@@ -515,24 +493,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except WordParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NotCyclicallyReducedError, PreconditionError) as exc:
-        print(f"precondition violation: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except NoCutVertexError as exc:
-        print(f"no cut vertex: {exc}", file=sys.stderr)
-        return EXIT_NO_CUT_VERTEX
-    except NoValidAutomorphismError as exc:
-        print(f"no valid automorphism: {exc}", file=sys.stderr)
-        return EXIT_NO_AUTOMORPHISM
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except CogrowthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        prefix, code = next((p, c) for kind, p, c in EXIT_CODES if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

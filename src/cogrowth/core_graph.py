@@ -256,22 +256,9 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
         if clash is None:
             break
         uf.union(*clash)
+    # folding cyclically reduced loops leaves no hanging vertex (validate checks)
     folded = {(uf.find(o), g, uf.find(t)) for o, g, t in edges}
     root = uf.find(0)
-
-    # safety net: trim hanging vertices (a no-op for cyclically reduced input)
-    while True:
-        deg: dict[int, int] = {}
-        for o, g, t in folded:
-            deg[o] = deg.get(o, 0) + 1
-            deg[t] = deg.get(t, 0) + 1
-        hanging = {v for v, d in deg.items() if d < 2 and v != root}
-        if not hanging:
-            break
-        folded = {
-            (o, g, t) for o, g, t in folded if o not in hanging and t not in hanging
-        }
-
     if len(folded) - len({v for e in folded for v in (e[0], e[2])} | {root}) + 1 < 2:
         raise CyclicOrTrivialSubgroupError(
             "subgroup is trivial or cyclic; the core has no branching"

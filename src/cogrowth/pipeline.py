@@ -1,11 +1,13 @@
 """One reduction step, and the full iterated reduction.
 
-A step: build the core, pick the collapse automorphism, build the
-automaton and both matrices (row-transformed and directly collapsed,
-checked against each other), compute both eigenvalues, and certify the
-strict gap.  The follow-up generators are the cyclically reduced images
-of the input generators, so iterating strictly shrinks the core until a
-single-vertex core remains or no cut vertex is left.
+A step takes a folded core: it picks the collapse automorphism, builds
+the automaton and both matrices (row-transformed and directly collapsed,
+checked against each other), folds the core of the images (checked
+against the contracted core), computes both eigenvalues, and certifies
+the strict gap.  The follow-up generators are the cyclically reduced
+images of the input generators and their core is carried into the next
+step, so iterating strictly shrinks the core until a single-vertex core
+remains or no cut vertex is left.  Each artifact is computed once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .automaton import (
     build_automaton,
     collapse_automaton,
 )
-from .core_graph import CollapseData, CoreGraph, build_core, collapse_core
+from .core_graph import CollapseData, CoreGraph, build_core, collapse_core, rooted_isomorphic
 from .errors import (
     CogrowthError,
     NoCutVertexError,
@@ -67,21 +69,30 @@ class StepReport:
     certificate: InequalityCertificate
 
 
+def step_head(core: CoreGraph):
+    """The collapse automorphism, its collapse data, the automaton, the
+    collapse states and the matrix under the NSE; raises NoCutVertexError
+    or NoValidAutomorphismError when no step exists."""
+    phi, cd = choose_automorphism(core)
+    aut = build_automaton(core)
+    s = SStateSet.from_collapse(aut, cd)
+    return phi, cd, aut, s, adjacency(aut, make_nse(aut, s))
+
+
 def reduce_step(
+    core: CoreGraph,
     gens,
-    alphabet: Alphabet,
+    *,
     u_choice: int = 3,
     u_override: float | None = None,
     tol: float = 1e-10,
 ) -> StepReport:
-    """Run one collapse step; raises NoCutVertexError or
-    NoValidAutomorphismError when no step exists."""
-    core = build_core(list(gens), alphabet)
-    phi, cd = choose_automorphism(core)
-    aut = build_automaton(core)
-    s = SStateSet.from_collapse(aut, cd)
-    nse = make_nse(aut, s)
-    m = adjacency(aut, nse)
+    """Run one collapse step on `core`, the folded core of `gens`.
+
+    The next core is folded from the images of `gens` and must be the
+    contracted core up to rooted isomorphism.
+    """
+    phi, cd, aut, s, m = step_head(core)
     decompose(m, s)
     m1 = derive_m1(m, s)
 
@@ -93,17 +104,18 @@ def reduce_step(
         raise CogrowthError(
             "row-transformed matrix disagrees with the collapsed automaton"
         )
-    core_after = collapse_core(core, cd)
+    gens_after = tuple(cyclic_reduce(apply_whitehead(phi, w))[0] for w in gens)
+    core_after = build_core(list(gens_after), core.alphabet)
+    if not rooted_isomorphic(collapse_core(core, cd), core_after):
+        raise CogrowthError("contracted core disagrees with the core of the images")
 
     pf = pf_eigen(m, tol=tol)
     pf1 = pf_eigen(m1, tol=tol)
     certificate = certify_inequality(
-        m, m1, s, u_choice=u_choice, u_override=u_override, tol=tol,
-        slack_tol=10 * tol,
+        m, m1, s, pf1, u_choice=u_choice, u_override=u_override, tol=tol
     )
-    gens_after = tuple(cyclic_reduce(apply_whitehead(phi, w))[0] for w in gens)
     return StepReport(
-        alphabet=alphabet,
+        alphabet=core.alphabet,
         gens_before=tuple(gens),
         gens_after=gens_after,
         phi=phi,
@@ -114,7 +126,7 @@ def reduce_step(
         aut_before=aut,
         aut_after=collapsed,
         ose_before=ose(aut),
-        nse=nse,
+        nse=m.ordering,
         ose_after=m1.ordering,
         m=m,
         m1=m1,
@@ -143,16 +155,15 @@ def reduce_full(
     gens, alphabet: Alphabet, u_choice: int = 3, tol: float = 1e-10
 ) -> ReductionTrace:
     gens = tuple(gens)
+    core = build_core(list(gens), alphabet)
     steps: list[StepReport] = []
-    while True:
-        core = build_core(list(gens), alphabet)
-        if core.n_vertices == 1:
-            return ReductionTrace(tuple(steps), "single_vertex_core", gens)
+    while core.n_vertices > 1:
         try:
-            step = reduce_step(gens, alphabet, u_choice=u_choice, tol=tol)
+            step = reduce_step(core, gens, u_choice=u_choice, tol=tol)
         except NoCutVertexError:
             return ReductionTrace(tuple(steps), "no_cut_vertex", gens)
         except NoValidAutomorphismError:
             return ReductionTrace(tuple(steps), "no_valid_automorphism", gens)
         steps.append(step)
-        gens = step.gens_after
+        gens, core = step.gens_after, step.core_after
+    return ReductionTrace(tuple(steps), "single_vertex_core", gens)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import Automaton, SStateSet, State, format_state, state_key
+from .automaton import Automaton, SStateSet, State, format_state, state_key, strongly_connected
 from .errors import (
     CertificateFailureError,
     ConvergenceFailureError,
@@ -42,9 +42,6 @@ class StateOrdering:
 
     def render(self, alphabet) -> list[str]:
         return [format_state(q, alphabet) for q in self.states]
-
-    def index(self, state: State) -> int:
-        return self.states.index(state)
 
 
 def ose(aut: Automaton) -> StateOrdering:
@@ -111,23 +108,6 @@ class AdjacencyMatrix:
                 text += f"{int(x):>3d}"
             lines.append(text)
         return "\n".join(lines) + "\n"
-
-
-def _is_irreducible(mat: np.ndarray) -> bool:
-    n = mat.shape[0]
-    if n == 0:
-        return False
-    for m in (mat, mat.T):
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in np.nonzero(m[stack.pop()])[0]:
-                if int(j) not in seen:
-                    seen.add(int(j))
-                    stack.append(int(j))
-        if len(seen) != n:
-            return False
-    return True
 
 
 def adjacency(aut: Automaton, ordering: StateOrdering) -> AdjacencyMatrix:
@@ -216,10 +196,11 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10, max_iter: int = 10**6) -> P
         raise ValueError("matrix must be square")
     if (mat < 0).any() or (mat != np.round(mat)).any():
         raise ValueError("matrix must be nonnegative and integral")
-    if not _is_irreducible(m.matrix):
+    if not strongly_connected(range(mat.shape[0]), zip(*np.nonzero(mat))):
         raise ValueError("matrix must be irreducible")
     shifted = mat + np.eye(mat.shape[0])
     v = np.ones(mat.shape[0])
+    previous = math.inf
     for iteration in range(1, max_iter + 1):
         y = shifted @ v
         mv = y - v
@@ -228,16 +209,17 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10, max_iter: int = 10**6) -> P
         if residual <= tol:
             assert lam >= 1 - 1e-9 and v.min() > 0
             return PFResult(lam, v, iteration, residual)
-        v = y / y.max()
+        y /= y.max()
+        # a floating-point fixed point repeats forever: no later iterate is closer
+        if residual >= previous and np.array_equal(y, v):
+            raise ConvergenceFailureError(
+                f"power iteration stalled at residual {residual:.3g} after "
+                f"{iteration} iterations, above tol {tol}"
+            )
+        previous, v = residual, y
     raise ConvergenceFailureError(
         f"power iteration did not reach residual {tol} in {max_iter} iterations"
     )
-
-
-def cogrowth_rate(m: AdjacencyMatrix, tol: float = 1e-10) -> tuple[float, float]:
-    """(cogrowth, entropy) = (eigenvalue, log eigenvalue)."""
-    lam = pf_eigen(m, tol=tol).eigenvalue
-    return lam, math.log(lam)
 
 
 @dataclass(frozen=True)
@@ -281,15 +263,16 @@ def certify_inequality(
     m: AdjacencyMatrix,
     m1: AdjacencyMatrix,
     s: SStateSet,
+    pf1: PFResult,
     u_choice: int = 3,
     u_override: float | None = None,
     tol: float = 1e-10,
-    slack_tol: float = 1e-9,
 ) -> InequalityCertificate:
-    """Build the comparison vector from the collapsed eigenvector and
-    verify (M u)_j <= lam1 u_j everywhere, strictly where the chosen
-    construction guarantees it.  By the Perron-Frobenius comparison
-    theorem this certifies that M's eigenvalue is strictly below lam1.
+    """Build the comparison vector from `pf1`, the eigenpair of `m1`
+    solved to `tol`, and verify (M u)_j <= lam1 u_j everywhere, strictly
+    where the chosen construction guarantees it.  By the Perron-Frobenius
+    comparison theorem this certifies that M's eigenvalue is strictly
+    below lam1.
 
     Choice 1 takes each collapse entry at its lower bound (strict rows:
     the feeder rows), choice 2 at its upper bound (strict rows: the
@@ -299,8 +282,8 @@ def certify_inequality(
 
     The comparison vector is the collapsed eigenvector scaled so its
     smallest entry is 1; override values and the reported bounds are
-    expressed in that scale.  Verification tolerances scale with the
-    vector's largest entry, matching how the eigen residual rescales.
+    expressed in that scale.  A row's slack must exceed 10 * tol times
+    the vector's largest entry, matching how the eigen residual rescales.
     """
     _check_nse(m, s)
     b = m.ordering.boundary
@@ -308,8 +291,9 @@ def certify_inequality(
         raise PreconditionError("collapsed matrix does not match the NSE lead block")
     if u_choice not in (1, 2, 3):
         raise PreconditionError("u_choice must be 1, 2 or 3")
+    if pf1.eigenvector.shape != (m1.size,):
+        raise PreconditionError("eigenpair does not belong to the collapsed matrix")
 
-    pf1 = pf_eigen(m1, tol=tol)
     lam1 = pf1.eigenvalue
     n = m.size
     u = np.zeros(n)
@@ -342,7 +326,7 @@ def certify_inequality(
         raise CertificateFailureError("comparison vector is not strictly positive")
     mu = m.matrix @ u
     lu = lam1 * u
-    row_tol = slack_tol * float(u.max())
+    row_tol = 10 * tol * float(u.max())
     strict = []
     for j in range(n):
         if mu[j] > lu[j] + row_tol:

@@ -1,4 +1,5 @@
-"""Whitehead graphs, cut vertices, and the choice of collapse automorphism.
+"""Whitehead graphs, cut vertices, the choice of collapse automorphism,
+and seeded random Whitehead automorphisms and free factors.
 
 The Whitehead graph of a cyclically reduced word records consecutive
 letter pairs (including the wrap-around pair); the Whitehead graph of a
@@ -13,8 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core_graph import CollapseData, CoreGraph, LabelSets, label_sets
+from .core_graph import CollapseData, CoreGraph, LabelSets, build_core, label_sets
 from .errors import (
+    CyclicOrTrivialSubgroupError,
     NoCutVertexError,
     NotCyclicallyReducedError,
     NoValidAutomorphismError,
@@ -62,6 +64,13 @@ class WhiteheadGraph:
     def is_isolated(self, letter: Letter) -> bool:
         return not self.adjacency[letter]
 
+    def sorted_edges(self) -> list[tuple[Letter, Letter, int]]:
+        """(u, v, multiplicity) in the global letter order."""
+        return sorted(
+            ((u, v, mult) for (u, v), mult in self.multiplicity.items()),
+            key=lambda e: (letter_key(e[0]), letter_key(e[1])),
+        )
+
     def component(self, letter: Letter, removed: Letter | None = None) -> frozenset:
         """Connected component of `letter` in the simple graph, optionally
         with one vertex deleted."""
@@ -92,9 +101,7 @@ class WhiteheadGraph:
         lines = ["graph whitehead {"]
         for v in self.vertices:
             lines.append(f'  "{alphabet.spell_caret(v)}";')
-        for (u, v), mult in sorted(
-            self.multiplicity.items(), key=lambda kv: (letter_key(kv[0][0]), letter_key(kv[0][1]))
-        ):
+        for u, v, mult in self.sorted_edges():
             attr = f' [label="{mult}"]' if mult > 1 else ""
             lines.append(
                 f'  "{alphabet.spell_caret(u)}" -- "{alphabet.spell_caret(v)}"{attr};'
@@ -268,6 +275,43 @@ def all_whitehead_automorphisms(rank: int):
                 l for i, l in enumerate(rest) if mask >> i & 1
             )
             yield WhiteheadAutomorphism(a, members)
+
+
+def random_whitehead(rng, rank: int) -> WhiteheadAutomorphism:
+    letters = sigma(rank)
+    a = letters[rng.randrange(len(letters))]
+    rest = [l for l in letters if abs(l) != abs(a)]
+    return WhiteheadAutomorphism(a, frozenset(l for l in rest if rng.random() < 0.5))
+
+
+def random_free_factor(rng, rank: int, max_len: int = 12) -> tuple[Word, ...]:
+    """Image of a proper partial basis of F_rank (alphabet "xyzt"[:rank])
+    under a random chain of Whitehead moves; the tests, the sweep script
+    and the benchmark draw their corpora from it.
+
+    Resampled until every image is cyclically reduced as produced (so the
+    tuple is an exact automorphic image, hence a genuine free factor) and
+    the core has several vertices.  Needs rank >= 3: the only non-cyclic
+    free factor of a rank-2 group is the whole group, whose core is a
+    single vertex.
+    """
+    alphabet = Alphabet(tuple("xyzt"[:rank]))
+    while True:
+        k = rng.randint(2, rank - 1)
+        words = [(i + 1,) for i in range(k)]
+        for _ in range(rng.randint(1, 7)):
+            phi = random_whitehead(rng, rank)
+            words = [apply_whitehead(phi, w) for w in words]
+        if not all(w and is_cyclically_reduced(w) for w in words):
+            continue
+        if max(len(w) for w in words) > max_len:
+            continue
+        try:
+            graph = build_core(list(words), alphabet)
+        except CyclicOrTrivialSubgroupError:
+            continue
+        if graph.n_vertices >= 2:
+            return tuple(words)
 
 
 def reduce_primitive_word(

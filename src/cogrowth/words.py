@@ -21,10 +21,8 @@ from .errors import WordParseError
 Letter = int
 Word = tuple[int, ...]
 
-
-def inv(letter: Letter) -> Letter:
-    """Inverse of a letter (negation)."""
-    return -letter
+# longest word the explicit syntax may spell, so a huge exponent fails to parse
+MAX_WORD_LENGTH = 10**6
 
 
 def letter_key(letter: Letter) -> tuple[int, int]:
@@ -128,6 +126,10 @@ def _parse_explicit(text: str, alphabet: Alphabet) -> Word:
                 raise WordParseError("zero exponent", column=col)
         else:
             power = 1
+        if len(letters) + abs(power) > MAX_WORD_LENGTH:
+            raise WordParseError(
+                f"word longer than {MAX_WORD_LENGTH} letters", column=col
+            )
         letters.extend([base if power > 0 else -base] * abs(power))
         col += len(token) - 1
     return tuple(letters)

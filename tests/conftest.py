@@ -3,10 +3,9 @@ from dataclasses import dataclass
 
 import pytest
 
-from cogrowth import Alphabet, WhiteheadAutomorphism, apply_whitehead, parse_word
+from cogrowth import Alphabet, parse_word
 from cogrowth.core_graph import build_core
-from cogrowth.errors import CyclicOrTrivialSubgroupError
-from cogrowth.words import is_cyclically_reduced, sigma
+from cogrowth.whitehead import random_free_factor
 
 CORPUS_SEED = 20240811
 ALPHABETS = {m: Alphabet(tuple("xyzt"[:m])) for m in (2, 3, 4)}
@@ -46,41 +45,6 @@ class Instance:
     alphabet: Alphabet
     gens: tuple
     expect_no_cut_vertex: bool = False
-
-
-def random_whitehead(rng, rank):
-    letters = sigma(rank)
-    a = letters[rng.randrange(len(letters))]
-    rest = [l for l in letters if abs(l) != abs(a)]
-    return WhiteheadAutomorphism(a, frozenset(l for l in rest if rng.random() < 0.5))
-
-
-def random_free_factor(rng, rank, max_len=12):
-    """Image of a proper partial basis under a random chain of Whitehead
-    moves.
-
-    Resampled until every image is cyclically reduced as produced (so the
-    tuple is an exact automorphic image, hence a genuine free factor) and
-    the core has several vertices.  Needs rank >= 3: the only non-cyclic
-    free factor of a rank-2 group is the whole group, whose core is a
-    single vertex.
-    """
-    while True:
-        k = rng.randint(2, rank - 1)
-        words = [(i + 1,) for i in range(k)]
-        for _ in range(rng.randint(1, 7)):
-            phi = random_whitehead(rng, rank)
-            words = [apply_whitehead(phi, w) for w in words]
-        if not all(w and is_cyclically_reduced(w) for w in words):
-            continue
-        if max(len(w) for w in words) > max_len:
-            continue
-        try:
-            graph = build_core(list(words), ALPHABETS[rank])
-        except CyclicOrTrivialSubgroupError:
-            continue
-        if graph.n_vertices >= 2:
-            return tuple(words)
 
 
 def build_corpus(n_random=200):

@@ -58,7 +58,7 @@ def runs(corpus):
         entry = {"inst": inst, "core": core, "aut": aut, "step": None, "error": None}
         if core.n_vertices > 1:
             try:
-                entry["step"] = pipeline.reduce_step(inst.gens, inst.alphabet)
+                entry["step"] = pipeline.reduce_step(core, inst.gens)
             except (NoCutVertexError, NoValidAutomorphismError) as exc:
                 entry["error"] = exc
         out.append(entry)
@@ -81,7 +81,7 @@ def test_criterion_1_example_structure(example_alphabet):
     cuts = {r.letter for r in find_cut_vertices(whitehead_graph_of_core(ls, 4))}
     ok = ok and 2 in cuts
 
-    step = pipeline.reduce_step(gens, ab)
+    step = pipeline.reduce_step(core, gens)
     ok = ok and step.phi.a == 2 and step.phi.members == frozenset({1, -4})
     ok = ok and [format_word(w, ab) for w in step.gens_after] == ["X", "zYzt"]
     ok = ok and step.s_states.elements == ((2, 2), (1, -2))  # (2,y), (1,y^-1)
@@ -106,7 +106,7 @@ def test_criterion_1_example_structure(example_alphabet):
 
 
 def test_criterion_2_example_matrix(example_gens, example_alphabet):
-    step = pipeline.reduce_step(example_gens, example_alphabet)
+    step = pipeline.reduce_step(build_core(example_gens, example_alphabet), example_gens)
     ok = step.m.matrix.shape == (12, 12) and np.array_equal(
         step.m.matrix, np.array(EXAMPLE_M)
     )
@@ -114,7 +114,7 @@ def test_criterion_2_example_matrix(example_gens, example_alphabet):
 
 
 def test_criterion_3_spectra(example_gens, example_alphabet):
-    step = pipeline.reduce_step(example_gens, example_alphabet)
+    step = pipeline.reduce_step(build_core(example_gens, example_alphabet), example_gens)
     ok = abs(step.pf.eigenvalue - 1.45) <= 0.005
     ok = ok and abs(step.pf1.eigenvalue - 1.64) <= 0.005
     assert report("3 eigenvalues", ok,
@@ -125,7 +125,7 @@ def test_criterion_3_eigenvector_reference_tuple(example_gens, example_alphabet)
     # Known red: the reference tuple transposes entries 2 and 3 (see the
     # module docstring); the computed eigenvector is validated entry by
     # entry against the eigenvector equations in the spectral tests.
-    step = pipeline.reduce_step(example_gens, example_alphabet)
+    step = pipeline.reduce_step(build_core(example_gens, example_alphabet), example_gens)
     reference = (3.12, 4.41, 3.12, 4.41, 2.69, 1.0, 1.64, 1.64, 2.69, 1.0)
     v = step.pf1.eigenvector / step.pf1.eigenvector[5]
     deviations = [
@@ -137,8 +137,8 @@ def test_criterion_3_eigenvector_reference_tuple(example_gens, example_alphabet)
 
 
 def test_criterion_4_example_certificate(example_gens, example_alphabet):
-    step = pipeline.reduce_step(example_gens, example_alphabet)
-    cert = certify_inequality(step.m, step.m1, step.s_states, u_override=3.0)
+    step = pipeline.reduce_step(build_core(example_gens, example_alphabet), example_gens)
+    cert = certify_inequality(step.m, step.m1, step.s_states, step.pf1, u_override=3.0)
     ok = cert.strict_rows == (1, 2, 3, 4, 11, 12)
     mu = step.m.matrix @ cert.u
     for row in range(4, 10):  # NSE rows 5..10
@@ -192,7 +192,9 @@ def test_criterion_5_theorem_suite(runs):
             if not step.pf.eigenvalue < step.pf1.eigenvalue - 1e-8:
                 raise AssertionError("eigenvalue margin too small")
             for choice in (1, 2, 3):
-                certify_inequality(step.m, step.m1, step.s_states, u_choice=choice)
+                certify_inequality(
+                    step.m, step.m1, step.s_states, step.pf1, u_choice=choice
+                )
         except Exception as exc:
             failures.append(f"{label}: {exc}")
     elapsed = time.monotonic() - t0 + build_time

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,7 @@ from cogrowth.cli import main
 from cogrowth.core_graph import CoreGraph
 
 EXAMPLE = ["--gens", "yX,yzYzt", "--alphabet", "xyzt"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -61,6 +63,29 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
     assert not out
     assert "parse error" in err
+
+
+def test_huge_exponent_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "core", "--gens", "x^99999999999,y", "--alphabet", "xy")
+    assert code == 2
+    assert not out
+    assert "parse error" in err
+
+
+def test_out_into_a_missing_directory_fails_at_parsing(capsys, tmp_path):
+    target = tmp_path / "missing" / "core.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["core", *EXAMPLE, "--out", str(target)])
+    assert exc.value.code == 2
+    assert "no such directory" in capsys.readouterr().err
+    assert not target.parent.exists()
+
+
+def test_out_onto_a_directory_fails_at_parsing(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["core", *EXAMPLE, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "is a directory" in capsys.readouterr().err
 
 
 def test_precondition_exit_code(capsys):
@@ -205,3 +230,19 @@ def test_whitehead_text(capsys):
     assert code == 0
     assert "cut vertices:" in out
     assert "y (configuration" in out
+
+
+def test_whitehead_calls_a_rose_a_free_factor(capsys):
+    # <x,y> is a free factor of F3; its core has a single vertex
+    code, out, _ = run(capsys, "whitehead", "--gens", "x,y", "--alphabet", "xyz")
+    assert code == 0
+    assert "not a free factor" not in out
+    assert "cut vertices: none (the core is a rose: a free factor)" in out
+
+
+@pytest.mark.parametrize("command", ["reduce", "reduce-step", "verify"])
+def test_text_output_matches_golden_file(capsys, command):
+    code, out, err = run(capsys, command, *EXAMPLE)
+    assert code == 0
+    assert not err
+    assert out.encode() == (GOLDEN / f"{command}.txt").read_bytes()

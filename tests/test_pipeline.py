@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cogrowth import pipeline
+from cogrowth import pipeline, spectral
 from cogrowth.automaton import accepts, build_automaton
 from cogrowth.core_graph import build_core, label_sets, membership
 from cogrowth.errors import CogrowthError
@@ -17,7 +18,8 @@ def steps(corpus):
     out = []
     for inst in corpus:
         try:
-            out.append(pipeline.reduce_step(list(inst.gens), inst.alphabet))
+            core = build_core(list(inst.gens), inst.alphabet)
+            out.append(pipeline.reduce_step(core, inst.gens))
         except CogrowthError:
             pass
     return out
@@ -55,6 +57,36 @@ def test_full_reduction_of_example(example_gens, example_alphabet):
     for earlier, later in zip(trace.steps, trace.steps[1:]):
         assert later.pf.eigenvalue == pytest.approx(earlier.pf1.eigenvalue, abs=1e-8)
         assert later.core_before.n_vertices < earlier.core_before.n_vertices
+
+
+def test_full_reduction_folds_once_per_step_and_solves_each_matrix_once(
+    example_gens, example_alphabet, monkeypatch
+):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "build_core", counted("build_core", pipeline.build_core))
+    pf_eigen = counted("pf_eigen", spectral.pf_eigen)
+    monkeypatch.setattr(pipeline, "pf_eigen", pf_eigen)
+    monkeypatch.setattr(spectral, "pf_eigen", pf_eigen)
+    steps = len(pipeline.reduce_full(example_gens, example_alphabet).steps)
+    assert steps == 4
+    assert calls["build_core"] == steps + 1
+    assert calls["pf_eigen"] == 2 * steps
+
+
+def test_step_rejects_a_core_that_is_not_folded_from_the_generators(
+    example_core, example_alphabet
+):
+    gens = [parse_word(w, example_alphabet) for w in ("yX", "yzYzt", "x")]
+    with pytest.raises(CogrowthError, match="contracted core"):
+        pipeline.reduce_step(example_core, gens)
 
 
 def test_full_reduction_on_corpus_sample(corpus):

@@ -1,17 +1,18 @@
-import math
-
 import numpy as np
 import pytest
 
 from cogrowth.automaton import SStateSet, build_automaton, collapse_automaton, word_census
 from cogrowth.core_graph import build_core
-from cogrowth.errors import CertificateFailureError, PreconditionError
+from cogrowth.errors import (
+    CertificateFailureError,
+    ConvergenceFailureError,
+    PreconditionError,
+)
 from cogrowth.spectral import (
     AdjacencyMatrix,
     StateOrdering,
     adjacency,
     certify_inequality,
-    cogrowth_rate,
     decompose,
     derive_m1,
     make_nse,
@@ -224,6 +225,15 @@ def test_pf_eigen_rejects_reducible():
         pf_eigen(AdjacencyMatrix(mat, StateOrdering(states, "OSE")))
 
 
+@pytest.mark.parametrize("tol", [0.0, float("nan"), -1.0])
+def test_pf_eigen_stops_when_the_iterate_stalls(example_spectral, tol):
+    # no residual reaches these tolerances; the iterate hits a
+    # floating-point fixed point long before max_iter
+    _, _, _, m, _ = example_spectral
+    with pytest.raises(ConvergenceFailureError, match="stalled"):
+        pf_eigen(m, tol=tol, max_iter=10_000)
+
+
 def test_pf_eigen_agrees_with_charpoly_bisection(example_spectral):
     _, _, _, m, m1 = example_spectral
     for mat in (m, m1):
@@ -233,7 +243,7 @@ def test_pf_eigen_agrees_with_charpoly_bisection(example_spectral):
 
 def test_certificate_with_override_of_three(example_spectral):
     _, _, s, m, m1 = example_spectral
-    cert = certify_inequality(m, m1, s, u_override=3.0)
+    cert = certify_inequality(m, m1, s, pf_eigen(m1), u_override=3.0)
     assert cert.strict_rows == (1, 2, 3, 4, 11, 12)
     for state, (value, lower, upper) in cert.s_values.items():
         assert value == 3.0
@@ -252,7 +262,7 @@ def test_certificate_with_override_of_three(example_spectral):
 )
 def test_certificate_choices(example_spectral, choice, expected_rows):
     _, _, s, m, m1 = example_spectral
-    cert = certify_inequality(m, m1, s, u_choice=choice)
+    cert = certify_inequality(m, m1, s, pf_eigen(m1), u_choice=choice)
     assert cert.strict_rows == expected_rows
     assert cert.u_choice == choice
 
@@ -260,16 +270,13 @@ def test_certificate_choices(example_spectral, choice, expected_rows):
 def test_certificate_rejects_out_of_range_override(example_spectral):
     _, _, s, m, m1 = example_spectral
     with pytest.raises(CertificateFailureError):
-        certify_inequality(m, m1, s, u_override=100.0)
+        certify_inequality(m, m1, s, pf_eigen(m1), u_override=100.0)
 
 
-def test_cogrowth_rate(example_spectral):
-    _, _, _, m, m1 = example_spectral
-    alpha, entropy = cogrowth_rate(m)
-    assert alpha == pytest.approx(1.45, abs=0.005)
-    assert entropy == pytest.approx(math.log(alpha), abs=1e-12)
-    alpha1, _ = cogrowth_rate(m1)
-    assert alpha1 == pytest.approx(1.64, abs=0.005)
+def test_certificate_rejects_an_eigenpair_of_another_matrix(example_spectral):
+    _, _, s, m, m1 = example_spectral
+    with pytest.raises(PreconditionError):
+        certify_inequality(m, m1, s, pf_eigen(m))
 
 
 def test_census_growth_tracks_cogrowth(example_core, example_spectral):
@@ -277,7 +284,7 @@ def test_census_growth_tracks_cogrowth(example_core, example_spectral):
     # their running maximum is within 5% by length 20
     aut = build_automaton(example_core)
     _, _, _, m, _ = example_spectral
-    alpha, _ = cogrowth_rate(m)
+    alpha = pf_eigen(m).eigenvalue
     counts = word_census(aut, 20)
     best = max(
         counts[n - 1] ** (1.0 / n) for n in range(1, 21) if counts[n - 1]

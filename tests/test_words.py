@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cogrowth.errors import WordParseError
+from cogrowth.whitehead import random_whitehead
 from cogrowth.words import (
+    MAX_WORD_LENGTH,
     Alphabet,
     WhiteheadAutomorphism,
     apply_whitehead,
@@ -120,18 +122,11 @@ def test_whitehead_rejects_bad_side_set():
         WhiteheadAutomorphism(2, frozenset({-2}))
 
 
-def random_whitehead(rng, rank=4):
-    lets = sigma(rank)
-    a = lets[rng.randrange(len(lets))]
-    rest = [l for l in lets if abs(l) != abs(a)]
-    return WhiteheadAutomorphism(a, frozenset(l for l in rest if rng.random() < 0.5))
-
-
 def test_inverse_automorphism_property():
     # (A, a) followed by (A, a^-1) is the identity on reduced words
     rng = random.Random(7)
     for _ in range(1000):
-        phi = random_whitehead(rng)
+        phi = random_whitehead(rng, 4)
         w = free_reduce(
             tuple(rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(rng.randint(0, 20)))
         )
@@ -141,7 +136,7 @@ def test_inverse_automorphism_property():
 @given(words(max_size=15), words(max_size=15), st.integers(0, 10**6))
 @settings(max_examples=200)
 def test_homomorphism_property(u, v, seed):
-    phi = random_whitehead(random.Random(seed))
+    phi = random_whitehead(random.Random(seed), 4)
     left = apply_whitehead(phi, free_reduce(u + v))
     right = free_reduce(apply_whitehead(phi, free_reduce(u)) + apply_whitehead(phi, free_reduce(v)))
     assert left == right
@@ -171,6 +166,14 @@ def test_parse_errors_carry_column():
     with pytest.raises(WordParseError) as err:
         parse_word("x qq^2", AB4)
     assert err.value.column == 3
+
+
+def test_parse_caps_the_word_length():
+    ab = Alphabet(("x", "y"))
+    assert len(parse_word("x^3 y^-2", ab)) == 5
+    for text in ("x^99999999999", f"x^{MAX_WORD_LENGTH} y"):
+        with pytest.raises(WordParseError):
+            parse_word(text, ab)
 
 
 def test_alphabet_spec_syntaxes():
