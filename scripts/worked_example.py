@@ -38,7 +38,7 @@ def main():
     ls = label_sets(core)
     for v in core.vertices:
         labels = ", ".join(
-            ab.spell_caret(l) for l in sorted(ls.of(v), key=letter_key)
+            ab.spell_caret(l) for l in sorted(ls[v], key=letter_key)
         )
         print(f"  L_{v} = {{{labels}}}")
 

@@ -21,7 +21,6 @@ from .core_graph import (
 from .whitehead import (
     choose_automorphism,
     find_cut_vertices,
-    reduce_primitive_word,
     whitehead_graph_of_core,
     whitehead_graph_of_word,
 )

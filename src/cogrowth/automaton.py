@@ -34,12 +34,11 @@ def format_state(state: State, alphabet: Alphabet) -> str:
 class Automaton:
     """Deterministic acceptor with I = F; immutable after construction."""
 
-    def __init__(self, alphabet, states, transitions, initial, final):
+    def __init__(self, alphabet, states, transitions, initial):
         self.alphabet = alphabet
         self.states = tuple(sorted(states, key=state_key))
         self.transitions = dict(transitions)
-        self.initial = frozenset(initial)
-        self.final = frozenset(final)
+        self.initial = self.final = frozenset(initial)
         out: dict[State, list[tuple[Letter, State]]] = {q: [] for q in self.states}
         for (q, letter), target in self.transitions.items():
             out[q].append((letter, target))
@@ -63,8 +62,6 @@ class Automaton:
         return len(self.initial) - 1
 
     def validate(self):
-        if self.initial != self.final:
-            raise PreconditionError("initial and final state sets differ")
         for (q, letter), target in self.transitions.items():
             if target[1] != letter:
                 raise PreconditionError("transition label differs from target letter")
@@ -86,10 +83,8 @@ class Automaton:
                     "label": self.alphabet.spell_caret(letter),
                     "to": spell(t),
                 }
-                for (q, letter), t in sorted(
-                    self.transitions.items(),
-                    key=lambda kv: (state_key(kv[0][0]), letter_key(kv[0][1])),
-                )
+                for q in self.states
+                for letter, t in self.successors(q)
             ],
             "initial": sorted(spell(q) for q in self.initial),
             "final": sorted(spell(q) for q in self.final),
@@ -104,14 +99,12 @@ class Automaton:
         for q in self.states:
             shape = "doublecircle" if q in self.initial else "circle"
             lines.append(f'  "{spell(q)}" [shape={shape}];')
-        for (q, letter), t in sorted(
-            self.transitions.items(),
-            key=lambda kv: (state_key(kv[0][0]), letter_key(kv[0][1])),
-        ):
-            style = ", style=dashed" if t in dashed_into else ""
-            lines.append(
-                f'  "{spell(q)}" -> "{spell(t)}" [label="{self.alphabet.spell(letter)}"{style}];'
-            )
+        for q in self.states:
+            for letter, t in self.successors(q):
+                style = ", style=dashed" if t in dashed_into else ""
+                lines.append(
+                    f'  "{spell(q)}" -> "{spell(t)}" [label="{self.alphabet.spell(letter)}"{style}];'
+                )
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -154,7 +147,7 @@ def build_automaton(graph: CoreGraph) -> Automaton:
                 continue
             transitions[((v, entry), letter)] = (graph.step(v, letter), letter)
     initial = {q for q in states if q[0] == graph.root}
-    aut = Automaton(graph.alphabet, states, transitions, initial, initial)
+    aut = Automaton(graph.alphabet, states, transitions, initial)
     aut.validate()
     return aut
 
@@ -190,7 +183,6 @@ class SStateSet:
     ``merge`` renames collapsed origin vertices to their termini.
     """
 
-    a: Letter
     elements: tuple[State, ...]
     incoming: dict[State, tuple[State, ...]]
     outgoing: dict[State, tuple[tuple[Letter, State], ...]]
@@ -224,7 +216,7 @@ class SStateSet:
                 )
             incoming[s] = inc
             outgoing[s] = out
-        return cls(cd.a, tuple(elements), incoming, outgoing, cd.merge_map())
+        return cls(tuple(elements), incoming, outgoing, cd.merge_map())
 
     def rename(self, state: State) -> State:
         return (self.merge.get(state[0], state[0]), state[1])
@@ -262,7 +254,7 @@ def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
     if len(states) != len(set(states)):
         raise DeterminismViolationError("vertex merge identified two states")
     initial = {s.rename(q) for q in initial}
-    collapsed = Automaton(aut.alphabet, states, transitions, initial, initial)
+    collapsed = Automaton(aut.alphabet, states, transitions, initial)
     collapsed.validate()
     return collapsed
 

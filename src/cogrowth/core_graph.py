@@ -153,16 +153,6 @@ class CoreGraph:
 
 
 @dataclass(frozen=True)
-class LabelSets:
-    """Per-vertex sets of labels of outgoing extended edges."""
-
-    by_vertex: dict[int, frozenset[Letter]]
-
-    def of(self, vertex: int) -> frozenset[Letter]:
-        return self.by_vertex[vertex]
-
-
-@dataclass(frozen=True)
 class CollapseData:
     """Edges to contract for one Whitehead reduction step.
 
@@ -289,10 +279,9 @@ def _dfs_renumber(graph: CoreGraph) -> dict[int, int]:
     return ids
 
 
-def label_sets(graph: CoreGraph) -> LabelSets:
-    return LabelSets(
-        {v: frozenset(graph.out_letters(v)) for v in graph.vertices}
-    )
+def label_sets(graph: CoreGraph) -> dict[int, frozenset[Letter]]:
+    """Per-vertex sets of labels of outgoing extended edges."""
+    return {v: frozenset(graph.out_letters(v)) for v in graph.vertices}
 
 
 def membership(graph: CoreGraph, word: Word) -> bool:
@@ -347,13 +336,3 @@ def canonical_form(graph: CoreGraph):
 
 def rooted_isomorphic(g1: CoreGraph, g2: CoreGraph) -> bool:
     return g1.alphabet == g2.alphabet and canonical_form(g1) == canonical_form(g2)
-
-
-def isomorphic_any_root(g1: CoreGraph, g2: CoreGraph) -> bool:
-    """Rooted isomorphism after searching g2's root over all candidates."""
-    if rooted_isomorphic(g1, g2):
-        return True
-    return any(
-        canonical_form(g1) == canonical_form(CoreGraph(g2.alphabet, v, g2.edges))
-        for v in g2.vertices
-    )

@@ -84,7 +84,6 @@ def reduce_step(
     gens,
     *,
     u_choice: int = 3,
-    u_override: float | None = None,
     tol: float = 1e-10,
 ) -> StepReport:
     """Run one collapse step on `core`, the folded core of `gens`.
@@ -111,9 +110,7 @@ def reduce_step(
 
     pf = pf_eigen(m, tol=tol)
     pf1 = pf_eigen(m1, tol=tol)
-    certificate = certify_inequality(
-        m, m1, s, pf1, u_choice=u_choice, u_override=u_override, tol=tol
-    )
+    certificate = certify_inequality(m, m1, s, pf1, u_choice=u_choice, tol=tol)
     return StepReport(
         alphabet=core.alphabet,
         gens_before=tuple(gens),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import Automaton, SStateSet, State, format_state, state_key, strongly_connected
+from .automaton import Automaton, SStateSet, State, format_state, strongly_connected
 from .errors import (
     CertificateFailureError,
     ConvergenceFailureError,
@@ -45,7 +45,7 @@ class StateOrdering:
 
 
 def ose(aut: Automaton) -> StateOrdering:
-    return StateOrdering(tuple(sorted(aut.states, key=state_key)), "OSE")
+    return StateOrdering(aut.states, "OSE")
 
 
 def make_nse(aut: Automaton, s: SStateSet) -> StateOrdering:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core_graph import CollapseData, CoreGraph, LabelSets, build_core, label_sets
+from .core_graph import CollapseData, CoreGraph, build_core, label_sets
 from .errors import (
     CyclicOrTrivialSubgroupError,
     NoCutVertexError,
@@ -29,7 +29,6 @@ from .words import (
     WhiteheadAutomorphism,
     Word,
     apply_whitehead,
-    cyclic_reduce,
     is_cyclically_reduced,
     letter_key,
     sigma,
@@ -129,11 +128,11 @@ def whitehead_graph_of_word(word: Word, rank: int) -> WhiteheadGraph:
     return WhiteheadGraph(rank, mult)
 
 
-def whitehead_graph_of_core(ls: LabelSets, rank: int) -> WhiteheadGraph:
+def whitehead_graph_of_core(ls: dict[int, frozenset], rank: int) -> WhiteheadGraph:
     """Union of complete graphs on each label set."""
     mult: dict[tuple[Letter, Letter], int] = {}
-    for v in sorted(ls.by_vertex):
-        letters = sorted(ls.by_vertex[v], key=letter_key)
+    for v in sorted(ls):
+        letters = sorted(ls[v], key=letter_key)
         for i, u in enumerate(letters):
             for w in letters[i + 1 :]:
                 e = _edge(u, w)
@@ -179,7 +178,7 @@ def find_cut_vertices(wg: WhiteheadGraph) -> list[CutVertexReport]:
 
 
 def _collapse_candidate(
-    graph: CoreGraph, ls: LabelSets, wg: WhiteheadGraph, a: Letter
+    graph: CoreGraph, ls: dict[int, frozenset], wg: WhiteheadGraph, a: Letter
 ) -> tuple[WhiteheadAutomorphism, CollapseData]:
     """Try to build (A, a) and its collapse data; raises TrichotomyFailure."""
     pieces = [p for p in wg.components_after_removal(a) if -a not in p]
@@ -190,7 +189,7 @@ def _collapse_candidate(
 
     s_o = []
     for v in graph.vertices:
-        lv = ls.of(v)
+        lv = ls[v]
         case1 = not (lv & members)
         case2 = lv <= members
         case3 = a in lv and lv <= members | {a}
@@ -206,11 +205,11 @@ def _collapse_candidate(
     e_o, s_t = [], []
     for v in s_o:
         t = graph.step(v, a)
-        if a in ls.of(v) and -a in ls.of(v):
+        if a in ls[v] and -a in ls[v]:
             raise TrichotomyFailure(f"letter {a}: vertex {v} carries both a and a^-1")
         # the endpoint label sets may share the collapse letter itself
         # (an a-chain, where t has its own outgoing a-edge) but nothing else
-        if (ls.of(v) & ls.of(t)) - {a}:
+        if (ls[v] & ls[t]) - {a}:
             raise TrichotomyFailure(
                 f"letter {a}: label sets of {v} and {t} overlap beyond the letter"
             )
@@ -259,24 +258,6 @@ def choose_automorphism(
     )
 
 
-def cyclic_length(word: Word) -> int:
-    core, _ = cyclic_reduce(word)
-    return len(core)
-
-
-def all_whitehead_automorphisms(rank: int):
-    """Every (A, a) over the rank-m alphabet, in deterministic order:
-    2m * 2^(2m-2) candidates."""
-    letters = sigma(rank)
-    for a in letters:
-        rest = [l for l in letters if abs(l) != abs(a)]
-        for mask in range(1 << len(rest)):
-            members = frozenset(
-                l for i, l in enumerate(rest) if mask >> i & 1
-            )
-            yield WhiteheadAutomorphism(a, members)
-
-
 def random_whitehead(rng, rank: int) -> WhiteheadAutomorphism:
     letters = sigma(rank)
     a = letters[rng.randrange(len(letters))]
@@ -313,19 +294,3 @@ def random_free_factor(rng, rank: int, max_len: int = 12) -> tuple[Word, ...]:
         if graph.n_vertices >= 2:
             return tuple(words)
 
-
-def reduce_primitive_word(
-    word: Word, rank: int
-) -> tuple[WhiteheadAutomorphism, Word] | None:
-    """Exhaustively search for an automorphism strictly shrinking the
-    cyclic length; returns None when no candidate shrinks it."""
-    if not is_cyclically_reduced(word) or not word:
-        raise PreconditionError("word must be nonempty and cyclically reduced")
-    if len(word) == 1:
-        raise PreconditionError("single letters are already minimal")
-    base = len(word)
-    for phi in all_whitehead_automorphisms(rank):
-        image, _ = cyclic_reduce(apply_whitehead(phi, word))
-        if len(image) < base:
-            return phi, image
-    return None

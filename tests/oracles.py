@@ -5,13 +5,24 @@ redone by whole-edge-set rewriting (no union-find), word counts by
 enumerating every reduced word and tracing it through the graph (no
 automaton path counting), and the top eigenvalue by exact
 characteristic-polynomial bisection (no power iteration).
+
+The last section holds helpers that only the tests use: rooted
+isomorphism with a free root, and an exhaustive Whitehead search.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from cogrowth.words import sigma
+from cogrowth.core_graph import CoreGraph, canonical_form, rooted_isomorphic
+from cogrowth.errors import PreconditionError
+from cogrowth.words import (
+    WhiteheadAutomorphism,
+    apply_whitehead,
+    cyclic_reduce,
+    is_cyclically_reduced,
+    sigma,
+)
 
 
 # -- folding without union-find ------------------------------------------
@@ -221,3 +232,50 @@ def charpoly_pf(mat, precision=Fraction(1, 10**12)) -> float:
         else:
             hi = mid
     return float((lo + hi) / 2)
+
+
+# -- test-only helpers ---------------------------------------------------
+
+
+def isomorphic_any_root(g1: CoreGraph, g2: CoreGraph) -> bool:
+    """Rooted isomorphism after searching g2's root over all candidates."""
+    if rooted_isomorphic(g1, g2):
+        return True
+    return any(
+        canonical_form(g1) == canonical_form(CoreGraph(g2.alphabet, v, g2.edges))
+        for v in g2.vertices
+    )
+
+
+def cyclic_length(word) -> int:
+    core, _ = cyclic_reduce(word)
+    return len(core)
+
+
+def all_whitehead_automorphisms(rank: int):
+    """Every (A, a) over the rank-m alphabet, in deterministic order:
+    2m * 2^(2m-2) candidates."""
+    letters = sigma(rank)
+    for a in letters:
+        rest = [l for l in letters if abs(l) != abs(a)]
+        for mask in range(1 << len(rest)):
+            members = frozenset(
+                l for i, l in enumerate(rest) if mask >> i & 1
+            )
+            yield WhiteheadAutomorphism(a, members)
+
+
+def reduce_primitive_word(word, rank: int):
+    """Exhaustively search for an automorphism strictly shrinking the
+    cyclic length; returns (phi, image), or None when no candidate
+    shrinks it."""
+    if not is_cyclically_reduced(word) or not word:
+        raise PreconditionError("word must be nonempty and cyclically reduced")
+    if len(word) == 1:
+        raise PreconditionError("single letters are already minimal")
+    base = len(word)
+    for phi in all_whitehead_automorphisms(rank):
+        image, _ = cyclic_reduce(apply_whitehead(phi, word))
+        if len(image) < base:
+            return phi, image
+    return None

@@ -138,7 +138,6 @@ def test_isomorphic_under_state_renaming(example_aut, example_alphabet):
             for (q, letter), t in example_aut.transitions.items()
         },
         {(mapping[v], l) for v, l in example_aut.initial},
-        {(mapping[v], l) for v, l in example_aut.final},
     )
     assert isomorphic(example_aut, renamed)
     assert isomorphic(renamed, example_aut)

@@ -5,6 +5,8 @@ import pytest
 
 from cogrowth.cli import main
 from cogrowth.core_graph import CoreGraph
+from cogrowth.words import format_word
+from conftest import build_corpus
 
 EXAMPLE = ["--gens", "yX,yzYzt", "--alphabet", "xyzt"]
 GOLDEN = Path(__file__).parent / "golden"
@@ -179,6 +181,16 @@ def test_reduce_no_cut_vertex_exit(capsys):
     assert code == 4
 
 
+def test_reduce_no_cut_vertex_after_steps_exit(capsys):
+    # a Whitehead image of <x^2,y> in F3, not a free factor: one step,
+    # then no cut vertex
+    code, out, err = run(capsys, "reduce", "--gens", "xzxz,yzxz", "--alphabet", "xyz")
+    assert code == 4
+    assert not err
+    assert out.startswith("step 1: ")
+    assert "status: no_cut_vertex\n" in out
+
+
 def test_census_table(capsys):
     code, out, _ = run(capsys, "census", *EXAMPLE, "--n-max", "8", "--format", "csv")
     assert code == 0
@@ -216,6 +228,19 @@ def test_verify_battery(capsys):
     assert out.count("ok ") >= 8
 
 
+def test_verify_on_a_rose_is_already_reduced(capsys):
+    # <x,y> is a free factor of F3 whose core is a single vertex
+    code, out, err = run(capsys, "verify", "--gens", "x,y", "--alphabet", "xyz")
+    assert code == 0
+    assert not err
+    assert out == (
+        "ok   core invariants\n"
+        "ok   automaton deterministic/ergodic/I=F\n"
+        "ok   homogeneous ambiguity on 50 sampled words\n"
+        "note already reduced: the core has a single vertex\n"
+    )
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "core.json"
     code, out, _ = run(capsys, "core", *EXAMPLE, "--format", "json",
@@ -246,3 +271,20 @@ def test_text_output_matches_golden_file(capsys, command):
     assert code == 0
     assert not err
     assert out.encode() == (GOLDEN / f"{command}.txt").read_bytes()
+
+
+def corpus_reduce_text(capsys):
+    """`reduce` text output on every corpus instance, one block each."""
+    blocks = []
+    for inst in build_corpus():
+        ab = inst.alphabet
+        gens = ",".join(format_word(w, ab) for w in inst.gens)
+        code, out, err = run(capsys, "reduce", "--gens", gens, "--alphabet", "".join(ab.names))
+        blocks.append(f"== {inst.label}: --gens {gens} --alphabet {''.join(ab.names)}"
+                      f" (exit {code})\n{err}{out}")
+    return "".join(blocks)
+
+
+def test_corpus_reduce_output_matches_golden_file(capsys):
+    out = corpus_reduce_text(capsys)
+    assert out.encode() == (GOLDEN / "corpus-reduce.txt").read_bytes()

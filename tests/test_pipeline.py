@@ -8,7 +8,14 @@ from cogrowth import pipeline, spectral
 from cogrowth.automaton import accepts, build_automaton
 from cogrowth.core_graph import build_core, label_sets, membership
 from cogrowth.errors import CogrowthError
-from cogrowth.words import Alphabet, free_reduce, parse_word
+from cogrowth.whitehead import random_whitehead
+from cogrowth.words import (
+    Alphabet,
+    apply_whitehead,
+    free_reduce,
+    is_cyclically_reduced,
+    parse_word,
+)
 
 AB4 = Alphabet(("x", "y", "z", "t"))
 
@@ -35,7 +42,7 @@ def test_corpus_exercises_all_collapse_shapes(steps):
     chains = 0
     for s in steps:
         ls = label_sets(s.core_before)
-        chains += any(s.collapse.a in ls.of(t) for t in s.collapse.s_t)
+        chains += any(s.collapse.a in ls[t] for t in s.collapse.s_t)
     assert chains >= 10, "collapse letter continuing past the terminus"
 
 
@@ -129,3 +136,44 @@ def test_membership_and_acceptance_agree_on_random_members(example_gens, example
         word = free_reduce(word)
         assert membership(example_core, word)
         assert accepts(aut, word) == (aut.ambiguity if word else 1)
+
+
+# subgroups of F3 that are not free factors
+NOT_FREE_FACTORS = {
+    "<x^2,y^2>": ("xx", "yy"),
+    "<x^2,y>": ("xx", "y"),
+    "<[x,y],z>": ("xyXY", "z"),
+    "<xy,yx>": ("xy", "yx"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(NOT_FREE_FACTORS))
+def test_automorphic_images_of_a_non_free_factor_never_reduce_to_a_rose(label):
+    """Being a free factor is invariant under Aut(F3), so no Whitehead
+    image of these subgroups may reduce to a single-vertex core.  Images
+    are resampled until every word is cyclically reduced, as
+    random_free_factor does; each run ends in a terminal status or a
+    typed error."""
+    ab = Alphabet(("x", "y", "z"))
+    base = [parse_word(w, ab) for w in NOT_FREE_FACTORS[label]]
+    rng = random.Random(f"aut-invariance {label}")
+    outcomes = Counter()
+    stepped = 0
+    for _ in range(100):
+        while True:
+            words = base
+            for _ in range(rng.randint(1, 7)):
+                phi = random_whitehead(rng, 3)
+                words = [apply_whitehead(phi, w) for w in words]
+            if all(w and is_cyclically_reduced(w) for w in words):
+                if max(len(w) for w in words) <= 24:
+                    break
+        try:
+            trace = pipeline.reduce_full(words, ab)
+        except CogrowthError as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        outcomes[trace.status] += 1
+        stepped += bool(trace.steps)
+    assert "single_vertex_core" not in outcomes, outcomes
+    assert stepped, "no image took a reduction step"
