@@ -210,7 +210,7 @@ def cmd_eigen(args) -> int:
     else:
         vec = ", ".join(_f(x) for x in pf.eigenvector)
         out = (
-            f"eigenvalue = {_f(pf.eigenvalue)}  (residual {_f(pf.residual)}, "
+            f"eigenvalue = {_f(pf.eigenvalue)}  (bracket {_f(pf.residual)}, "
             f"tol {_f(args.tol)}, {pf.iterations} iterations)\n"
             f"cogrowth = {_f(pf.eigenvalue)}, entropy = {_f(math.log(pf.eigenvalue))}\n"
             f"eigenvector = [{vec}]\n"
@@ -416,6 +416,16 @@ def _out_path(path: str) -> str:
     return path
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cogrowth",
@@ -434,7 +444,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--out", type=_out_path, default=None, help="output file (default stdout)"
         )
         p.add_argument(
-            "--tol", type=float, default=1e-10, help="eigen residual tolerance"
+            "--tol",
+            type=float,
+            default=1e-10,
+            help="width of the Collatz-Wielandt bracket on the eigenvalue",
         )
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
@@ -456,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("reduce", cmd_reduce, ["text", "json"], help="iterate steps to a terminal")
     p.add_argument("--u-choice", type=int, choices=[1, 2, 3], default=3)
     p = add("census", cmd_census, ["text", "csv"], help="accepted words per length")
-    p.add_argument("--n-max", type=int, default=20)
+    p.add_argument("--n-max", type=_nonnegative_int, default=20)
     p = add("verify", cmd_verify, ["text"], help="self-check battery on one input")
     p.add_argument("--u-choice", type=int, choices=[1, 2, 3], default=3)
     return parser

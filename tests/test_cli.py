@@ -206,6 +206,24 @@ def test_census_empty_table(capsys):
     assert out.strip() == "n,a_n,a_n^(1/n)"
 
 
+def test_census_rejects_a_negative_length(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", *EXAMPLE, "--n-max", "-3"])
+    assert exc.value.code == 2
+    assert "must not be negative" in capsys.readouterr().err
+
+
+def test_eigen_reports_a_bracket_that_bounds_the_error(capsys):
+    # [min Mv/v, max Mv/v] = [1, 2] after one iteration: it encloses the
+    # Perron root 1.45109, so any tol above 1 returns its midpoint
+    code, out, _ = run(capsys, "eigen", *EXAMPLE, "--tol", "1e9")
+    assert code == 0
+    assert out.startswith("eigenvalue = 1.5  (bracket 1, tol 1e+09, 1 iterations)\n")
+    code, out, _ = run(capsys, "eigen", *EXAMPLE)
+    assert code == 0
+    assert out.startswith("eigenvalue = 1.45109  (bracket ")
+
+
 def test_matrix_csv_header(capsys):
     code, out, _ = run(capsys, "matrix", *EXAMPLE, "--format", "csv")
     assert code == 0

@@ -106,6 +106,16 @@ def test_full_reduction_on_corpus_sample(corpus):
     assert statuses == {"single_vertex_core"}
 
 
+def test_consecutive_steps_solve_the_same_eigenvalue(corpus):
+    # the automaton after one collapse is the automaton before the next,
+    # so the two brackets, each at most tol wide, enclose the same root
+    tol = 1e-10
+    for inst in corpus:
+        trace = pipeline.reduce_full(list(inst.gens), inst.alphabet, tol=tol)
+        for earlier, later in zip(trace.steps, trace.steps[1:]):
+            assert abs(later.pf.eigenvalue - earlier.pf1.eigenvalue) <= 2 * tol
+
+
 def letters4():
     return st.integers(1, 4).flatmap(lambda g: st.sampled_from([g, -g]))
 

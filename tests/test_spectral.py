@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,9 @@ from cogrowth.spectral import (
     ose,
     pf_eigen,
 )
-from cogrowth.whitehead import choose_automorphism
-from cogrowth.words import parse_word
+from cogrowth.pipeline import reduce_full
+from cogrowth.whitehead import choose_automorphism, random_whitehead
+from cogrowth.words import Alphabet, apply_whitehead, is_cyclically_reduced, parse_word
 
 import oracles
 
@@ -239,6 +242,82 @@ def test_pf_eigen_agrees_with_charpoly_bisection(example_spectral):
     for mat in (m, m1):
         exact = oracles.charpoly_pf(mat.matrix)
         assert abs(pf_eigen(mat).eigenvalue - exact) <= 1e-9
+
+
+def _ose_matrix(gens, alphabet):
+    aut = build_automaton(build_core(list(gens), alphabet))
+    return adjacency(aut, ose(aut))
+
+
+def _grown_free_factor(min_vertices, seed):
+    """Image of the partial basis {x, y} of F4 under a seeded chain of
+    Whitehead moves, grown until its core has `min_vertices` vertices."""
+    ab = Alphabet(tuple("xyzt"))
+    rng = random.Random(seed)
+    gens = ((1,), (2,))
+    while build_core(list(gens), ab).n_vertices < min_vertices:
+        image = tuple(apply_whitehead(random_whitehead(rng, 4), w) for w in gens)
+        if all(is_cyclically_reduced(w) for w in image):
+            gens = image
+    return gens, ab
+
+
+@pytest.fixture(scope="module")
+def corpus_matrices(corpus):
+    """Both matrices of every step of every corpus reduction."""
+    out = []
+    for inst in corpus:
+        for step in reduce_full(list(inst.gens), inst.alphabet).steps:
+            out += [step.m, step.m1]
+    return out
+
+
+def test_pf_eigen_is_within_tol_of_eigvals_on_large_matrices(example_alphabet):
+    # lambda near 1 leaves power iteration almost no spectral gap; the
+    # fold family x^n y x^-n z, x^n z x^-n t at n = 100 has order 608
+    x, y, z, t = 1, 2, 3, 4
+    fold = ((x,) * 100 + (y,) + (-x,) * 100 + (z,), (x,) * 100 + (z,) + (-x,) * 100 + (t,))
+    tol = 1e-10
+    for m in (_ose_matrix(fold, example_alphabet), _ose_matrix(*_grown_free_factor(100, 0))):
+        pf = pf_eigen(m, tol=tol)
+        exact = max(np.linalg.eigvals(m.matrix.astype(float)).real)
+        ratios = (m.matrix @ pf.eigenvector) / pf.eigenvector
+        lo, hi = ratios.min(), ratios.max()
+        assert m.size >= 200
+        assert abs(pf.eigenvalue - exact) <= tol
+        assert lo <= pf.eigenvalue <= hi and hi - lo <= tol
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_pf_eigen_on_corpus_matrices(corpus_matrices, tol):
+    # Noda's iteration converges quadratically: a return to linear
+    # convergence needs tens of iterations on these small matrices
+    for m in corpus_matrices:
+        pf = pf_eigen(m, tol=tol)
+        assert pf.iterations <= 20
+        assert pf.eigenvector.max() == 1.0
+        error = np.abs(m.matrix @ pf.eigenvector - pf.eigenvalue * pf.eigenvector).max()
+        assert error <= pf.residual <= tol
+
+
+def test_pf_eigen_reports_a_singular_solve_as_a_convergence_failure(
+    example_spectral, monkeypatch
+):
+    _, _, _, m, _ = example_spectral
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(ConvergenceFailureError, match="singular"):
+        pf_eigen(m)
+
+
+def test_pf_eigen_stops_when_rounding_breaks_positivity(example_spectral, monkeypatch):
+    _, _, _, m, _ = example_spectral
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: -b)
+    with pytest.raises(ConvergenceFailureError, match="stalled"):
+        pf_eigen(m)
 
 
 def test_certificate_with_override_of_three(example_spectral):
