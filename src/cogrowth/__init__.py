@@ -16,13 +16,11 @@ from .core_graph import (
     build_core,
     collapse_core,
     label_sets,
-    membership,
 )
 from .whitehead import (
     choose_automorphism,
     find_cut_vertices,
     whitehead_graph_of_core,
-    whitehead_graph_of_word,
 )
 from .automaton import (
     Automaton,

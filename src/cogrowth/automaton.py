@@ -109,6 +109,16 @@ class Automaton:
         return "\n".join(lines) + "\n"
 
 
+def predecessors(aut: Automaton, states) -> dict[State, list[State]]:
+    """Origins of the transitions into each of `states`, in one pass over
+    the transitions."""
+    back: dict[State, list[State]] = {q: [] for q in states}
+    for (q, _), t in aut.transitions.items():
+        if t in back:
+            back[t].append(q)
+    return back
+
+
 def strongly_connected(nodes, arcs) -> bool:
     """Whether the digraph on `nodes` with (source, target) `arcs` is
     nonempty and strongly connected."""
@@ -200,13 +210,9 @@ class SStateSet:
         incoming = {}
         outgoing = {}
         sset = set(elements)
+        back = predecessors(aut, elements)
         for s in elements:
-            inc = tuple(
-                sorted(
-                    (q for (q, letter), t in aut.transitions.items() if t == s),
-                    key=state_key,
-                )
-            )
+            inc = tuple(sorted(back[s], key=state_key))
             out = aut.successors(s)
             if not inc or not out:
                 raise PreconditionError(f"collapse state {s} has a missing side")
@@ -333,9 +339,7 @@ def sample_accepted_word(aut: Automaton, rng, target_len: int) -> Word:
     walk, steered to the nearest final state once long enough."""
     dist = {q: 0 for q in aut.final}
     frontier = list(aut.final)
-    back: dict[State, list[State]] = {q: [] for q in aut.states}
-    for (q, _), t in aut.transitions.items():
-        back[t].append(q)
+    back = predecessors(aut, aut.states)
     while frontier:
         nxt = []
         for q in frontier:

@@ -1,11 +1,9 @@
 """Whitehead graphs, cut vertices, the choice of collapse automorphism,
 and seeded random Whitehead automorphisms and free factors.
 
-The Whitehead graph of a cyclically reduced word records consecutive
-letter pairs (including the wrap-around pair); the Whitehead graph of a
-labeled graph is the union of complete graphs on the per-vertex label
-sets.  A cut vertex in either graph drives one reduction step: it
-determines the automorphism (A, a) and, through the per-vertex
+The Whitehead graph of a labeled graph is the union of complete graphs
+on the per-vertex label sets.  A cut vertex in it drives one reduction
+step: it determines the automorphism (A, a) and, through the per-vertex
 trichotomy, the set of core edges to collapse.
 """
 
@@ -18,7 +16,6 @@ from .core_graph import CollapseData, CoreGraph, build_core, label_sets
 from .errors import (
     CyclicOrTrivialSubgroupError,
     NoCutVertexError,
-    NotCyclicallyReducedError,
     NoValidAutomorphismError,
     PreconditionError,
     TrichotomyFailure,
@@ -111,21 +108,6 @@ class WhiteheadGraph:
 
 def _edge(u: Letter, v: Letter) -> tuple[Letter, Letter]:
     return (u, v) if letter_key(u) <= letter_key(v) else (v, u)
-
-
-def whitehead_graph_of_word(word: Word, rank: int) -> WhiteheadGraph:
-    """One edge per consecutive pair (inverse of first to second), plus
-    the wrap-around edge; the multiset has exactly |word| edges."""
-    if not word or not is_cyclically_reduced(word):
-        raise NotCyclicallyReducedError(
-            "Whitehead graph needs a nonempty cyclically reduced word"
-        )
-    mult: dict[tuple[Letter, Letter], int] = {}
-    for i in range(len(word)):
-        first, second = word[i], word[(i + 1) % len(word)]
-        e = _edge(-first, second)
-        mult[e] = mult.get(e, 0) + 1
-    return WhiteheadGraph(rank, mult)
 
 
 def whitehead_graph_of_core(ls: dict[int, frozenset], rank: int) -> WhiteheadGraph:

@@ -1,31 +1,36 @@
 """Independent oracles the tests check the library against.
 
 Each oracle deliberately avoids the code path it validates: folding is
-redone by whole-edge-set rewriting (no union-find), word counts by
+redone by whole-edge-set rewriting (no per-vertex worklist), word counts by
 enumerating every reduced word and tracing it through the graph (no
 automaton path counting), and the top eigenvalue by exact
 characteristic-polynomial bisection (no power iteration).
 
-The last section holds helpers that only the tests use: rooted
-isomorphism with a free root, and an exhaustive Whitehead search.
+The last section holds helpers that only the tests use: membership by
+tracing, reading a core back from JSON, the Whitehead graph of a word,
+rooted isomorphism with a free root, and an exhaustive Whitehead search.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
 
 from cogrowth.core_graph import CoreGraph, canonical_form, rooted_isomorphic
-from cogrowth.errors import PreconditionError
+from cogrowth.errors import NotCyclicallyReducedError, PreconditionError
+from cogrowth.whitehead import WhiteheadGraph
 from cogrowth.words import (
+    Alphabet,
     WhiteheadAutomorphism,
     apply_whitehead,
     cyclic_reduce,
     is_cyclically_reduced,
+    letter_key,
     sigma,
 )
 
 
-# -- folding without union-find ------------------------------------------
+# -- folding by whole-edge-set rewriting -----------------------------------
 
 
 def naive_fold(gens, rank):
@@ -235,6 +240,39 @@ def charpoly_pf(mat, precision=Fraction(1, 10**12)) -> float:
 
 
 # -- test-only helpers ---------------------------------------------------
+
+
+def membership(graph: CoreGraph, word) -> bool:
+    """True iff the reduced word labels a root-to-root extended path."""
+    v = graph.root
+    for letter in word:
+        v = graph.step(v, letter)
+        if v is None:
+            return False
+    return v == graph.root
+
+
+def core_from_json(text: str) -> CoreGraph:
+    """Inverse of `CoreGraph.to_json`."""
+    data = json.loads(text)
+    alphabet = Alphabet(tuple(data["alphabet"]))
+    edges = [(e["o"], alphabet.index(e["label"]), e["t"]) for e in data["edges"]]
+    return CoreGraph(alphabet, data["root"], edges)
+
+
+def whitehead_graph_of_word(word, rank: int) -> WhiteheadGraph:
+    """One edge per consecutive pair (inverse of first to second), plus
+    the wrap-around edge; the multiset has exactly |word| edges."""
+    if not word or not is_cyclically_reduced(word):
+        raise NotCyclicallyReducedError(
+            "Whitehead graph needs a nonempty cyclically reduced word"
+        )
+    mult = {}
+    for i in range(len(word)):
+        u, v = -word[i], word[(i + 1) % len(word)]
+        e = (u, v) if letter_key(u) <= letter_key(v) else (v, u)
+        mult[e] = mult.get(e, 0) + 1
+    return WhiteheadGraph(rank, mult)
 
 
 def isomorphic_any_root(g1: CoreGraph, g2: CoreGraph) -> bool:

@@ -4,9 +4,9 @@ from pathlib import Path
 import pytest
 
 from cogrowth.cli import main
-from cogrowth.core_graph import CoreGraph
 from cogrowth.words import format_word
 from conftest import build_corpus
+from oracles import core_from_json
 
 EXAMPLE = ["--gens", "yX,yzYzt", "--alphabet", "xyzt"]
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,7 +36,7 @@ def test_core_dot_has_double_circled_root(capsys):
 def test_core_json_roundtrip(capsys):
     code, out, _ = run(capsys, "core", *EXAMPLE, "--format", "json")
     assert code == 0
-    graph = CoreGraph.from_json(out)
+    graph = core_from_json(out)
     assert graph.n_vertices == 5
     assert graph.to_json() + "\n" == out
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -9,7 +10,6 @@ from cogrowth.core_graph import (
     canonical_form,
     collapse_core,
     label_sets,
-    membership,
     rooted_isomorphic,
 )
 from cogrowth.errors import (
@@ -18,8 +18,16 @@ from cogrowth.errors import (
     NotCyclicallyReducedError,
     PreconditionError,
 )
-from cogrowth.whitehead import choose_automorphism
-from cogrowth.words import Alphabet, parse_word, sigma
+from cogrowth.automaton import build_automaton
+from cogrowth.whitehead import choose_automorphism, random_whitehead
+from cogrowth.words import (
+    Alphabet,
+    apply_whitehead,
+    inverse_word,
+    is_cyclically_reduced,
+    parse_word,
+    sigma,
+)
 
 import oracles
 
@@ -81,11 +89,11 @@ def test_label_set_sizes_sum_to_twice_edges(corpus):
 
 
 def test_membership_examples(example_core, example_alphabet):
-    assert membership(example_core, parse_word("yX", example_alphabet))
-    assert not membership(example_core, parse_word("x", example_alphabet))
-    assert membership(example_core, ())
-    assert membership(example_core, parse_word("yzYzt", example_alphabet))
-    assert not membership(example_core, parse_word("yzYz", example_alphabet))
+    assert oracles.membership(example_core, parse_word("yX", example_alphabet))
+    assert not oracles.membership(example_core, parse_word("x", example_alphabet))
+    assert oracles.membership(example_core, ())
+    assert oracles.membership(example_core, parse_word("yzYzt", example_alphabet))
+    assert not oracles.membership(example_core, parse_word("yzYz", example_alphabet))
 
 
 def all_reduced_words(rank, n):
@@ -109,7 +117,68 @@ def test_membership_agrees_with_naive_fold_oracle():
     root, edges = oracles.naive_fold(gens, 2)
     for n in range(0, 9):
         for w in all_reduced_words(2, n):
-            assert membership(g, w) == oracles.naive_membership(root, edges, w)
+            assert oracles.membership(g, w) == oracles.naive_membership(root, edges, w)
+
+
+def assert_folds_like_naive_fold(gens, alphabet):
+    core = build_core(list(gens), alphabet)
+    root, edges = oracles.naive_fold(gens, alphabet.rank)
+    assert canonical_form(core) == canonical_form(CoreGraph(alphabet, root, edges))
+    return core
+
+
+def test_fold_agrees_with_naive_fold_on_corpus(corpus):
+    for inst in corpus:
+        assert_folds_like_naive_fold(inst.gens, inst.alphabet)
+
+
+def fold_family(n):
+    """x^n y x^-n z, x^n z x^-n t."""
+    x, y, z, t = 1, 2, 3, 4
+    return ((x,) * n + (y,) + (-x,) * n + (z,), (x,) * n + (z,) + (-x,) * n + (t,))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 25])
+def test_fold_agrees_with_naive_fold_on_fold_family(n):
+    for pair in itertools.permutations(fold_family(n)):
+        for flips in itertools.product((False, True), repeat=2):
+            gens = [inverse_word(w) if f else w for w, f in zip(pair, flips)]
+            assert_folds_like_naive_fold(gens, AB4)
+
+
+def whitehead_chain_images(seed, min_letters):
+    """Images of <x,y,z> <= F4 under a seeded chain of Whitehead moves,
+    drawn until their total length reaches `min_letters`; the first chain
+    whose images are cyclically reduced."""
+    rng = random.Random(seed)
+    while True:
+        words = [(1,), (2,), (3,)]
+        while sum(map(len, words)) < min_letters:
+            phi = random_whitehead(rng, 4)
+            words = [apply_whitehead(phi, w) for w in words]
+        if all(is_cyclically_reduced(w) for w in words):
+            return words
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_fold_agrees_with_naive_fold_on_whitehead_chains(seed):
+    gens = whitehead_chain_images(seed, 300)
+    core = assert_folds_like_naive_fold(gens, AB4)
+    # a free factor's images fold long cascades into a small core
+    assert sum(map(len, gens)) - core.n_vertices >= 150
+
+
+@pytest.mark.parametrize("n", [1, 25, 400])
+@pytest.mark.parametrize("image", [(1, 2, 3, 4), (-3, 1, -4, 2)])
+def test_fold_family_closed_form(n, image):
+    """The core of the family has 3n+3 vertices and 3n+4 edges, also
+    after a signed relabelling of the letters; its automaton has 6n+8
+    states."""
+    gens = [tuple(image[abs(l) - 1] * (1 if l > 0 else -1) for l in w)
+            for w in fold_family(n)]
+    core = build_core(gens, AB4)
+    assert (core.n_vertices, core.n_edges, core.subgroup_rank) == (3 * n + 3, 3 * n + 4, 2)
+    assert build_automaton(core).n_states == 6 * n + 8
 
 
 def test_folding_confluence_under_generator_permutation(example_gens, example_alphabet):
@@ -176,7 +245,7 @@ def test_collapse_shrinks_and_respects_label_overlap_bound(corpus):
 
 def test_json_roundtrip(example_core):
     text = example_core.to_json()
-    again = CoreGraph.from_json(text)
+    again = oracles.core_from_json(text)
     assert again == example_core
     assert again.to_json() == text
 

@@ -11,10 +11,14 @@ from cogrowth.whitehead import (
     choose_automorphism,
     find_cut_vertices,
     whitehead_graph_of_core,
-    whitehead_graph_of_word,
 )
 from cogrowth.words import Alphabet, parse_word, sigma
-from oracles import all_whitehead_automorphisms, cyclic_length, reduce_primitive_word
+from oracles import (
+    all_whitehead_automorphisms,
+    cyclic_length,
+    reduce_primitive_word,
+    whitehead_graph_of_word,
+)
 
 AB2 = Alphabet(("x", "y"))
 AB4 = Alphabet(("x", "y", "z", "t"))
