@@ -6,8 +6,9 @@ is deterministic (identical inputs give byte-identical output); floats
 are printed to 6 significant digits.
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation,
-4 no cut vertex (certified not a free factor), 5 no valid automorphism,
-6 numerical failure.
+4 no cut vertex (certified not a free factor), 6 numerical failure.
+Exit code 5 is retired: it meant that cut vertices existed but none
+gave a collapse, which cannot happen (see the whitehead module).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .core_graph import build_core, label_sets
 from .errors import (
     CogrowthError,
     NoCutVertexError,
-    NoValidAutomorphismError,
     NumericalError,
     PreconditionError,
     WordParseError,
@@ -45,14 +45,10 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_NO_CUT_VERTEX = 4
-EXIT_NO_AUTOMORPHISM = 5
 EXIT_NUMERICAL = 6
 
 # exit code of `reduce` by terminal status, however many steps ran first
-TERMINAL_EXIT = {
-    "no_cut_vertex": EXIT_NO_CUT_VERTEX,
-    "no_valid_automorphism": EXIT_NO_AUTOMORPHISM,
-}
+TERMINAL_EXIT = {"no_cut_vertex": EXIT_NO_CUT_VERTEX}
 
 ALREADY_REDUCED = "already reduced: the core has a single vertex"
 
@@ -61,7 +57,6 @@ EXIT_CODES = (
     (WordParseError, "parse error", EXIT_PARSE),
     (PreconditionError, "precondition violation", EXIT_PRECONDITION),
     (NoCutVertexError, "no cut vertex", EXIT_NO_CUT_VERTEX),
-    (NoValidAutomorphismError, "no valid automorphism", EXIT_NO_AUTOMORPHISM),
     (NumericalError, "numerical failure", EXIT_NUMERICAL),
     (CogrowthError, "error", 1),
 )
@@ -354,7 +349,7 @@ def cmd_verify(args) -> int:
     if graph.n_vertices > 1:
         try:
             step = pipeline.reduce_step(graph, gens, u_choice=args.u_choice, tol=args.tol)
-        except (NoCutVertexError, NoValidAutomorphismError) as exc:
+        except NoCutVertexError as exc:
             stop = exc
     aut = step.aut_before if step else build_automaton(graph)
     # build_core and build_automaton validate what they build, and

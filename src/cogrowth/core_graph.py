@@ -108,11 +108,11 @@ class CoreGraph:
                     stack.append(w)
         if seen != set(self.vertices):
             raise PreconditionError("graph is not connected")
+        # the root too: a label set of one letter breaks the trichotomy
+        # that whitehead.choose_automorphism relies on
         for v in self.vertices:
-            if v != self.root and self.degree(v) < 2:
-                raise PreconditionError(f"non-root vertex {v} has degree < 2")
-        if self.edges and self.degree(self.root) < 1:
-            raise PreconditionError("root has degree 0")
+            if self.degree(v) < 2:
+                raise PreconditionError(f"vertex {v} has degree < 2")
 
     # -- serialization ------------------------------------------------
 
@@ -247,34 +247,30 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
     # folding cyclically reduced loops leaves no hanging vertex (validate checks)
     reps = [v for v, out in enumerate(nbr) if out is not None]
     folded = [(v, g, rep[t]) for v in reps for g, t in nbr[v].items() if g > 0]
-    root = rep[0]
     if len(folded) - len(reps) + 1 < 2:
         raise CyclicOrTrivialSubgroupError(
             "subgroup is trivial or cyclic; the core has no branching"
         )
 
-    graph = CoreGraph(alphabet, root, folded)
-    renamed = _dfs_renumber(graph)
-    graph = CoreGraph(
-        alphabet,
-        renamed[root],
-        [(renamed[o], g, renamed[t]) for o, g, t in folded],
+    ids = _dfs_renumber(
+        rep[0], lambda v: [rep[nbr[v][l]] for l in sorted(nbr[v], key=letter_key)]
     )
+    graph = CoreGraph(alphabet, 1, [(ids[o], g, ids[t]) for o, g, t in folded])
     graph.validate()
     return graph
 
 
-def _dfs_renumber(graph: CoreGraph) -> dict[int, int]:
-    """Depth-first discovery ids (1-based) along the global letter order."""
+def _dfs_renumber(root: int, neighbours) -> dict[int, int]:
+    """Depth-first discovery ids (1-based) from `root`; `neighbours(v)`
+    lists the ends of v's extended edges in the global letter order."""
     ids: dict[int, int] = {}
-    stack = [graph.root]
+    stack = [root]
     while stack:
         v = stack.pop()
         if v in ids:
             continue
         ids[v] = len(ids) + 1
-        for letter in reversed(graph.out_letters(v)):
-            stack.append(graph.step(v, letter))
+        stack.extend(reversed(neighbours(v)))
     return ids
 
 
@@ -319,7 +315,9 @@ def collapse_core(graph: CoreGraph, cd: CollapseData) -> CoreGraph:
 
 def canonical_form(graph: CoreGraph):
     """Renumber by depth-first discovery; equal forms = rooted isomorphic."""
-    ids = _dfs_renumber(graph)
+    ids = _dfs_renumber(
+        graph.root, lambda v: [graph.step(v, l) for l in graph.out_letters(v)]
+    )
     return tuple(sorted((ids[o], g, ids[t]) for o, g, t in graph.edges))
 
 

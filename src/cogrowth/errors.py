@@ -36,19 +36,9 @@ class NoCutVertexError(CogrowthError):
     """The Whitehead graph has no cut vertex.
 
     This certifies (contrapositive of the cut-vertex theorem) that the
-    subgroup is not a free factor.
+    subgroup is not a free factor.  Otherwise the first cut vertex always
+    gives a collapse (see the whitehead module).
     """
-
-
-class NoValidAutomorphismError(CogrowthError):
-    """Cut vertices exist but none yields a collapse-compatible automorphism.
-
-    Nothing is asserted about the subgroup in this case.
-    """
-
-
-class TrichotomyFailure(CogrowthError):
-    """A single cut-vertex candidate failed the per-vertex trichotomy."""
 
 
 class FoldingViolationError(CogrowthError):

@@ -23,11 +23,7 @@ from .automaton import (
     collapse_automaton,
 )
 from .core_graph import CollapseData, CoreGraph, build_core, collapse_core, rooted_isomorphic
-from .errors import (
-    CogrowthError,
-    NoCutVertexError,
-    NoValidAutomorphismError,
-)
+from .errors import CogrowthError, NoCutVertexError
 from .spectral import (
     AdjacencyMatrix,
     InequalityCertificate,
@@ -72,7 +68,7 @@ class StepReport:
 def step_head(core: CoreGraph):
     """The collapse automorphism, its collapse data, the automaton, the
     collapse states and the matrix under the NSE; raises NoCutVertexError
-    or NoValidAutomorphismError when no step exists."""
+    when no step exists."""
     phi, cd = choose_automorphism(core)
     aut = build_automaton(core)
     s = SStateSet.from_collapse(aut, cd)
@@ -138,9 +134,9 @@ class ReductionTrace:
     """Steps run until a terminal status.
 
     Statuses: ``single_vertex_core`` (the subgroup reduced to a wedge of
-    basis loops, the constructive free-factor outcome), ``no_cut_vertex``
-    (certified not a free factor), ``no_valid_automorphism`` (search
-    exhausted, nothing certified).
+    basis loops: a free factor) and ``no_cut_vertex`` (certified not a
+    free factor).  Every input reaches one of them, since a cut vertex
+    always gives a step (see the whitehead module).
     """
 
     steps: tuple[StepReport, ...]
@@ -159,8 +155,6 @@ def reduce_full(
             step = reduce_step(core, gens, u_choice=u_choice, tol=tol)
         except NoCutVertexError:
             return ReductionTrace(tuple(steps), "no_cut_vertex", gens)
-        except NoValidAutomorphismError:
-            return ReductionTrace(tuple(steps), "no_valid_automorphism", gens)
         steps.append(step)
         gens, core = step.gens_after, step.core_after
     return ReductionTrace(tuple(steps), "single_vertex_core", gens)

@@ -186,16 +186,17 @@ class PFResult:
     iterations: int
     residual: float
 
-    def to_json(self, states=None, alphabet=None) -> str:
-        data = {
-            "eigenvalue": float(self.eigenvalue),
-            "eigenvector": [float(x) for x in self.eigenvector],
-            "iterations": self.iterations,
-            "residual": float(self.residual),
-        }
-        if states is not None and alphabet is not None:
-            data["states"] = [format_state(q, alphabet) for q in states]
-        return json.dumps(data, indent=2)
+    def to_json(self, states, alphabet) -> str:
+        return json.dumps(
+            {
+                "eigenvalue": float(self.eigenvalue),
+                "eigenvector": [float(x) for x in self.eigenvector],
+                "iterations": self.iterations,
+                "residual": float(self.residual),
+                "states": [format_state(q, alphabet) for q in states],
+            },
+            indent=2,
+        )
 
 
 def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10, max_iter: int = 10**6) -> PFResult:

@@ -5,6 +5,45 @@ The Whitehead graph of a labeled graph is the union of complete graphs
 on the per-vertex label sets.  A cut vertex in it drives one reduction
 step: it determines the automorphism (A, a) and, through the per-vertex
 trichotomy, the set of core edges to collapse.
+
+Why the first cut vertex always gives a collapse.  Let the core be
+folded and connected with every vertex, the root included, of degree at
+least 2, so that each label set L_v has at least 2 letters.  Let a be a
+cut vertex: configuration 1 (the component comp(a) misses a^-1) or 2
+(comp(a) contains a^-1 and comp(a) - a has at least 2 pieces).  The
+side set A is the union of the pieces of comp(a) - a that miss a^-1.
+The trichotomy at v reads: (1) L_v misses A, (2) L_v lies in A,
+(3) a is in L_v and L_v lies in A + {a}; the origins S_o are the
+vertices in case 3, and each origin v collapses along its a-edge to its
+terminus t.
+
+- L_v is a clique of the Whitehead graph, so L_v - {a} lies in a single
+  piece of comp(a) - a or outside comp(a).  Checking the four ways of
+  placing it (a in L_v or not; in a piece of A or not) shows that
+  exactly one case holds when |L_v| >= 2.  When L_v = {a}, cases 1 and
+  3 both hold: that is why the root needs degree 2 as well.
+- A is not empty: in configuration 1 no piece holds a^-1 (and there is
+  a piece, as a is not isolated), and in configuration 2 at most one of
+  at least two pieces does.
+- S_o is not empty.  Every piece is joined to a, so some L_v holds a
+  and a letter of a piece of A; L_v - {a} then lies in that piece, and
+  v is in case 3.
+- For v in S_o, a^-1 is not in L_v, since L_v lies in A + {a} and a^-1
+  is not in A.
+- The terminus t carries a^-1, so L_t - {a} lies in the piece of a^-1
+  or outside comp(a); hence L_t misses A, L_v & L_t lies in {a}, and t
+  is not an origin.  Distinct origins have distinct termini (the core is
+  folded), so the contraction merges disjoint pairs {v, t} whose label
+  sets, less the contracted edge, are disjoint: it creates no label
+  clash, keeps every degree at least 2, and removes |S_o| vertices.
+
+So `reduce` decides free factors: a single-vertex core is a wedge of
+basis loops, and a core with several vertices whose Whitehead graph has
+no cut vertex is not a free factor (Whitehead 1936; Stallings,
+"Whitehead graphs on handlebodies", 1999).  Ascari's fine property
+(ascari2021fine) is the free-factor half.  `CollapseData` and
+`collapse_core` still check the result, as internal checks that only a
+broken invariant trips.
 """
 
 from __future__ import annotations
@@ -13,13 +52,7 @@ import json
 from dataclasses import dataclass
 
 from .core_graph import CollapseData, CoreGraph, build_core, label_sets
-from .errors import (
-    CyclicOrTrivialSubgroupError,
-    NoCutVertexError,
-    NoValidAutomorphismError,
-    PreconditionError,
-    TrichotomyFailure,
-)
+from .errors import CyclicOrTrivialSubgroupError, NoCutVertexError, PreconditionError
 from .words import (
     Alphabet,
     Letter,
@@ -159,85 +192,48 @@ def find_cut_vertices(wg: WhiteheadGraph) -> list[CutVertexReport]:
     return reports
 
 
-def _collapse_candidate(
-    graph: CoreGraph, ls: dict[int, frozenset], wg: WhiteheadGraph, a: Letter
+def collapse_for_cut(
+    graph: CoreGraph, ls: dict[int, frozenset], cut: CutVertexReport
 ) -> tuple[WhiteheadAutomorphism, CollapseData]:
-    """Try to build (A, a) and its collapse data; raises TrichotomyFailure."""
-    pieces = [p for p in wg.components_after_removal(a) if -a not in p]
-    members = frozenset().union(*pieces) if pieces else frozenset()
-    if not members:
-        raise TrichotomyFailure(f"letter {a}: empty side")
-    phi = WhiteheadAutomorphism(a, members)
+    """The automorphism (A, a) of a cut vertex and the edges it collapses.
 
-    s_o = []
-    for v in graph.vertices:
-        lv = ls[v]
-        case1 = not (lv & members)
-        case2 = lv <= members
-        case3 = a in lv and lv <= members | {a}
-        if case1 + case2 + case3 != 1:
-            raise TrichotomyFailure(
-                f"letter {a}: vertex {v} matches {case1 + case2 + case3} cases"
-            )
-        if case3:
-            s_o.append(v)
-    if not s_o:
-        raise TrichotomyFailure(f"letter {a}: no vertex in the collapse case")
-
-    e_o, s_t = [], []
-    for v in s_o:
-        t = graph.step(v, a)
-        if a in ls[v] and -a in ls[v]:
-            raise TrichotomyFailure(f"letter {a}: vertex {v} carries both a and a^-1")
-        # the endpoint label sets may share the collapse letter itself
-        # (an a-chain, where t has its own outgoing a-edge) but nothing else
-        if (ls[v] & ls[t]) - {a}:
-            raise TrichotomyFailure(
-                f"letter {a}: label sets of {v} and {t} overlap beyond the letter"
-            )
-        e_o.append((v, a, t))
-        s_t.append(t)
-    if set(s_o) & set(s_t):
-        raise TrichotomyFailure(f"letter {a}: origin and terminus sets overlap")
+    A is the union of the witness pieces that miss a^-1; each vertex in
+    case 3 of the trichotomy collapses along its a-edge.
+    """
+    a = cut.letter
+    members = frozenset(l for piece in cut.witness if -a not in piece for l in piece)
+    side = members | {a}
+    e_o = tuple(
+        (v, a, graph.step(v, a)) for v in graph.vertices if a in ls[v] and ls[v] <= side
+    )
     cd = CollapseData(
         a=a,
-        s_o=tuple(s_o),
-        e_o=tuple(e_o),
-        s_t=tuple(s_t),
+        s_o=tuple(v for v, _, _ in e_o),
+        e_o=e_o,
+        s_t=tuple(t for _, _, t in e_o),
         e_t=tuple((t, -a, v) for v, _, t in e_o),
     )
-    return phi, cd
+    return WhiteheadAutomorphism(a, members), cd
 
 
 def choose_automorphism(
     graph: CoreGraph,
 ) -> tuple[WhiteheadAutomorphism, CollapseData]:
-    """Pick the first cut vertex (global letter order) whose side set
-    passes the trichotomy at every vertex.
+    """The collapse of the first cut vertex in the global letter order;
+    the module docstring proves that it always succeeds.
 
     Raises NoCutVertexError when the Whitehead graph has no cut vertex,
-    which certifies the subgroup is not a free factor.  Raises
-    NoValidAutomorphismError when cut vertices exist but none passes;
-    nothing is asserted about the subgroup then.
+    which certifies the subgroup is not a free factor.
     """
     if graph.n_vertices <= 1:
         raise PreconditionError("core already has a single vertex")
     ls = label_sets(graph)
-    wg = whitehead_graph_of_core(ls, graph.alphabet.rank)
-    cuts = find_cut_vertices(wg)
+    cuts = find_cut_vertices(whitehead_graph_of_core(ls, graph.alphabet.rank))
     if not cuts:
         raise NoCutVertexError(
             "no cut vertex in the Whitehead graph: the subgroup is not a free factor"
         )
-    failures = []
-    for report in cuts:
-        try:
-            return _collapse_candidate(graph, ls, wg, report.letter)
-        except TrichotomyFailure as exc:
-            failures.append(str(exc))
-    raise NoValidAutomorphismError(
-        "every cut vertex failed the trichotomy: " + "; ".join(failures)
-    )
+    return collapse_for_cut(graph, ls, cuts[0])
 
 
 def random_whitehead(rng, rank: int) -> WhiteheadAutomorphism:

@@ -8,9 +8,11 @@ characteristic-polynomial bisection (no power iteration).
 
 The last section holds helpers that only the tests use: membership by
 tracing, reading a core back from JSON, the Whitehead graph of a word,
-rooted isomorphism with a free root, and an exhaustive Whitehead search.
+rooted isomorphism with a free root, every small core graph, and an
+exhaustive Whitehead search.
 """
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -283,6 +285,47 @@ def isomorphic_any_root(g1: CoreGraph, g2: CoreGraph) -> bool:
         canonical_form(g1) == canonical_form(CoreGraph(g2.alphabet, v, g2.edges))
         for v in g2.vertices
     )
+
+
+def _partial_injections(n: int):
+    """Every injective partial map of 1..n to itself, as a tuple of
+    (source, target) pairs."""
+    for targets in itertools.product(range(n + 1), repeat=n):
+        image = [t for t in targets if t]
+        if len(image) == len(set(image)):
+            yield tuple((v, t) for v, t in enumerate(targets, start=1) if t)
+
+
+def all_small_cores(alphabet: Alphabet, n_vertices: int):
+    """Every core on the vertices 1..n_vertices with root 1: each letter
+    acts as a partial injection, the graph is connected, every vertex
+    has degree >= 2 (a loop counts twice) and the rank is >= 2.
+
+    Labelled: every numbering of a core with its root at 1 appears.
+    """
+    maps = list(_partial_injections(n_vertices))
+    for letter_maps in itertools.product(maps, repeat=alphabet.rank):
+        edges = [
+            (v, g, t) for g, pairs in enumerate(letter_maps, start=1) for v, t in pairs
+        ]
+        if len(edges) - n_vertices + 1 < 2:
+            continue
+        degree = dict.fromkeys(range(1, n_vertices + 1), 0)
+        adjacent = {v: set() for v in degree}
+        for v, _, t in edges:
+            degree[v] += 1
+            degree[t] += 1
+            adjacent[v].add(t)
+            adjacent[t].add(v)
+        if min(degree.values()) < 2:
+            continue
+        seen, stack = {1}, [1]
+        while stack:
+            for t in adjacent[stack.pop()] - seen:
+                seen.add(t)
+                stack.append(t)
+        if len(seen) == n_vertices:
+            yield CoreGraph(alphabet, 1, edges)
 
 
 def cyclic_length(word) -> int:

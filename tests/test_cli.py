@@ -119,21 +119,6 @@ def test_numerical_failure_exit_code(capsys):
     assert "numerical failure" in err
 
 
-def test_no_valid_automorphism_exit_code(capsys, monkeypatch):
-    # not reachable through real inputs with the canonical side-set rule;
-    # force it to pin the exit code
-    import cogrowth.whitehead as wh
-    from cogrowth.errors import TrichotomyFailure
-
-    def always_fail(graph, ls, wg, a):
-        raise TrichotomyFailure("forced")
-
-    monkeypatch.setattr(wh, "_collapse_candidate", always_fail)
-    code, out, err = run(capsys, "reduce-step", *EXAMPLE)
-    assert code == 5
-    assert "no valid automorphism" in err and not out
-
-
 def test_reduce_step_text(capsys):
     code, out, _ = run(capsys, "reduce-step", *EXAMPLE)
     assert code == 0

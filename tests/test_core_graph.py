@@ -221,8 +221,16 @@ def test_collapse_data_validation():
         CollapseData(a=2, s_o=(1,), e_o=((1, 3, 2),), s_t=(2,), e_t=((2, -3, 1),))
 
 
+def test_validate_rejects_root_of_degree_one():
+    # the root's label set is just {x}: cases 1 and 3 of the trichotomy
+    # would both hold there for the cut vertex x
+    g = CoreGraph(AB2, 1, [(1, 1, 2), (2, 2, 2)])
+    with pytest.raises(PreconditionError, match="degree < 2"):
+        g.validate()
+
+
 def test_collapse_shrinks_and_respects_label_overlap_bound(corpus):
-    from cogrowth.errors import NoCutVertexError, NoValidAutomorphismError
+    from cogrowth.errors import NoCutVertexError
 
     checked = 0
     for inst in corpus:
@@ -231,7 +239,7 @@ def test_collapse_shrinks_and_respects_label_overlap_bound(corpus):
             continue
         try:
             phi, cd = choose_automorphism(g)
-        except (NoCutVertexError, NoValidAutomorphismError):
+        except NoCutVertexError:
             continue
         ls = label_sets(g)
         for o, a, t in cd.e_o:

@@ -1,6 +1,6 @@
 import pytest
 
-from cogrowth.core_graph import build_core, label_sets
+from cogrowth.core_graph import build_core, collapse_core, label_sets
 from cogrowth.errors import (
     NoCutVertexError,
     NotCyclicallyReducedError,
@@ -9,11 +9,13 @@ from cogrowth.errors import (
 from cogrowth.whitehead import (
     WhiteheadGraph,
     choose_automorphism,
+    collapse_for_cut,
     find_cut_vertices,
     whitehead_graph_of_core,
 )
 from cogrowth.words import Alphabet, parse_word, sigma
 from oracles import (
+    all_small_cores,
     all_whitehead_automorphisms,
     cyclic_length,
     reduce_primitive_word,
@@ -138,42 +140,14 @@ def test_no_cut_vertex_certifies_non_factor():
         choose_automorphism(g)
 
 
-def test_candidate_fails_on_non_cut_letter(example_core):
-    # x is not a cut vertex of the example's graph: removing it leaves its
-    # component connected with x^-1 inside, so the side set comes up empty
-    from cogrowth.errors import TrichotomyFailure
-    from cogrowth.whitehead import _collapse_candidate
-
-    ls = label_sets(example_core)
-    wg = whitehead_graph_of_core(ls, 4)
-    with pytest.raises(TrichotomyFailure):
-        _collapse_candidate(example_core, ls, wg, 1)
-
-
-def test_all_candidates_failing_reports_no_valid_automorphism(example_core, monkeypatch):
-    # unreachable for the canonical side-set rule (every cut vertex already
-    # passes the trichotomy), so force the failure to cover the reporting
-    import cogrowth.whitehead as wh
-    from cogrowth.errors import NoValidAutomorphismError, TrichotomyFailure
-
-    def always_fail(graph, ls, wg, a):
-        raise TrichotomyFailure(f"letter {a}: forced")
-
-    monkeypatch.setattr(wh, "_collapse_candidate", always_fail)
-    with pytest.raises(NoValidAutomorphismError):
-        wh.choose_automorphism(example_core)
-
-
 def test_trichotomy_is_exclusive_on_corpus(corpus):
-    from cogrowth.errors import NoValidAutomorphismError
-
     for inst in corpus:
         g = build_core(list(inst.gens), inst.alphabet)
         if g.n_vertices < 2:
             continue
         try:
             phi, cd = choose_automorphism(g)
-        except (NoCutVertexError, NoValidAutomorphismError):
+        except NoCutVertexError:
             continue
         ls = label_sets(g)
         members = phi.members
@@ -189,6 +163,45 @@ def test_trichotomy_is_exclusive_on_corpus(corpus):
         assert len(cd.s_o) == len(cd.e_o) == len(cd.s_t) == len(cd.e_t) >= 1
         for v in cd.s_o:
             assert not (phi.a in ls[v] and -phi.a in ls[v])
+
+
+@pytest.mark.parametrize(
+    "rank, n_vertices, n_cores",
+    [(2, 2, 15), (2, 3, 404), (2, 4, 15858), (3, 2, 222), (3, 3, 28046)],
+)
+def test_every_cut_vertex_of_every_small_core_collapses(rank, n_vertices, n_cores):
+    """The proof in the whitehead module, checked on every cut vertex
+    (not only the first) of every labelled core with root 1, every
+    vertex of degree >= 2 and rank >= 2: 15 + 404 + 15,858 cores on 2-4
+    vertices over 2 letters and 222 + 28,046 on 2-3 vertices over 3
+    letters, 44,545 in all."""
+    alphabet = Alphabet(tuple("xyz"[:rank]))
+    count = 0
+    for g in all_small_cores(alphabet, n_vertices):
+        count += 1
+        ls = label_sets(g)
+        wg = whitehead_graph_of_core(ls, rank)
+        for cut in find_cut_vertices(wg):
+            a = cut.letter
+            phi, cd = collapse_for_cut(g, ls, cut)
+            pieces = wg.components_after_removal(a)
+            assert phi.members == frozenset().union(*(p for p in pieces if -a not in p))
+            for v in g.vertices:
+                lv = ls[v]
+                cases = (
+                    not (lv & phi.members),
+                    lv <= phi.members,
+                    a in lv and lv <= phi.members | {a},
+                )
+                assert sum(cases) == 1
+                assert (v in cd.s_o) == cases[2]
+            assert cd.s_o
+            for v, _, t in cd.e_o:
+                assert -a not in ls[v]
+                assert ls[v] & ls[t] <= {a}
+            collapsed = collapse_core(g, cd)
+            assert collapsed.n_vertices == g.n_vertices - len(cd.s_o)
+    assert count == n_cores
 
 
 def test_reduce_primitive_two_letter_word():
