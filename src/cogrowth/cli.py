@@ -274,7 +274,11 @@ def cmd_reduce_step(args) -> int:
     alphabet, gens = _input(args)
     graph = build_core(gens, alphabet)
     if graph.n_vertices == 1:
-        _emit(f"{ALREADY_REDUCED}\n", args)
+        if args.format == "json":
+            # the status word `reduce` ends with on the same input
+            _emit(json.dumps({"status": "single_vertex_core"}, indent=2) + "\n", args)
+        else:
+            _emit(f"{ALREADY_REDUCED}\n", args)
         return EXIT_OK
     step = pipeline.reduce_step(graph, gens, u_choice=args.u_choice, tol=args.tol)
     if args.format == "json":

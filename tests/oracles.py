@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cogrowth.core_graph import CoreGraph, canonical_form, rooted_isomorphic
+from cogrowth.core_graph import CoreGraph, canonical_form, rooted_isomorphism
 from cogrowth.errors import NotCyclicallyReducedError, PreconditionError
 from cogrowth.whitehead import WhiteheadGraph
 from cogrowth.words import (
@@ -279,7 +279,7 @@ def whitehead_graph_of_word(word, rank: int) -> WhiteheadGraph:
 
 def isomorphic_any_root(g1: CoreGraph, g2: CoreGraph) -> bool:
     """Rooted isomorphism after searching g2's root over all candidates."""
-    if rooted_isomorphic(g1, g2):
+    if rooted_isomorphism(g1, g2) is not None:
         return True
     return any(
         canonical_form(g1) == canonical_form(CoreGraph(g2.alphabet, v, g2.edges))

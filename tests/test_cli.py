@@ -140,6 +140,13 @@ def test_reduce_step_json(capsys):
     assert len(data["matrix"]) == 12 and len(data["matrix_1"]) == 10
 
 
+def test_reduce_step_json_on_a_single_vertex_core(capsys):
+    code, out, _ = run(capsys, "reduce-step", "--gens", "x,y,z", "--alphabet", "xyz",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"status": "single_vertex_core"}
+
+
 def test_reduce_trace(capsys):
     code, out, _ = run(capsys, "reduce", *EXAMPLE, "--format", "json")
     assert code == 0

@@ -86,7 +86,8 @@ def test_full_reduction_folds_once_per_step_and_solves_each_matrix_once(
     steps = len(pipeline.reduce_full(example_gens, example_alphabet).steps)
     assert steps == 4
     assert calls["build_core"] == steps + 1
-    assert calls["pf_eigen"] == 2 * steps
+    # the first step solves M and M1; each later step reuses the previous M1's
+    assert calls["pf_eigen"] == steps + 1
 
 
 def test_step_rejects_a_core_that_is_not_folded_from_the_generators(
@@ -95,6 +96,19 @@ def test_step_rejects_a_core_that_is_not_folded_from_the_generators(
     gens = [parse_word(w, example_alphabet) for w in ("yX", "yzYzt", "x")]
     with pytest.raises(CogrowthError, match="contracted core"):
         pipeline.reduce_step(example_core, gens)
+
+
+def test_step_rejects_a_carried_pair_that_is_not_its_automaton(
+    example_gens, example_alphabet
+):
+    first = pipeline.reduce_full(example_gens, example_alphabet).steps[0]
+    # step 1's collapsed automaton keeps the contracted core's vertex ids,
+    # which differ from those of the core folded from the images
+    assert first.aut_after.states != build_automaton(first.core_after).states
+    with pytest.raises(CogrowthError, match="collapsed automaton"):
+        pipeline.reduce_step(
+            first.core_after, first.gens_after, carried=(first.aut_after, first.pf1)
+        )
 
 
 def test_full_reduction_on_corpus_sample(corpus):
@@ -115,6 +129,13 @@ def test_consecutive_steps_solve_the_same_eigenvalue(corpus):
         trace = pipeline.reduce_full(list(inst.gens), inst.alphabet, tol=tol)
         for earlier, later in zip(trace.steps, trace.steps[1:]):
             assert abs(later.pf.eigenvalue - earlier.pf1.eigenvalue) <= 2 * tol
+        # a carried eigenpair must still be one of its own step's matrix:
+        # its Collatz-Wielandt bracket, recomputed here, stays tol wide
+        for step in trace.steps:
+            v = step.pf.eigenvector
+            ratios = (step.m.matrix @ v) / v
+            assert ratios.max() - ratios.min() <= tol
+            assert ratios.min() <= step.pf.eigenvalue <= ratios.max()
 
 
 def letters4():
