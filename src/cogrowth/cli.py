@@ -5,6 +5,10 @@ automaton, matrix, eigen, reduce-step, reduce, census, verify.  Output
 is deterministic (identical inputs give byte-identical output); floats
 are printed to 6 significant digits.
 
+The commands that build a matrix (matrix, eigen, reduce-step, reduce,
+census, verify) import `spectral` and `pipeline`, and so numpy, when
+they run; core, whitehead and automaton start without numpy.
+
 Exit codes: 0 success, 2 parse error, 3 precondition violation,
 4 no cut vertex (certified not a free factor), 6 numerical failure.
 Exit code 5 is retired: it meant that cut vertices existed but none
@@ -20,7 +24,6 @@ import os
 import random
 import sys
 
-from . import pipeline
 from .automaton import (
     accepts,
     build_automaton,
@@ -37,7 +40,6 @@ from .errors import (
     PreconditionError,
     WordParseError,
 )
-from .spectral import adjacency, certify_inequality, ose, pf_eigen
 from .whitehead import find_cut_vertices, whitehead_graph_of_core
 from .words import Alphabet, format_word, letter_key, parse_word
 
@@ -152,11 +154,10 @@ def cmd_automaton(args) -> int:
     elif args.format == "json":
         out = aut.to_json() + "\n"
     else:
-        order = ose(aut)
         lines = [
             f"automaton: {aut.n_states} states, {len(aut.transitions)} transitions, "
             f"ambiguity {aut.ambiguity}",
-            "OSE: " + ", ".join(order.render(alphabet)),
+            "OSE: " + ", ".join(format_state(q, alphabet) for q in aut.states),
             "initial = final: "
             + ", ".join(
                 format_state(q, alphabet)
@@ -169,6 +170,9 @@ def cmd_automaton(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    from . import pipeline
+    from .spectral import adjacency, ose
+
     alphabet, gens = _input(args)
     if args.ordering == "nse":
         mat = pipeline.step_head(build_core(gens, alphabet))[-1]
@@ -196,6 +200,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_eigen(args) -> int:
+    from .spectral import adjacency, ose, pf_eigen
+
     alphabet, gens = _input(args)
     aut = build_automaton(build_core(gens, alphabet))
     mat = adjacency(aut, ose(aut))
@@ -271,6 +277,8 @@ def _step_text(step: pipeline.StepReport, tol: float) -> list[str]:
 
 
 def cmd_reduce_step(args) -> int:
+    from . import pipeline
+
     alphabet, gens = _input(args)
     graph = build_core(gens, alphabet)
     if graph.n_vertices == 1:
@@ -290,6 +298,8 @@ def cmd_reduce_step(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import pipeline
+
     ab, gens = _input(args)
     trace = pipeline.reduce_full(gens, ab, u_choice=args.u_choice, tol=args.tol)
     if args.format == "json":
@@ -325,6 +335,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from .spectral import adjacency, ose, pf_eigen
+
     alphabet, gens = _input(args)
     aut = build_automaton(build_core(gens, alphabet))
     counts = word_census(aut, args.n_max)
@@ -347,6 +359,9 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import pipeline
+    from .spectral import certify_inequality
+
     alphabet, gens = _input(args)
     graph = build_core(gens, alphabet)
     step = stop = None

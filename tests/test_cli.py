@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -283,6 +286,39 @@ def test_text_output_matches_golden_file(capsys, command):
     assert out.encode() == (GOLDEN / f"{command}.txt").read_bytes()
 
 
+# golden file -> the command line that prints it, for every subcommand
+# and format not pinned above; all exit 0
+GOLDEN_COMMANDS = {
+    "core.txt": ["core", *EXAMPLE],
+    "core.json": ["core", *EXAMPLE, "--format", "json"],
+    "core.dot": ["core", *EXAMPLE, "--format", "dot"],
+    "whitehead.txt": ["whitehead", *EXAMPLE],
+    "whitehead.json": ["whitehead", *EXAMPLE, "--format", "json"],
+    "whitehead.dot": ["whitehead", *EXAMPLE, "--format", "dot"],
+    "whitehead-rose.txt": ["whitehead", "--gens", "x,y", "--alphabet", "xyz"],
+    "automaton.txt": ["automaton", *EXAMPLE],
+    "automaton.json": ["automaton", *EXAMPLE, "--format", "json"],
+    "automaton.dot": ["automaton", *EXAMPLE, "--format", "dot"],
+    "matrix-nse.txt": ["matrix", *EXAMPLE],
+    "matrix-nse.csv": ["matrix", *EXAMPLE, "--format", "csv"],
+    "matrix-nse.json": ["matrix", *EXAMPLE, "--format", "json"],
+    "matrix-ose.txt": ["matrix", *EXAMPLE, "--ordering", "ose"],
+    "matrix-ose.csv": ["matrix", *EXAMPLE, "--ordering", "ose", "--format", "csv"],
+    "matrix-ose.json": ["matrix", *EXAMPLE, "--ordering", "ose", "--format", "json"],
+    "eigen.txt": ["eigen", *EXAMPLE],
+    "eigen.json": ["eigen", *EXAMPLE, "--format", "json"],
+    "census.txt": ["census", *EXAMPLE],
+    "census.csv": ["census", *EXAMPLE, "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_output_matches_golden_file(capsys, name):
+    code, out, _ = run(capsys, *GOLDEN_COMMANDS[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
 def corpus_reduce_text(capsys):
     """`reduce` text output on every corpus instance, one block each."""
     blocks = []
@@ -298,3 +334,43 @@ def corpus_reduce_text(capsys):
 def test_corpus_reduce_output_matches_golden_file(capsys):
     out = corpus_reduce_text(capsys)
     assert out.encode() == (GOLDEN / "corpus-reduce.txt").read_bytes()
+
+
+# Runs in a fresh interpreter, since the test process has numpy loaded.
+# Prints what it saw as JSON: the numpy flags, then the names that failed.
+IMPORT_BOUNDARY = """
+import contextlib, io, json, sys
+import cogrowth
+from cogrowth.cli import main
+seen = {"import": "numpy" in sys.modules}
+example = ["--gens", "yX,yzYzt", "--alphabet", "xyzt"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([command, *example, "--format", fmt])
+             for command in ("core", "whitehead", "automaton")
+             for fmt in ("text", "json", "dot")]
+    seen["structural"] = "numpy" in sys.modules
+    codes.append(main(["eigen", *example]))
+seen["eigen"] = "numpy" in sys.modules
+seen["codes"] = codes
+seen["unresolved"] = [n for n in cogrowth.__all__ if not hasattr(cogrowth, n)]
+try:
+    getattr(cogrowth, "no_such_name")
+    seen["no_such_name"] = "resolved"
+except AttributeError:
+    seen["no_such_name"] = "AttributeError"
+print(json.dumps(seen))
+"""
+
+
+def test_structural_commands_run_without_numpy():
+    src = Path(__file__).parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert json.loads(proc.stdout) == {
+        "import": False,
+        "structural": False,
+        "eigen": True,
+        "codes": [0] * 10,
+        "unresolved": [],
+        "no_such_name": "AttributeError",
+    }

@@ -1,0 +1,26 @@
+"""The scripts under scripts/, each run as a fresh process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).parents[1]
+
+
+def run_script(name, *argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv],
+                          capture_output=True, env=env, cwd=ROOT)
+
+
+def test_worked_example_matches_golden_file():
+    proc = run_script("worked_example.py")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (ROOT / "tests" / "golden" / "worked-example.txt").read_bytes()
+
+
+def test_corpus_sweep_runs():
+    proc = run_script("corpus_sweep.py", "--count", "5", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout
