@@ -6,8 +6,9 @@ is deterministic (identical inputs give byte-identical output); floats
 are printed to 6 significant digits.
 
 The commands that build a matrix (matrix, eigen, reduce-step, reduce,
-census, verify) import `spectral` and `pipeline`, and so numpy, when
-they run; core, whitehead and automaton start without numpy.
+verify, and census in text format, which prints the eigenvalue) import
+`spectral` and `pipeline`, and so numpy, when they run; core,
+whitehead, automaton and census in csv format start without numpy.
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation,
 4 no cut vertex (certified not a free factor), 6 numerical failure.
@@ -28,7 +29,6 @@ from .automaton import (
     accepts,
     build_automaton,
     format_state,
-    isomorphic,
     sample_accepted_word,
     word_census,
 )
@@ -335,12 +335,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_census(args) -> int:
-    from .spectral import adjacency, ose, pf_eigen
-
     alphabet, gens = _input(args)
     aut = build_automaton(build_core(gens, alphabet))
     counts = word_census(aut, args.n_max)
-    alpha = pf_eigen(adjacency(aut, ose(aut)), tol=args.tol).eigenvalue
     rows = [
         (n, a, a ** (1.0 / n) if a else 0.0)
         for n, a in enumerate(counts, start=1)
@@ -350,6 +347,9 @@ def cmd_census(args) -> int:
         lines += [f"{n},{a},{_f(est)}" for n, a, est in rows]
         out = "\n".join(lines) + "\n"
     else:
+        from .spectral import adjacency, ose, pf_eigen
+
+        alpha = pf_eigen(adjacency(aut, ose(aut)), tol=args.tol).eigenvalue
         lines = [f"{'n':>4} {'a_n':>12} {'a_n^(1/n)':>10}"]
         lines += [f"{n:>4} {a:>12} {_f(est):>10}" for n, a, est in rows]
         lines.append(f"cogrowth alpha = {_f(alpha)} (tol {_f(args.tol)})")
@@ -406,7 +406,7 @@ def cmd_verify(args) -> int:
     lines.append("ok   row-transformed matrix equals collapsed adjacency")
     check(
         "collapsed automaton isomorphic to rebuilt automaton",
-        lambda: isomorphic(step.aut_after, build_automaton(step.core_after)),
+        lambda: pipeline.check_next_automaton(step, build_automaton(step.core_after)),
     )
     lines.append("ok   collapsed core matches rebuilt core")
     check("strict spectral gap", lambda: step.pf.eigenvalue < step.pf1.eigenvalue - 1e-8)

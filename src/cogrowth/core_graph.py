@@ -313,27 +313,12 @@ def collapse_core(graph: CoreGraph, cd: CollapseData) -> CoreGraph:
     return result
 
 
-def _canonical(graph: CoreGraph):
+def canonical(graph: CoreGraph):
+    """Depth-first discovery ids from the root, and the edges renumbered
+    by them, sorted: equal forms = rooted isomorphic, and then the ids are
+    the isomorphism onto the form.  `build_core` numbers by the same
+    discovery, so its edges are their own form."""
     ids = _dfs_renumber(
         graph.root, lambda v: [graph.step(v, l) for l in graph.out_letters(v)]
     )
     return ids, tuple(sorted((ids[o], g, ids[t]) for o, g, t in graph.edges))
-
-
-def canonical_form(graph: CoreGraph):
-    """Renumber by depth-first discovery; equal forms = rooted isomorphic."""
-    return _canonical(graph)[1]
-
-
-def rooted_isomorphism(g1: CoreGraph, g2: CoreGraph) -> dict[int, int] | None:
-    """The vertex map of the rooted isomorphism from `g1` onto `g2`, or
-    None when there is none.  A folded connected graph has no nontrivial
-    rooted automorphism, so the map is unique when it exists."""
-    if g1.alphabet != g2.alphabet:
-        return None
-    ids1, form1 = _canonical(g1)
-    ids2, form2 = _canonical(g2)
-    if form1 != form2:
-        return None
-    vertex = {i: v for v, i in ids2.items()}
-    return {v: vertex[i] for v, i in ids1.items()}

@@ -9,10 +9,10 @@ are the cyclically reduced images of the input generators and their
 core is carried into the next step, so iterating strictly shrinks the
 core until a single-vertex core remains or no cut vertex is left.
 
-The full reduction runs the construction forward: the collapsed
-automaton and its eigenpair, renamed to the vertex ids of the next core,
-start the next step.  That step checks the renamed automaton against the
-one built from its core and reuses the eigenpair instead of solving its
+The full reduction runs the construction forward.  Through the vertex
+map `StepReport.core_map`, each step checks the previous collapsed
+automaton against the one built from its core (`check_next_automaton`)
+and reuses the previous collapsed eigenpair instead of solving its
 matrix again, so each artifact is computed once and a reduction of k
 steps solves k + 1 eigenpairs.
 """
@@ -26,10 +26,11 @@ import numpy as np
 from .automaton import (
     Automaton,
     SStateSet,
+    State,
     build_automaton,
     collapse_automaton,
 )
-from .core_graph import CollapseData, CoreGraph, build_core, collapse_core, rooted_isomorphism
+from .core_graph import CollapseData, CoreGraph, build_core, canonical, collapse_core
 from .errors import CogrowthError, NoCutVertexError
 from .spectral import (
     AdjacencyMatrix,
@@ -38,7 +39,6 @@ from .spectral import (
     StateOrdering,
     adjacency,
     certify_inequality,
-    decompose,
     derive_m1,
     make_nse,
     ose,
@@ -90,21 +90,20 @@ def reduce_step(
     *,
     u_choice: int = 3,
     tol: float = 1e-10,
-    carried: tuple[Automaton, PFResult] | None = None,
+    previous: StepReport | None = None,
 ) -> StepReport:
     """Run one collapse step on `core`, the folded core of `gens`.
 
     The next core is folded from the images of `gens` and must be the
     contracted core up to rooted isomorphism.
 
-    `carried` is the previous step's collapsed automaton and eigenpair as
-    `carry_forward` renames them.  The automaton must equal the one built
-    from `core` (states, transitions and initial set), or CogrowthError
-    is raised; the eigenpair, reordered to the NSE, is then `pf`, and only
-    the collapsed matrix is solved.  Without it both matrices are solved.
+    `previous` is the step whose `core_after` is `core`.  Its collapsed
+    automaton must be the one built from `core` (`check_next_automaton`),
+    or CogrowthError is raised; its collapsed eigenpair, reordered to the
+    NSE, is then `pf`, and only the collapsed matrix is solved.  Without
+    it both matrices are solved.
     """
     phi, cd, aut, s, m = step_head(core)
-    decompose(m, s)
     m1 = derive_m1(m, s)
 
     collapsed = collapse_automaton(aut, s)
@@ -117,14 +116,20 @@ def reduce_step(
         )
     gens_after = tuple(cyclic_reduce(apply_whitehead(phi, w))[0] for w in gens)
     core_after = build_core(list(gens_after), core.alphabet)
-    core_map = rooted_isomorphism(collapse_core(core, cd), core_after)
-    if core_map is None:
+    # build_core's numbering is canonical: its edges are their own form
+    core_map, form = canonical(collapse_core(core, cd))
+    if form != core_after.edges:
         raise CogrowthError("contracted core disagrees with the core of the images")
 
-    if carried is None:
+    if previous is None:
         pf = pf_eigen(m, tol=tol)
     else:
-        pf = _reuse(carried, aut, m.ordering)
+        # M is the previous M1 with its states renamed: the eigenpair
+        # keeps its bracket
+        rename = check_next_automaton(previous, aut)
+        position = {rename[q]: i for i, q in enumerate(previous.m1.ordering.states)}
+        vector = previous.pf1.eigenvector[[position[q] for q in m.ordering.states]]
+        pf = replace(previous.pf1, eigenvector=vector)
     pf1 = pf_eigen(m1, tol=tol)
     certificate = certify_inequality(m, m1, s, pf1, u_choice=u_choice, tol=tol)
     return StepReport(
@@ -150,42 +155,24 @@ def reduce_step(
     )
 
 
-def _reuse(
-    carried: tuple[Automaton, PFResult], aut: Automaton, ordering: StateOrdering
-) -> PFResult:
-    """The carried eigenpair reordered to `ordering`, once the carried
-    automaton is checked to be `aut`: then M is the carried M1 with its
-    states renamed, and the eigenpair keeps its bracket."""
-    prev, pf = carried
-    if (prev.alphabet, prev.states, prev.transitions, prev.initial) != (
-        aut.alphabet,
-        aut.states,
-        aut.transitions,
-        aut.initial,
+def check_next_automaton(step: StepReport, aut: Automaton) -> dict[State, State]:
+    """Rename `step.aut_after` through `step.core_map` and require its
+    states, transitions, initial set and alphabet to be those of `aut`,
+    the automaton built from `step.core_after`; raises CogrowthError
+    otherwise.  Returns the state renaming, one-to-one onto `aut.states`."""
+    prev = step.aut_after
+    rename = {q: (step.core_map[q[0]], q[1]) for q in prev.states}
+    transitions = {(rename[q], l): rename[t] for (q, l), t in prev.transitions.items()}
+    if (
+        prev.alphabet != aut.alphabet
+        or sorted(rename.values()) != sorted(aut.states)
+        or transitions != aut.transitions
+        or {rename[q] for q in prev.initial} != aut.initial
     ):
         raise CogrowthError(
             "collapsed automaton of the previous step disagrees with the automaton of the core"
         )
-    position = {q: i for i, q in enumerate(aut.states)}
-    return replace(pf, eigenvector=pf.eigenvector[[position[q] for q in ordering.states]])
-
-
-def carry_forward(step: StepReport) -> tuple[Automaton, PFResult]:
-    """`step.aut_after` and `step.pf1` renamed to the vertex ids of
-    `step.core_after`, the eigenvector listed in the renamed automaton's
-    state order: what the next step starts from."""
-    aut = step.aut_after
-    rename = {q: (step.core_map[q[0]], q[1]) for q in aut.states}
-    renamed = Automaton(
-        aut.alphabet,
-        rename.values(),
-        {(rename[q], letter): rename[t] for (q, letter), t in aut.transitions.items()},
-        (rename[q] for q in aut.initial),
-    )
-    # pf1 is indexed by the collapsed automaton's OSE, aut.states
-    position = {q: i for i, q in enumerate(rename.values())}
-    vector = step.pf1.eigenvector[[position[q] for q in renamed.states]]
-    return renamed, replace(step.pf1, eigenvector=vector)
+    return rename
 
 
 @dataclass(frozen=True)
@@ -209,14 +196,12 @@ def reduce_full(
     gens = tuple(gens)
     core = build_core(list(gens), alphabet)
     steps: list[StepReport] = []
-    carried = None
+    step = None
     while core.n_vertices > 1:
         try:
-            step = reduce_step(core, gens, u_choice=u_choice, tol=tol, carried=carried)
+            step = reduce_step(core, gens, u_choice=u_choice, tol=tol, previous=step)
         except NoCutVertexError:
             return ReductionTrace(tuple(steps), "no_cut_vertex", gens)
         steps.append(step)
         gens, core = step.gens_after, step.core_after
-        if core.n_vertices > 1:
-            carried = carry_forward(step)
     return ReductionTrace(tuple(steps), "single_vertex_core", gens)

@@ -152,17 +152,16 @@ def derive_m1(m: AdjacencyMatrix, s: SStateSet) -> AdjacencyMatrix:
     the collapse rows and columns.
 
     The result is indexed by the collapsed automaton's OSE (the NSE lead
-    block with merged vertex names).
+    block with merged vertex names).  `decompose` checks the blocks
+    first: with O zero every feeder is a lead row, so a collapse row is
+    never rewritten and adds no entry to another collapse column.
     """
-    _check_nse(m, s)
+    decompose(m, s)
     b = m.ordering.boundary
-    work = m.matrix.astype(np.int64).copy()
-    for offset, state in enumerate(s.elements):
+    work = m.matrix.astype(np.int64)
+    for offset in range(len(s.elements)):
         col = b + offset
-        feeders = np.nonzero(work[:, col])[0]
-        if (feeders >= b).any():
-            raise DecompositionViolationError("a collapse state feeds another")
-        for i in feeders:
+        for i in np.nonzero(work[:, col])[0]:
             work[i, :] += work[col, :]
     result = work[:b, :b]
     if (result > 1).any():
@@ -199,7 +198,11 @@ class PFResult:
         )
 
 
-def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10, max_iter: int = 10**6) -> PFResult:
+# only a bound: the stall check ends a solve that stops narrowing long before
+MAX_ITER = 10**6
+
+
+def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     """Noda's inverse iteration (Numer. Math. 17, 1971), stopped on the
     Collatz-Wielandt bracket.
 
@@ -222,7 +225,7 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10, max_iter: int = 10**6) -> P
     shifted = -mat
     v = np.ones(mat.shape[0])
     previous = math.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         ratios = (mat @ v) / v
         lo, hi = float(ratios.min()), float(ratios.max())
         width = hi - lo
@@ -250,7 +253,7 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10, max_iter: int = 10**6) -> P
             )
         v = w / w.max()
     raise ConvergenceFailureError(
-        f"Noda iteration did not reach bracket width {tol} in {max_iter} iterations"
+        f"Noda iteration did not reach bracket width {tol} in {MAX_ITER} iterations"
     )
 
 

@@ -8,8 +8,8 @@ characteristic-polynomial bisection (no power iteration).
 
 The last section holds helpers that only the tests use: membership by
 tracing, reading a core back from JSON, the Whitehead graph of a word,
-rooted isomorphism with a free root, every small core graph, and an
-exhaustive Whitehead search.
+rooted isomorphism with a fixed and with a free root, every small core
+graph, and an exhaustive Whitehead search.
 """
 
 import itertools
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cogrowth.core_graph import CoreGraph, canonical_form, rooted_isomorphism
+from cogrowth.core_graph import CoreGraph, canonical
 from cogrowth.errors import NotCyclicallyReducedError, PreconditionError
 from cogrowth.whitehead import WhiteheadGraph
 from cogrowth.words import (
@@ -277,12 +277,26 @@ def whitehead_graph_of_word(word, rank: int) -> WhiteheadGraph:
     return WhiteheadGraph(rank, mult)
 
 
+def rooted_isomorphism(g1: CoreGraph, g2: CoreGraph) -> dict[int, int] | None:
+    """The vertex map of the rooted isomorphism from `g1` onto `g2`, or
+    None when there is none.  A folded connected graph has no nontrivial
+    rooted automorphism, so the map is unique when it exists."""
+    if g1.alphabet != g2.alphabet:
+        return None
+    ids1, form1 = canonical(g1)
+    ids2, form2 = canonical(g2)
+    if form1 != form2:
+        return None
+    vertex = {i: v for v, i in ids2.items()}
+    return {v: vertex[i] for v, i in ids1.items()}
+
+
 def isomorphic_any_root(g1: CoreGraph, g2: CoreGraph) -> bool:
     """Rooted isomorphism after searching g2's root over all candidates."""
     if rooted_isomorphism(g1, g2) is not None:
         return True
     return any(
-        canonical_form(g1) == canonical_form(CoreGraph(g2.alphabet, v, g2.edges))
+        canonical(g1)[1] == canonical(CoreGraph(g2.alphabet, v, g2.edges))[1]
         for v in g2.vertices
     )
 

@@ -201,6 +201,13 @@ def test_census_empty_table(capsys):
     assert out.strip() == "n,a_n,a_n^(1/n)"
 
 
+def test_census_csv_needs_no_eigenvalue(capsys):
+    # the csv table prints no eigenvalue, so no tol can fail it
+    code, out, err = run(capsys, "census", *EXAMPLE, "--format", "csv", "--tol", "0")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "census", *EXAMPLE, "--format", "csv")[1]
+
+
 def test_census_rejects_a_negative_length(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", *EXAMPLE, "--n-max", "-3"])
@@ -348,6 +355,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [main([command, *example, "--format", fmt])
              for command in ("core", "whitehead", "automaton")
              for fmt in ("text", "json", "dot")]
+    codes.append(main(["census", *example, "--format", "csv"]))
     seen["structural"] = "numpy" in sys.modules
     codes.append(main(["eigen", *example]))
 seen["eigen"] = "numpy" in sys.modules
@@ -370,7 +378,7 @@ def test_structural_commands_run_without_numpy():
         "import": False,
         "structural": False,
         "eigen": True,
-        "codes": [0] * 10,
+        "codes": [0] * 11,
         "unresolved": [],
         "no_such_name": "AttributeError",
     }

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 from collections import Counter
 
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cogrowth import pipeline, spectral
 from cogrowth.automaton import accepts, build_automaton
-from cogrowth.core_graph import build_core, label_sets
+from cogrowth.core_graph import CoreGraph, build_core, label_sets
 from cogrowth.errors import CogrowthError
 from cogrowth.whitehead import random_whitehead
 from cogrowth.words import (
@@ -19,6 +21,11 @@ from cogrowth.words import (
 from oracles import membership
 
 AB4 = Alphabet(("x", "y", "z", "t"))
+
+
+@pytest.fixture(scope="module")
+def traces(corpus):
+    return [pipeline.reduce_full(list(inst.gens), inst.alphabet) for inst in corpus]
 
 
 @pytest.fixture(scope="module")
@@ -105,9 +112,45 @@ def test_step_rejects_a_carried_pair_that_is_not_its_automaton(
     # step 1's collapsed automaton keeps the contracted core's vertex ids,
     # which differ from those of the core folded from the images
     assert first.aut_after.states != build_automaton(first.core_after).states
+    identity = {v: v for v in first.core_map}
     with pytest.raises(CogrowthError, match="collapsed automaton"):
         pipeline.reduce_step(
-            first.core_after, first.gens_after, carried=(first.aut_after, first.pf1)
+            first.core_after,
+            first.gens_after,
+            previous=dataclasses.replace(first, core_map=identity),
+        )
+
+
+def test_next_automaton_is_the_collapsed_one_renamed(traces):
+    checked = 0
+    for trace in traces:
+        for step in trace.steps:
+            aut = build_automaton(step.core_after)
+            rename = pipeline.check_next_automaton(step, aut)
+            assert list(rename) == list(step.aut_after.states)
+            assert sorted(rename.values()) == sorted(aut.states)  # one-to-one, onto
+            checked += 1
+    assert checked >= 400
+
+
+def test_next_automaton_check_rejects_a_wrong_vertex_map(example_gens, example_alphabet):
+    first = pipeline.reduce_full(example_gens, example_alphabet).steps[0]
+    aut = build_automaton(first.core_after)
+    # a folded core has no rooted automorphism, so every other bijection
+    # onto its vertices renames the automaton into another one
+    for u, v in itertools.combinations(first.core_map, 2):
+        swapped = {**first.core_map, u: first.core_map[v], v: first.core_map[u]}
+        with pytest.raises(CogrowthError, match="collapsed automaton"):
+            pipeline.check_next_automaton(dataclasses.replace(first, core_map=swapped), aut)
+    # swapping the two vertices of this core preserves every labelled
+    # edge but moves the root: only the initial set tells the maps apart
+    ab = Alphabet(("x", "y"))
+    symmetric = build_automaton(CoreGraph(ab, 1, [(1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 2)]))
+    fake = dataclasses.replace(first, aut_after=symmetric, core_map={1: 1, 2: 2})
+    pipeline.check_next_automaton(fake, symmetric)
+    with pytest.raises(CogrowthError, match="collapsed automaton"):
+        pipeline.check_next_automaton(
+            dataclasses.replace(fake, core_map={1: 2, 2: 1}), symmetric
         )
 
 
@@ -121,12 +164,11 @@ def test_full_reduction_on_corpus_sample(corpus):
     assert statuses == {"single_vertex_core"}
 
 
-def test_consecutive_steps_solve_the_same_eigenvalue(corpus):
+def test_consecutive_steps_solve_the_same_eigenvalue(traces):
     # the automaton after one collapse is the automaton before the next,
     # so the two brackets, each at most tol wide, enclose the same root
-    tol = 1e-10
-    for inst in corpus:
-        trace = pipeline.reduce_full(list(inst.gens), inst.alphabet, tol=tol)
+    tol = 1e-10  # reduce_full's default, which the traces use
+    for trace in traces:
         for earlier, later in zip(trace.steps, trace.steps[1:]):
             assert abs(later.pf.eigenvalue - earlier.pf1.eigenvalue) <= 2 * tol
         # a carried eigenpair must still be one of its own step's matrix:

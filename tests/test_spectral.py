@@ -8,6 +8,7 @@ from cogrowth.core_graph import build_core
 from cogrowth.errors import (
     CertificateFailureError,
     ConvergenceFailureError,
+    DecompositionViolationError,
     PreconditionError,
 )
 from cogrowth.spectral import (
@@ -158,6 +159,15 @@ def test_decomposition_on_corpus(corpus):
         decompose(adjacency(aut, make_nse(aut, s)), s)
 
 
+def test_derive_m1_rejects_a_nonzero_collapse_block(example_spectral):
+    _, _, s, m, _ = example_spectral
+    broken = m.matrix.copy()
+    b = m.ordering.boundary
+    broken[b, b + 1] = 1  # the first collapse state feeds the second
+    with pytest.raises(DecompositionViolationError, match="block O"):
+        derive_m1(AdjacencyMatrix(broken, m.ordering), s)
+
+
 def test_derive_m1_matches_frozen_matrix(example_spectral):
     _, _, _, _, m1 = example_spectral
     assert np.array_equal(m1.matrix, np.array(EXAMPLE_M1))
@@ -231,10 +241,11 @@ def test_pf_eigen_rejects_reducible():
 @pytest.mark.parametrize("tol", [0.0, float("nan"), -1.0])
 def test_pf_eigen_stops_when_the_iterate_stalls(example_spectral, tol):
     # no residual reaches these tolerances; the iterate hits a
-    # floating-point fixed point long before max_iter
+    # floating-point fixed point long before spectral.MAX_ITER, and the
+    # message tells a stall apart from running out of iterations
     _, _, _, m, _ = example_spectral
     with pytest.raises(ConvergenceFailureError, match="stalled"):
-        pf_eigen(m, tol=tol, max_iter=10_000)
+        pf_eigen(m, tol=tol)
 
 
 def test_pf_eigen_agrees_with_charpoly_bisection(example_spectral):
