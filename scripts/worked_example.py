@@ -16,6 +16,7 @@ from cogrowth import (
     certify_inequality,
     format_word,
     label_sets,
+    ose,
     parse_word,
     reduce_full,
     reduce_step,
@@ -49,8 +50,8 @@ def main():
     step = reduce_step(core, gens)
     print("\nchosen automorphism:", step.phi.format(ab))
     print("collapse origin/terminus sets:", step.collapse.s_o, step.collapse.s_t)
-    print("OSE:", ", ".join(step.ose_before.render(ab)))
-    print("NSE:", ", ".join(step.nse.render(ab)))
+    print("OSE:", ", ".join(ose(step.aut_before).render(ab)))
+    print("NSE:", ", ".join(step.m.ordering.render(ab)))
     print("\ntransition matrix under the NSE:")
     print(step.m.to_text(ab))
     print("collapsed matrix (OSE of the image automaton):")

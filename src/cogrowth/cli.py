@@ -119,7 +119,7 @@ def cmd_whitehead(args) -> int:
             json.dumps(
                 {
                     "edges": edges,
-                    "cut_vertices": [json.loads(r.to_json(alphabet)) for r in cuts],
+                    "cut_vertices": [r.to_dict(alphabet) for r in cuts],
                 },
                 indent=2,
             )
@@ -221,8 +221,7 @@ def cmd_eigen(args) -> int:
 
 
 def _step_json(step: pipeline.StepReport) -> dict:
-    ab = step.alphabet
-    cert = step.certificate
+    ab = step.core_before.alphabet
     return {
         "phi": step.phi.format(ab),
         "collapse": {
@@ -239,22 +238,22 @@ def _step_json(step: pipeline.StepReport) -> dict:
         },
         "states_before": step.aut_before.n_states,
         "states_after": step.aut_after.n_states,
-        "ose": step.ose_before.render(ab),
-        "nse": step.nse.render(ab),
-        "ose_after": step.ose_after.render(ab),
+        "ose": [format_state(q, ab) for q in step.aut_before.states],
+        "nse": step.m.ordering.render(ab),
+        "ose_after": step.m1.ordering.render(ab),
         "matrix": [[int(x) for x in row] for row in step.m.matrix],
         "matrix_1": [[int(x) for x in row] for row in step.m1.matrix],
         "lambda": float(step.pf.eigenvalue),
         "lambda_1": float(step.pf1.eigenvalue),
         "eigenvector_1": [float(x) for x in step.pf1.eigenvector],
-        "certificate": json.loads(cert.to_json(step.nse, ab)),
+        "certificate": step.certificate.to_dict(step.m.ordering, ab),
         "gens_before": [format_word(w, ab) for w in step.gens_before],
         "gens_after": [format_word(w, ab) for w in step.gens_after],
     }
 
 
 def _step_text(step: pipeline.StepReport, tol: float) -> list[str]:
-    ab = step.alphabet
+    ab = step.core_before.alphabet
     cert = step.certificate
     return [
         f"phi = {step.phi.format(ab)}",
@@ -265,9 +264,9 @@ def _step_text(step: pipeline.StepReport, tol: float) -> list[str]:
         f"core: {step.core_before.n_vertices} vertices, {step.core_before.n_edges} edges"
         f" -> {step.core_after.n_vertices} vertices, {step.core_after.n_edges} edges",
         f"automaton: {step.aut_before.n_states} states -> {step.aut_after.n_states} states",
-        "OSE: " + ", ".join(step.ose_before.render(ab)),
-        "NSE: " + ", ".join(step.nse.render(ab)),
-        "OSE after collapse: " + ", ".join(step.ose_after.render(ab)),
+        "OSE: " + ", ".join(format_state(q, ab) for q in step.aut_before.states),
+        "NSE: " + ", ".join(step.m.ordering.render(ab)),
+        "OSE after collapse: " + ", ".join(step.m1.ordering.render(ab)),
         f"lambda  = {_f(step.pf.eigenvalue)}  (tol {_f(tol)})",
         f"lambda1 = {_f(step.pf1.eigenvalue)}",
         "certificate: strict slack at NSE rows "
@@ -409,7 +408,13 @@ def cmd_verify(args) -> int:
         lambda: pipeline.check_next_automaton(step, build_automaton(step.core_after)),
     )
     lines.append("ok   collapsed core matches rebuilt core")
-    check("strict spectral gap", lambda: step.pf.eigenvalue < step.pf1.eigenvalue - 1e-8)
+    # each eigenvalue is the midpoint of a bracket, `residual` wide, that
+    # holds the exact root
+    check(
+        "strict spectral gap",
+        lambda: step.pf1.eigenvalue - step.pf.eigenvalue
+        > (step.pf.residual + step.pf1.residual) / 2,
+    )
     for choice in (1, 2, 3):
         check(
             f"inequality certificate, choice {choice}",

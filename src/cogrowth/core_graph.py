@@ -147,25 +147,27 @@ class CoreGraph:
 class CollapseData:
     """Edges to contract for one Whitehead reduction step.
 
-    ``e_o`` are extended edges labeled ``a`` from the origin set to the
-    terminus set; ``e_t`` are their reverses.  All four collections have
-    equal size.
+    ``e_o`` are the extended edges (origin, a, terminus), one per
+    origin; the origin set ``s_o`` and terminus set ``s_t`` are read off
+    them, and must be disjoint.
     """
 
     a: Letter
-    s_o: tuple[int, ...]
     e_o: tuple[tuple[int, Letter, int], ...]
-    s_t: tuple[int, ...]
-    e_t: tuple[tuple[int, Letter, int], ...]
 
     def __post_init__(self):
-        if not (len(self.s_o) == len(self.e_o) == len(self.s_t) == len(self.e_t)):
-            raise PreconditionError("collapse sets must have equal sizes")
-        for o, letter, t in self.e_o:
-            if letter != self.a or o not in self.s_o or t not in self.s_t:
-                raise PreconditionError("collapse edge inconsistent with its sets")
+        if any(letter != self.a for _, letter, _ in self.e_o):
+            raise PreconditionError("collapse edge not labeled a")
         if set(self.s_o) & set(self.s_t):
             raise PreconditionError("origin and terminus sets overlap")
+
+    @property
+    def s_o(self) -> tuple[int, ...]:
+        return tuple(o for o, _, _ in self.e_o)
+
+    @property
+    def s_t(self) -> tuple[int, ...]:
+        return tuple(t for _, _, t in self.e_o)
 
     def merge_map(self) -> dict[int, int]:
         return {o: t for o, _, t in self.e_o}

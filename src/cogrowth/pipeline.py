@@ -36,7 +36,6 @@ from .spectral import (
     AdjacencyMatrix,
     InequalityCertificate,
     PFResult,
-    StateOrdering,
     adjacency,
     certify_inequality,
     derive_m1,
@@ -52,7 +51,6 @@ from .words import Alphabet, WhiteheadAutomorphism, Word, apply_whitehead, cycli
 class StepReport:
     """Everything one reduction step produces."""
 
-    alphabet: Alphabet
     gens_before: tuple[Word, ...]
     gens_after: tuple[Word, ...]
     phi: WhiteheadAutomorphism
@@ -64,9 +62,7 @@ class StepReport:
     core_map: dict[int, int]
     aut_before: Automaton
     aut_after: Automaton
-    ose_before: StateOrdering
-    nse: StateOrdering
-    ose_after: StateOrdering
+    # m is indexed by the NSE, m1 by the collapsed automaton's OSE
     m: AdjacencyMatrix
     m1: AdjacencyMatrix
     pf: PFResult
@@ -133,7 +129,6 @@ def reduce_step(
     pf1 = pf_eigen(m1, tol=tol)
     certificate = certify_inequality(m, m1, s, pf1, u_choice=u_choice, tol=tol)
     return StepReport(
-        alphabet=core.alphabet,
         gens_before=tuple(gens),
         gens_after=gens_after,
         phi=phi,
@@ -144,9 +139,6 @@ def reduce_step(
         core_map=core_map,
         aut_before=aut,
         aut_after=collapsed,
-        ose_before=ose(aut),
-        nse=m.ordering,
-        ose_after=m1.ordering,
         m=m,
         m1=m1,
         pf=pf,

@@ -4,7 +4,10 @@ spectral-gap certificate.
 
 Eigenpairs come from Noda's inverse iteration; each reported eigenvalue
 lies in a Collatz-Wielandt bracket [min(Mv/v), max(Mv/v)] at most `tol`
-wide, which also contains the exact Perron root.
+wide, which also contains the exact Perron root.  Irreducibility is
+established where each automaton is built (`Automaton.validate`), not
+by the solver; `pipeline.reduce_step` requires the row-transformed
+matrix to equal that of the validated collapsed automaton.
 
 The old state enumeration (OSE) sorts states by (vertex, letter).  The
 new enumeration (NSE) used for one collapse step moves the collapse
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import Automaton, SStateSet, State, format_state, strongly_connected
+from .automaton import Automaton, SStateSet, State, format_state
 from .errors import (
     CertificateFailureError,
     ConvergenceFailureError,
@@ -213,14 +216,19 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     eigenvector, so hi I - M is a nonsingular M-matrix and w > 0.  The
     bracket narrows quadratically for a nonnegative irreducible matrix
     (Elsner, Linear Algebra Appl. 15, 1976).
+
+    Irreducibility is not checked here.  Without it the result is still
+    sound: for any nonnegative M and positive v the bracket contains the
+    spectral radius, and with hi above it (hi I - M)^-1 is nonnegative,
+    so a reducible input returns a bracket at most `tol` wide around the
+    spectral radius or ends in ConvergenceFailureError (a stall, a
+    singular solve or a lost positivity).
     """
     mat = np.asarray(m.matrix, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
     if (mat < 0).any() or (mat != np.round(mat)).any():
         raise ValueError("matrix must be nonnegative and integral")
-    if not strongly_connected(range(mat.shape[0]), zip(*np.nonzero(mat))):
-        raise ValueError("matrix must be irreducible")
     diagonal = np.diag_indices(mat.shape[0])
     shifted = -mat
     v = np.ones(mat.shape[0])
@@ -273,25 +281,24 @@ class InequalityCertificate:
     s_values: dict[State, tuple[float, float, float]]
     u_choice: int | None
 
-    def to_json(self, ordering: StateOrdering, alphabet) -> str:
-        return json.dumps(
-            {
-                "lambda_1": float(self.lam1),
-                "u": [float(x) for x in self.u],
-                "rows": ordering.render(alphabet),
-                "strict_rows": list(self.strict_rows),
-                "choice": self.u_choice,
-                "s_entries": {
-                    format_state(q, alphabet): {
-                        "value": val,
-                        "lower": lo,
-                        "upper": hi,
-                    }
-                    for q, (val, lo, hi) in self.s_values.items()
-                },
+    def to_dict(self, ordering: StateOrdering, alphabet) -> dict:
+        """The certificate as the JSON object `reduce-step` prints, its
+        rows named by `ordering`, the NSE."""
+        return {
+            "lambda_1": float(self.lam1),
+            "u": [float(x) for x in self.u],
+            "rows": ordering.render(alphabet),
+            "strict_rows": list(self.strict_rows),
+            "choice": self.u_choice,
+            "s_entries": {
+                format_state(q, alphabet): {
+                    "value": val,
+                    "lower": lo,
+                    "upper": hi,
+                }
+                for q, (val, lo, hi) in self.s_values.items()
             },
-            indent=2,
-        )
+        }
 
 
 def certify_inequality(

@@ -48,7 +48,6 @@ broken invariant trips.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .core_graph import CollapseData, CoreGraph, build_core, label_sets
@@ -90,9 +89,6 @@ class WhiteheadGraph:
     def n_edges_multiset(self) -> int:
         return sum(self.multiplicity.values())
 
-    def is_isolated(self, letter: Letter) -> bool:
-        return not self.adjacency[letter]
-
     def sorted_edges(self) -> list[tuple[Letter, Letter, int]]:
         """(u, v, multiplicity) in the global letter order."""
         return sorted(
@@ -114,17 +110,18 @@ class WhiteheadGraph:
         return frozenset(seen)
 
     def components_after_removal(self, letter: Letter) -> list[frozenset]:
-        """Components of `letter`'s component once `letter` is deleted."""
-        remaining = self.component(letter) - {letter}
+        """Components of `letter`'s component once `letter` is deleted,
+        sorted by their least letter: one search from each neighbour not
+        yet reached.  An isolated letter has none."""
         out = []
         seen: set[Letter] = set()
-        for start in sorted(remaining, key=letter_key):
+        for start in self.adjacency[letter]:
             if start in seen:
                 continue
             comp = self.component(start, removed=letter)
             seen |= comp
             out.append(comp)
-        return out
+        return sorted(out, key=lambda comp: min(map(letter_key, comp)))
 
     def to_dot(self, alphabet: Alphabet) -> str:
         lines = ["graph whitehead {"]
@@ -164,28 +161,26 @@ class CutVertexReport:
     configuration: int
     witness: tuple[tuple[Letter, ...], ...]
 
-    def to_json(self, alphabet: Alphabet) -> str:
-        return json.dumps(
-            {
-                "letter": alphabet.spell_caret(self.letter),
-                "configuration": self.configuration,
-                "witness": [
-                    [alphabet.spell_caret(l) for l in comp] for comp in self.witness
-                ],
-            }
-        )
+    def to_dict(self, alphabet: Alphabet) -> dict:
+        """The report as the JSON object `cogrowth whitehead` prints."""
+        return {
+            "letter": alphabet.spell_caret(self.letter),
+            "configuration": self.configuration,
+            "witness": [
+                [alphabet.spell_caret(l) for l in comp] for comp in self.witness
+            ],
+        }
 
 
 def find_cut_vertices(wg: WhiteheadGraph) -> list[CutVertexReport]:
     """All cut vertices, in the global letter order."""
     reports = []
     for a in wg.vertices:
-        if wg.is_isolated(a):
-            continue
-        comp = wg.component(a)
         pieces = wg.components_after_removal(a)
+        if not pieces:  # isolated
+            continue
         witness = tuple(tuple(sorted(p, key=letter_key)) for p in pieces)
-        if -a not in comp:
+        if not any(-a in p for p in pieces):
             reports.append(CutVertexReport(a, 1, witness))
         elif len(pieces) > 1:
             reports.append(CutVertexReport(a, 2, witness))
@@ -206,14 +201,7 @@ def collapse_for_cut(
     e_o = tuple(
         (v, a, graph.step(v, a)) for v in graph.vertices if a in ls[v] and ls[v] <= side
     )
-    cd = CollapseData(
-        a=a,
-        s_o=tuple(v for v, _, _ in e_o),
-        e_o=e_o,
-        s_t=tuple(t for _, _, t in e_o),
-        e_t=tuple((t, -a, v) for v, _, t in e_o),
-    )
-    return WhiteheadAutomorphism(a, members), cd
+    return WhiteheadAutomorphism(a, members), CollapseData(a, e_o)
 
 
 def choose_automorphism(

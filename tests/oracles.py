@@ -3,8 +3,9 @@
 Each oracle deliberately avoids the code path it validates: folding is
 redone by whole-edge-set rewriting (no per-vertex worklist), word counts by
 enumerating every reduced word and tracing it through the graph (no
-automaton path counting), and the top eigenvalue by exact
-characteristic-polynomial bisection (no power iteration).
+automaton path counting), the top eigenvalue by exact
+characteristic-polynomial bisection (no power iteration), and cut
+vertices by one search per letter (no shared piece search).
 
 The last section holds helpers that only the tests use: membership by
 tracing, reading a core back from JSON, the Whitehead graph of a word,
@@ -239,6 +240,50 @@ def charpoly_pf(mat, precision=Fraction(1, 10**12)) -> float:
         else:
             hi = mid
     return float((lo + hi) / 2)
+
+
+# -- cut vertices by plain searches ---------------------------------------
+
+
+def cut_vertices(label_sets, rank):
+    """(letter, configuration, witness) of every cut vertex of the
+    Whitehead graph of `label_sets`, letters in the order x1, x1^-1,
+    x2, ...; the witness lists the pieces of comp(a) - a by their least
+    letter, each piece sorted.
+
+    The adjacency is built here, a clique per label set; comp(a) is one
+    search from a, and the piece of each letter of comp(a) - a is its
+    own search with a removed.
+    """
+    key = lambda l: (abs(l), l < 0)
+    letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
+    adjacent = {l: set() for l in letters}
+    for labels in label_sets.values():
+        for u in labels:
+            adjacent[u] |= labels - {u}
+
+    def reach(start, removed):
+        seen, stack = {start}, [start]
+        while stack:
+            for w in adjacent[stack.pop()] - seen - {removed}:
+                seen.add(w)
+                stack.append(w)
+        return frozenset(seen)
+
+    out = []
+    for a in letters:
+        if not adjacent[a]:
+            continue
+        comp = reach(a, None)
+        pieces = {reach(l, a) for l in comp - {a}}
+        witness = tuple(
+            sorted((tuple(sorted(p, key=key)) for p in pieces), key=lambda p: key(p[0]))
+        )
+        if -a not in comp:
+            out.append((a, 1, witness))
+        elif len(pieces) > 1:
+            out.append((a, 2, witness))
+    return out
 
 
 # -- test-only helpers ---------------------------------------------------

@@ -113,15 +113,15 @@ def test_criterion_1_example_structure(example_alphabet):
     ok = ok and step.aut_before.n_states == 12
     ok = ok and step.aut_after.n_states == 10
 
-    ok = ok and step.ose_before.render(ab) == [
+    ok = ok and ose(step.aut_before).render(ab) == [
         "(1,x^-1)", "(1,y^-1)", "(1,t)", "(2,x)", "(2,y)", "(2,z^-1)",
         "(3,y)", "(3,z)", "(4,y^-1)", "(4,z^-1)", "(5,z)", "(5,t^-1)",
     ]
-    ok = ok and step.nse.render(ab) == [
+    ok = ok and step.m.ordering.render(ab) == [
         "(2,x)", "(1,x^-1)", "(2,z^-1)", "(1,t)", "(3,y)", "(3,z)",
         "(4,y^-1)", "(4,z^-1)", "(5,z)", "(5,t^-1)", "(2,y)", "(1,y^-1)",
     ]
-    ok = ok and step.ose_after.render(ab) == [
+    ok = ok and step.m1.ordering.render(ab) == [
         "(2,x)", "(2,x^-1)", "(2,z^-1)", "(2,t)", "(3,y)", "(3,z)",
         "(4,y^-1)", "(4,z^-1)", "(5,z)", "(5,t^-1)",
     ]
@@ -199,11 +199,11 @@ def test_criterion_5_theorem_suite(runs):
             direct = adjacency(step.aut_after, ose(step.aut_after))
             if not np.array_equal(direct.matrix, step.m1.matrix):
                 raise AssertionError("derived matrix differs from direct adjacency")
-            boundary = step.nse.boundary
+            boundary = step.m.ordering.boundary
             lead = step.m.matrix[:boundary, :boundary]
             if not (lead <= step.m1.matrix).all():
                 raise AssertionError("lead block exceeds the collapsed matrix")
-            index = {q: i for i, q in enumerate(step.nse.states)}
+            index = {q: i for i, q in enumerate(step.m.ordering.states)}
             expected_strict = set()
             for state in step.s_states.elements:
                 feeders = [index[q] for q in step.s_states.incoming[state]]

@@ -108,7 +108,7 @@ def test_collapse_rejects_empty_state_set(example_aut):
     from cogrowth.core_graph import CollapseData
 
     empty = SStateSet.from_collapse(
-        example_aut, CollapseData(a=2, s_o=(), e_o=(), s_t=(), e_t=())
+        example_aut, CollapseData(a=2, e_o=())
     )
     with pytest.raises(PreconditionError):
         collapse_automaton(example_aut, empty)

@@ -248,6 +248,41 @@ def test_verify_battery(capsys):
     assert out.count("ok ") >= 8
 
 
+def free_factor_c(length):
+    """C(L) = <x, y, z t^L> <= F4: a free factor whose first step has a
+    spectral gap lambda1 - lambda of about 3^-L."""
+    return ["--gens", f"x,y,z t^{length}", "--alphabet", "xyzt"]
+
+
+def test_verify_accepts_a_proven_gap_below_1e_8(capsys):
+    # C(19): lambda1 - lambda = 4.6e-9, each eigenvalue the midpoint of
+    # a bracket at most tol = 1e-10 wide around the exact root
+    code, out, _ = run(capsys, "verify", *free_factor_c(19))
+    assert code == 0
+    assert "ok   strict spectral gap\n" in out
+    assert "FAIL" not in out
+
+
+ROADMAP_ITEM_1 = "ROADMAP item 1: a float certificate cannot resolve a gap this small"
+
+
+@pytest.mark.parametrize(
+    "length",
+    [
+        10,
+        19,
+        # exits 6: "expected strict slack missing at NSE rows [7]"
+        pytest.param(20, marks=pytest.mark.xfail(strict=True, reason=ROADMAP_ITEM_1)),
+        # exits 6: "Noda iteration stalled ... rounding broke the iterate's positivity"
+        pytest.param(50, marks=pytest.mark.xfail(strict=True, reason=ROADMAP_ITEM_1)),
+    ],
+)
+def test_reduce_decides_a_free_factor_with_a_small_gap(capsys, length):
+    code, out, err = run(capsys, "reduce", *free_factor_c(length))
+    assert (code, err) == (0, "")
+    assert "status: single_vertex_core\n" in out
+
+
 def test_verify_on_a_rose_is_already_reduced(capsys):
     # <x,y> is a free factor of F3 whose core is a single vertex
     code, out, err = run(capsys, "verify", "--gens", "x,y", "--alphabet", "xyz")

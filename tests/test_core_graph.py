@@ -218,16 +218,20 @@ def test_collapse_matches_rebuilt_core(example_core, example_alphabet):
 
 
 def test_collapse_requires_edges(example_core):
-    empty = CollapseData(a=2, s_o=(), e_o=(), s_t=(), e_t=())
+    empty = CollapseData(a=2, e_o=())
     with pytest.raises(PreconditionError):
         collapse_core(example_core, empty)
 
 
 def test_collapse_data_validation():
-    with pytest.raises(PreconditionError):
-        CollapseData(a=2, s_o=(1,), e_o=((1, 2, 2),), s_t=(), e_t=())
-    with pytest.raises(PreconditionError):
-        CollapseData(a=2, s_o=(1,), e_o=((1, 3, 2),), s_t=(2,), e_t=((2, -3, 1),))
+    cd = CollapseData(a=2, e_o=((1, 2, 2), (3, 2, 4)))
+    assert (cd.s_o, cd.s_t) == ((1, 3), (2, 4))
+    # an edge not labeled a
+    with pytest.raises(PreconditionError, match="not labeled a"):
+        CollapseData(a=2, e_o=((1, 3, 2),))
+    # vertex 2 is both a terminus and an origin
+    with pytest.raises(PreconditionError, match="overlap"):
+        CollapseData(a=2, e_o=((1, 2, 2), (2, 2, 3)))
 
 
 def test_validate_rejects_root_of_degree_one():

@@ -59,7 +59,7 @@ def test_step_reports_are_internally_consistent(steps):
         assert s.core_after.n_vertices == s.core_before.n_vertices - len(s.collapse.s_o)
         assert s.aut_after.n_states == s.aut_before.n_states - 2 * len(s.collapse.e_o)
         assert s.pf1.eigenvalue > s.pf.eigenvalue
-        assert s.nse.boundary == s.aut_after.n_states
+        assert s.m.ordering.boundary == s.aut_after.n_states
         assert len(s.gens_after) == len(s.gens_before)
 
 

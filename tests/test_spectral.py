@@ -108,7 +108,7 @@ def test_nse_rejects_empty_state_set(example_core):
 
     aut = build_automaton(example_core)
     empty = SStateSet.from_collapse(
-        aut, CollapseData(a=2, s_o=(), e_o=(), s_t=(), e_t=())
+        aut, CollapseData(a=2, e_o=())
     )
     with pytest.raises(PreconditionError):
         make_nse(aut, empty)
@@ -231,11 +231,41 @@ def test_pf_eigen_on_permutation_cycle():
     assert pf.eigenvalue == pytest.approx(1.0, abs=1e-9)
 
 
-def test_pf_eigen_rejects_reducible():
-    states = tuple((i, 1) for i in range(1, 3))
-    mat = np.array([[1, 1], [0, 1]], dtype=np.int64)
+def _matrix(rows):
+    mat = np.array(rows)
+    states = tuple((i, 1) for i in range(1, len(mat) + 1))
+    return AdjacencyMatrix(mat, StateOrdering(states, "OSE"))
+
+
+@pytest.mark.parametrize(
+    "rows, solved",
+    [
+        ([[1, 1], [0, 1]], True),
+        ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], True),  # nilpotent: radius 0
+        ([[1, 1], [0, 2]], True),
+        ([[2, 1], [0, 1]], False),  # hi I - M turns singular at hi = 2
+    ],
+    ids=["unipotent", "nilpotent", "upper-2", "upper-singular"],
+)
+def test_pf_eigen_on_reducible_input_is_sound_or_fails(rows, solved):
+    # irreducibility is the callers' to establish; without it the
+    # bracket still holds the spectral radius, or the solve gives up
+    m = _matrix(rows)
+    tol = 1e-10
+    if not solved:
+        with pytest.raises(ConvergenceFailureError, match="singular"):
+            pf_eigen(m, tol=tol)
+        return
+    radius = max(abs(np.linalg.eigvals(m.matrix.astype(float))))
+    assert abs(pf_eigen(m, tol=tol).eigenvalue - radius) <= tol
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1, 1]], [[1, -1], [1, 1]], [[1, 0.5], [1, 1]]]
+)
+def test_pf_eigen_rejects_a_matrix_that_is_not_square_nonnegative_integral(rows):
     with pytest.raises(ValueError):
-        pf_eigen(AdjacencyMatrix(mat, StateOrdering(states, "OSE")))
+        pf_eigen(_matrix(rows))
 
 
 @pytest.mark.parametrize("tol", [0.0, float("nan"), -1.0])
