@@ -11,15 +11,12 @@ import os
 
 from cogrowth import (
     Alphabet,
-    build_automaton,
-    build_core,
     certify_inequality,
     format_word,
     label_sets,
     ose,
     parse_word,
     reduce_full,
-    reduce_step,
 )
 from cogrowth.whitehead import find_cut_vertices, whitehead_graph_of_core
 from cogrowth.words import letter_key
@@ -34,7 +31,10 @@ def main():
     gens = [parse_word("yX", ab), parse_word("yzYzt", ab)]
     print("subgroup generators:", ", ".join(format_word(w, ab) for w in gens))
 
-    core = build_core(gens, ab)
+    # every artifact below is read off this one reduction
+    trace = reduce_full(gens, ab)
+    step = trace.steps[0]
+    core = step.core_before
     print(f"\ncore: {core.n_vertices} vertices, {core.n_edges} edges")
     ls = label_sets(core)
     for v in core.vertices:
@@ -47,7 +47,6 @@ def main():
     cuts = find_cut_vertices(wg)
     print("\ncut vertices:", ", ".join(ab.spell_caret(r.letter) for r in cuts))
 
-    step = reduce_step(core, gens)
     print("\nchosen automorphism:", step.phi.format(ab))
     print("collapse origin/terminus sets:", step.collapse.s_o, step.collapse.s_t)
     print("OSE:", ", ".join(ose(step.aut_before).render(ab)))
@@ -67,7 +66,6 @@ def main():
     for state, (value, lo, hi) in cert.s_values.items():
         print(f"  tail entry {state}: {value} in ({lo:.4f}, {hi:.4f})")
 
-    trace = reduce_full(gens, ab)
     print(f"\nfull reduction ({trace.status}):")
     for i, st in enumerate(trace.steps, 1):
         print(
@@ -79,11 +77,11 @@ def main():
 
     if args.dot_dir:
         os.makedirs(args.dot_dir, exist_ok=True)
-        aut = build_automaton(core)
+        dashed = set(step.s_states.elements)
         for name, text in [
             ("core.dot", core.to_dot(extended=True)),
             ("whitehead.dot", wg.to_dot(ab)),
-            ("automaton.dot", aut.to_dot(dashed_into=set(step.s_states.elements))),
+            ("automaton.dot", step.aut_before.to_dot(dashed_into=dashed)),
         ]:
             path = os.path.join(args.dot_dir, name)
             with open(path, "w") as fh:

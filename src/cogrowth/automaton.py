@@ -232,8 +232,6 @@ def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
     """Replace each two-step path through a collapse state by one
     transition, drop the collapse states, and update the initial set
     when a collapse state sat at the root."""
-    if not s.elements:
-        raise PreconditionError("collapse needs a nonempty state set")
     sset = set(s.elements)
     transitions = {
         (s.rename(q), letter): s.rename(target)

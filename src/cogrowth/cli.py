@@ -5,6 +5,14 @@ automaton, matrix, eigen, reduce-step, reduce, census, verify.  Output
 is deterministic (identical inputs give byte-identical output); floats
 are printed to 6 significant digits.
 
+Every subcommand is a `cmd_*(alphabet, gens, args)` that returns its
+text (`reduce` and `verify` also return their exit code); `main` parses
+the input, writes the text and maps errors to exit codes.  Each
+subcommand declares only the options it reads: `--tol` on those that
+solve an eigenpair (eigen, reduce-step, reduce, census, verify),
+`--u-choice` on reduce-step and reduce, which print one certificate,
+and `--format` on all but verify, which checks every choice.
+
 The commands that build a matrix (matrix, eigen, reduce-step, reduce,
 verify, and census in text format, which prints the eigenvalue) import
 `spectral` and `pipeline`, and so numpy, when they run; core,
@@ -49,9 +57,6 @@ EXIT_PRECONDITION = 3
 EXIT_NO_CUT_VERTEX = 4
 EXIT_NUMERICAL = 6
 
-# exit code of `reduce` by terminal status, however many steps ran first
-TERMINAL_EXIT = {"no_cut_vertex": EXIT_NO_CUT_VERTEX}
-
 ALREADY_REDUCED = "already reduced: the core has a single vertex"
 
 # what an error prints and exits with; the first matching type wins
@@ -64,160 +69,112 @@ EXIT_CODES = (
 )
 
 
-def _input(args) -> tuple[Alphabet, list]:
-    alphabet = Alphabet.from_spec(args.alphabet)
-    return alphabet, [parse_word(part, alphabet) for part in args.gens.split(",")]
-
-
-def _emit(text: str, args):
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _f(x: float) -> str:
     return f"{x:.6g}"
 
 
-def cmd_core(args) -> int:
-    alphabet, gens = _input(args)
+def _json(data) -> str:
+    return json.dumps(data, indent=2) + "\n"
+
+
+def _text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def cmd_core(alphabet, gens, args) -> str:
     graph = build_core(gens, alphabet)
     if args.format == "dot":
-        out = graph.to_dot(extended=args.extended)
-    elif args.format == "json":
-        out = graph.to_json() + "\n"
-    else:
-        ls = label_sets(graph)
-        lines = [
-            f"core: {graph.n_vertices} vertices, {graph.n_edges} edges, "
-            f"root {graph.root}, subgroup rank {graph.subgroup_rank}"
-        ]
-        for v in graph.vertices:
-            names = ", ".join(alphabet.spell_caret(l) for l in sorted(ls[v], key=letter_key))
-            lines.append(f"L_{v} = {{{names}}}")
-        lines.append("edges:")
-        for o, g, t in graph.edges:
-            lines.append(f"  {o} -{alphabet.spell(g)}-> {t}")
-        out = "\n".join(lines) + "\n"
-    _emit(out, args)
-    return EXIT_OK
+        return graph.to_dot(extended=args.extended)
+    if args.format == "json":
+        return graph.to_json() + "\n"
+    ls = label_sets(graph)
+    lines = [
+        f"core: {graph.n_vertices} vertices, {graph.n_edges} edges, "
+        f"root {graph.root}, subgroup rank {graph.subgroup_rank}"
+    ]
+    for v in graph.vertices:
+        names = ", ".join(alphabet.spell_caret(l) for l in sorted(ls[v], key=letter_key))
+        lines.append(f"L_{v} = {{{names}}}")
+    lines.append("edges:")
+    lines += [f"  {o} -{alphabet.spell(g)}-> {t}" for o, g, t in graph.edges]
+    return _text(lines)
 
 
-def cmd_whitehead(args) -> int:
-    alphabet, gens = _input(args)
+def cmd_whitehead(alphabet, gens, args) -> str:
     graph = build_core(gens, alphabet)
     wg = whitehead_graph_of_core(label_sets(graph), alphabet.rank)
     cuts = find_cut_vertices(wg)
     spell = alphabet.spell_caret
     edges = [[spell(u), spell(v), mult] for u, v, mult in wg.sorted_edges()]
     if args.format == "dot":
-        out = wg.to_dot(alphabet)
-    elif args.format == "json":
-        out = (
-            json.dumps(
-                {
-                    "edges": edges,
-                    "cut_vertices": [r.to_dict(alphabet) for r in cuts],
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+        return wg.to_dot(alphabet)
+    if args.format == "json":
+        return _json({"edges": edges, "cut_vertices": [r.to_dict(alphabet) for r in cuts]})
+    lines = [f"whitehead graph: {wg.n_edges_simple} edges "
+             f"({wg.n_edges_multiset} with multiplicity)"]
+    for u, v, mult in edges:
+        extra = f"  (x{mult})" if mult > 1 else ""
+        lines.append(f"  {u} -- {v}{extra}")
+    if cuts:
+        lines.append("cut vertices:")
+        lines += [f"  {spell(r.letter)} (configuration {r.configuration})" for r in cuts]
+    elif graph.n_vertices == 1:
+        lines.append("cut vertices: none (the core is a rose: a free factor)")
     else:
-        lines = [f"whitehead graph: {wg.n_edges_simple} edges "
-                 f"({wg.n_edges_multiset} with multiplicity)"]
-        for u, v, mult in edges:
-            extra = f"  (x{mult})" if mult > 1 else ""
-            lines.append(f"  {u} -- {v}{extra}")
-        if cuts:
-            lines.append("cut vertices:")
-            for r in cuts:
-                lines.append(
-                    f"  {alphabet.spell_caret(r.letter)} (configuration {r.configuration})"
-                )
-        elif graph.n_vertices == 1:
-            lines.append("cut vertices: none (the core is a rose: a free factor)")
-        else:
-            lines.append("cut vertices: none (not a free factor)")
-        out = "\n".join(lines) + "\n"
-    _emit(out, args)
-    return EXIT_OK
+        lines.append("cut vertices: none (not a free factor)")
+    return _text(lines)
 
 
-def cmd_automaton(args) -> int:
-    alphabet, gens = _input(args)
+def cmd_automaton(alphabet, gens, args) -> str:
     aut = build_automaton(build_core(gens, alphabet))
     if args.format == "dot":
-        out = aut.to_dot()
-    elif args.format == "json":
-        out = aut.to_json() + "\n"
-    else:
-        lines = [
-            f"automaton: {aut.n_states} states, {len(aut.transitions)} transitions, "
-            f"ambiguity {aut.ambiguity}",
-            "OSE: " + ", ".join(format_state(q, alphabet) for q in aut.states),
-            "initial = final: "
-            + ", ".join(
-                format_state(q, alphabet)
-                for q in sorted(aut.initial, key=lambda q: (q[0], letter_key(q[1])))
-            ),
-        ]
-        out = "\n".join(lines) + "\n"
-    _emit(out, args)
-    return EXIT_OK
+        return aut.to_dot()
+    if args.format == "json":
+        return aut.to_json() + "\n"
+    initial = sorted(aut.initial, key=lambda q: (q[0], letter_key(q[1])))
+    return _text([
+        f"automaton: {aut.n_states} states, {len(aut.transitions)} transitions, "
+        f"ambiguity {aut.ambiguity}",
+        "OSE: " + ", ".join(format_state(q, alphabet) for q in aut.states),
+        "initial = final: " + ", ".join(format_state(q, alphabet) for q in initial),
+    ])
 
 
-def cmd_matrix(args) -> int:
+def cmd_matrix(alphabet, gens, args) -> str:
     from . import pipeline
     from .spectral import adjacency, ose
 
-    alphabet, gens = _input(args)
     if args.ordering == "nse":
         mat = pipeline.step_head(build_core(gens, alphabet))[-1]
     else:
         aut = build_automaton(build_core(gens, alphabet))
         mat = adjacency(aut, ose(aut))
     if args.format == "csv":
-        out = mat.to_csv(alphabet)
-    elif args.format == "json":
-        out = (
-            json.dumps(
-                {
-                    "ordering": mat.ordering.render(alphabet),
-                    "kind": mat.ordering.kind,
-                    "matrix": [[int(x) for x in row] for row in mat.matrix],
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-    else:
-        out = mat.to_text(alphabet)
-    _emit(out, args)
-    return EXIT_OK
+        return mat.to_csv(alphabet)
+    if args.format == "json":
+        return _json({
+            "ordering": mat.ordering.render(alphabet),
+            "kind": mat.ordering.kind,
+            "matrix": [[int(x) for x in row] for row in mat.matrix],
+        })
+    return mat.to_text(alphabet)
 
 
-def cmd_eigen(args) -> int:
+def cmd_eigen(alphabet, gens, args) -> str:
     from .spectral import adjacency, ose, pf_eigen
 
-    alphabet, gens = _input(args)
     aut = build_automaton(build_core(gens, alphabet))
     mat = adjacency(aut, ose(aut))
     pf = pf_eigen(mat, tol=args.tol)
     if args.format == "json":
-        out = pf.to_json(states=mat.ordering.states, alphabet=alphabet) + "\n"
-    else:
-        vec = ", ".join(_f(x) for x in pf.eigenvector)
-        out = (
-            f"eigenvalue = {_f(pf.eigenvalue)}  (bracket {_f(pf.residual)}, "
-            f"tol {_f(args.tol)}, {pf.iterations} iterations)\n"
-            f"cogrowth = {_f(pf.eigenvalue)}, entropy = {_f(math.log(pf.eigenvalue))}\n"
-            f"eigenvector = [{vec}]\n"
-        )
-    _emit(out, args)
-    return EXIT_OK
+        return pf.to_json(states=mat.ordering.states, alphabet=alphabet) + "\n"
+    vec = ", ".join(_f(x) for x in pf.eigenvector)
+    return (
+        f"eigenvalue = {_f(pf.eigenvalue)}  (bracket {_f(pf.residual)}, "
+        f"tol {_f(args.tol)}, {pf.iterations} iterations)\n"
+        f"cogrowth = {_f(pf.eigenvalue)}, entropy = {_f(math.log(pf.eigenvalue))}\n"
+        f"eigenvector = [{vec}]\n"
+    )
 
 
 def _step_json(step: pipeline.StepReport) -> dict:
@@ -275,98 +232,81 @@ def _step_text(step: pipeline.StepReport, tol: float) -> list[str]:
     ]
 
 
-def cmd_reduce_step(args) -> int:
+def cmd_reduce_step(alphabet, gens, args) -> str:
     from . import pipeline
 
-    alphabet, gens = _input(args)
     graph = build_core(gens, alphabet)
     if graph.n_vertices == 1:
         if args.format == "json":
             # the status word `reduce` ends with on the same input
-            _emit(json.dumps({"status": "single_vertex_core"}, indent=2) + "\n", args)
-        else:
-            _emit(f"{ALREADY_REDUCED}\n", args)
-        return EXIT_OK
+            return _json({"status": "single_vertex_core"})
+        return f"{ALREADY_REDUCED}\n"
     step = pipeline.reduce_step(graph, gens, u_choice=args.u_choice, tol=args.tol)
     if args.format == "json":
-        out = json.dumps(_step_json(step), indent=2) + "\n"
-    else:
-        out = "\n".join(_step_text(step, args.tol)) + "\n"
-    _emit(out, args)
-    return EXIT_OK
+        return _json(_step_json(step))
+    return _text(_step_text(step, args.tol))
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(ab, gens, args) -> tuple[str, int]:
+    """`reduce` prints its trace whatever the terminal status, and exits 4
+    on `no_cut_vertex` however many steps ran first."""
     from . import pipeline
 
-    ab, gens = _input(args)
     trace = pipeline.reduce_full(gens, ab, u_choice=args.u_choice, tol=args.tol)
+    code = EXIT_NO_CUT_VERTEX if trace.status == "no_cut_vertex" else EXIT_OK
+    final_gens = [format_word(w, ab) for w in trace.final_gens]
     if args.format == "json":
-        out = (
-            json.dumps(
-                {
-                    "status": trace.status,
-                    "steps": [_step_json(s) for s in trace.steps],
-                    "final_gens": [format_word(w, ab) for w in trace.final_gens],
-                },
-                indent=2,
-            )
-            + "\n"
-        )
-    else:
-        lines = []
-        for i, step in enumerate(trace.steps, start=1):
-            lines.append(
-                f"step {i}: phi = {step.phi.format(ab)}, "
-                f"core {step.core_before.n_vertices}->{step.core_after.n_vertices} vertices, "
-                f"lambda {_f(step.pf.eigenvalue)} -> {_f(step.pf1.eigenvalue)}, "
-                f"gens: {', '.join(format_word(w, ab) for w in step.gens_after)}"
-            )
-        if not trace.steps:
-            lines.append("no reduction step applies")
-        lines.append(f"status: {trace.status}")
-        lines.append(
-            "final gens: " + ", ".join(format_word(w, ab) for w in trace.final_gens)
-        )
-        out = "\n".join(lines) + "\n"
-    _emit(out, args)
-    return TERMINAL_EXIT.get(trace.status, EXIT_OK)
+        return _json({
+            "status": trace.status,
+            "steps": [_step_json(s) for s in trace.steps],
+            "final_gens": final_gens,
+        }), code
+    lines = [
+        f"step {i}: phi = {step.phi.format(ab)}, "
+        f"core {step.core_before.n_vertices}->{step.core_after.n_vertices} vertices, "
+        f"lambda {_f(step.pf.eigenvalue)} -> {_f(step.pf1.eigenvalue)}, "
+        f"gens: {', '.join(format_word(w, ab) for w in step.gens_after)}"
+        for i, step in enumerate(trace.steps, start=1)
+    ]
+    if not trace.steps:
+        lines.append("no reduction step applies")
+    lines.append(f"status: {trace.status}")
+    lines.append("final gens: " + ", ".join(final_gens))
+    return _text(lines), code
 
 
-def cmd_census(args) -> int:
-    alphabet, gens = _input(args)
+def cmd_census(alphabet, gens, args) -> str:
     aut = build_automaton(build_core(gens, alphabet))
     counts = word_census(aut, args.n_max)
+    # math.log takes an int of any size exactly; a ** (1 / n) overflows
+    # once a passes the float range
     rows = [
-        (n, a, a ** (1.0 / n) if a else 0.0)
+        (n, a, math.exp(math.log(a) / n) if a else 0.0)
         for n, a in enumerate(counts, start=1)
     ]
     if args.format == "csv":
-        lines = ["n,a_n,a_n^(1/n)"]
-        lines += [f"{n},{a},{_f(est)}" for n, a, est in rows]
-        out = "\n".join(lines) + "\n"
-    else:
-        from .spectral import adjacency, ose, pf_eigen
+        return _text(["n,a_n,a_n^(1/n)"] + [f"{n},{a},{_f(est)}" for n, a, est in rows])
+    from .spectral import adjacency, ose, pf_eigen
 
-        alpha = pf_eigen(adjacency(aut, ose(aut)), tol=args.tol).eigenvalue
-        lines = [f"{'n':>4} {'a_n':>12} {'a_n^(1/n)':>10}"]
-        lines += [f"{n:>4} {a:>12} {_f(est):>10}" for n, a, est in rows]
-        lines.append(f"cogrowth alpha = {_f(alpha)} (tol {_f(args.tol)})")
-        out = "\n".join(lines) + "\n"
-    _emit(out, args)
-    return EXIT_OK
+    alpha = pf_eigen(adjacency(aut, ose(aut)), tol=args.tol).eigenvalue
+    lines = [f"{'n':>4} {'a_n':>12} {'a_n^(1/n)':>10}"]
+    lines += [f"{n:>4} {a:>12} {_f(est):>10}" for n, a, est in rows]
+    lines.append(f"cogrowth alpha = {_f(alpha)} (tol {_f(args.tol)})")
+    return _text(lines)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(alphabet, gens, args) -> tuple[str, int | CogrowthError]:
+    """Every check of the battery, certificate choices 1, 2 and 3
+    included; exits 1 when one fails.  A core with no cut vertex ends the
+    battery early: its lines are written, then the error is reported."""
     from . import pipeline
     from .spectral import certify_inequality
 
-    alphabet, gens = _input(args)
     graph = build_core(gens, alphabet)
     step = stop = None
     if graph.n_vertices > 1:
         try:
-            step = pipeline.reduce_step(graph, gens, u_choice=args.u_choice, tol=args.tol)
+            step = pipeline.reduce_step(graph, gens, tol=args.tol)
         except NoCutVertexError as exc:
             stop = exc
     aut = step.aut_before if step else build_automaton(graph)
@@ -397,10 +337,7 @@ def cmd_verify(args) -> int:
     check("homogeneous ambiguity on 50 sampled words", ambiguity_check)
     if step is None:
         lines.append(f"note {stop or ALREADY_REDUCED}")
-        _emit("\n".join(lines) + "\n", args)
-        if stop:
-            raise stop
-        return EXIT_OK
+        return _text(lines), stop or EXIT_OK
 
     lines.append("ok   row-transformed matrix equals collapsed adjacency")
     check(
@@ -422,8 +359,7 @@ def cmd_verify(args) -> int:
                 step.m, step.m1, step.s_states, step.pf1, u_choice=c, tol=args.tol
             ),
         )
-    _emit("\n".join(lines) + "\n", args)
-    return EXIT_OK if ok else 1
+    return _text(lines), EXIT_OK if ok else 1
 
 
 def _out_path(path: str) -> str:
@@ -453,7 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, formats, **kwargs):
+    def add(name, fn, formats=(), tol=False, u_choice=False, **kwargs):
+        """--gens, --alphabet and --out, and the shared options `fn` reads."""
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--gens", required=True, help="comma-separated generator words")
         p.add_argument(
@@ -462,14 +399,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--out", type=_out_path, default=None, help="output file (default stdout)"
         )
-        p.add_argument(
-            "--tol",
-            type=float,
-            default=1e-10,
-            help="width of the Collatz-Wielandt bracket on the eigenvalue",
-        )
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-10,
+                           help="width of the Collatz-Wielandt bracket on the eigenvalue")
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
+        if u_choice:
+            p.add_argument("--u-choice", type=int, choices=[1, 2, 3], default=3,
+                           help="how the printed certificate fills the collapse states")
         p.set_defaults(fn=fn)
         return p
 
@@ -481,27 +418,41 @@ def _build_parser() -> argparse.ArgumentParser:
         help="the subgroup-language automaton")
     p = add("matrix", cmd_matrix, ["text", "csv", "json"], help="adjacency matrix")
     p.add_argument("--ordering", choices=["nse", "ose"], default="nse")
-    add("eigen", cmd_eigen, ["text", "json"], help="Perron-Frobenius eigenpair")
-    p = add("reduce-step", cmd_reduce_step, ["text", "json"],
-            help="one collapse step with matrices and certificate")
-    p.add_argument("--u-choice", type=int, choices=[1, 2, 3], default=3)
-    p = add("reduce", cmd_reduce, ["text", "json"], help="iterate steps to a terminal")
-    p.add_argument("--u-choice", type=int, choices=[1, 2, 3], default=3)
-    p = add("census", cmd_census, ["text", "csv"], help="accepted words per length")
+    add("eigen", cmd_eigen, ["text", "json"], tol=True, help="Perron-Frobenius eigenpair")
+    add("reduce-step", cmd_reduce_step, ["text", "json"], tol=True, u_choice=True,
+        help="one collapse step with matrices and certificate")
+    add("reduce", cmd_reduce, ["text", "json"], tol=True, u_choice=True,
+        help="iterate steps to a terminal")
+    p = add("census", cmd_census, ["text", "csv"], tol=True,
+            help="accepted words per length")
     p.add_argument("--n-max", type=_nonnegative_int, default=20)
-    p = add("verify", cmd_verify, ["text"], help="self-check battery on one input")
-    p.add_argument("--u-choice", type=int, choices=[1, 2, 3], default=3)
+    add("verify", cmd_verify, tol=True,
+        help="self-check battery on one input, every certificate choice")
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse the input once, run the subcommand, write its text once (to
+    stdout or --out) and map its error, if any, to an exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        alphabet = Alphabet.from_spec(args.alphabet)
+        gens = [parse_word(part, alphabet) for part in args.gens.split(",")]
+        result = args.fn(alphabet, gens, args)
     except CogrowthError as exc:
-        prefix, code = next((p, c) for kind, p, c in EXIT_CODES if isinstance(exc, kind))
-        print(f"{prefix}: {exc}", file=sys.stderr)
-        return code
+        result = None, exc
+    text, outcome = result if isinstance(result, tuple) else (result, EXIT_OK)
+    if text is not None:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    if not isinstance(outcome, CogrowthError):
+        return outcome
+    prefix, code = next((p, c) for kind, p, c in EXIT_CODES if isinstance(outcome, kind))
+    print(f"{prefix}: {outcome}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -147,15 +147,17 @@ class CoreGraph:
 class CollapseData:
     """Edges to contract for one Whitehead reduction step.
 
-    ``e_o`` are the extended edges (origin, a, terminus), one per
-    origin; the origin set ``s_o`` and terminus set ``s_t`` are read off
-    them, and must be disjoint.
+    ``e_o`` are the extended edges (origin, a, terminus), at least one
+    and one per origin; the origin set ``s_o`` and terminus set ``s_t``
+    are read off them, and must be disjoint.
     """
 
     a: Letter
     e_o: tuple[tuple[int, Letter, int], ...]
 
     def __post_init__(self):
+        if not self.e_o:
+            raise PreconditionError("collapse needs at least one edge")
         if any(letter != self.a for _, letter, _ in self.e_o):
             raise PreconditionError("collapse edge not labeled a")
         if set(self.s_o) & set(self.s_t):
@@ -288,8 +290,6 @@ def collapse_core(graph: CoreGraph, cd: CollapseData) -> CoreGraph:
     terminus id.  Raises FoldingViolationError if the contraction would
     create a label clash (the trichotomy was not actually satisfied).
     """
-    if not cd.e_o:
-        raise PreconditionError("collapse needs at least one edge")
     for o, letter, t in cd.e_o:
         if graph.step(o, letter) != t:
             raise PreconditionError(f"collapse edge ({o},{letter},{t}) not in graph")

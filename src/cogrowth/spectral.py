@@ -59,8 +59,6 @@ def make_nse(aut: Automaton, s: SStateSet) -> StateOrdering:
     """NSE: non-collapse states ordered by their post-merge (vertex,
     letter) keys but keeping their original names, then the collapse
     states."""
-    if not s.elements:
-        raise PreconditionError("NSE is defined relative to a nonempty state set")
     sset = set(s.elements)
     lead = sorted(
         (q for q in aut.states if q not in sset),

@@ -107,10 +107,9 @@ def test_collapse_states_and_ose(example_aut, example_collapse, example_alphabet
 def test_collapse_rejects_empty_state_set(example_aut):
     from cogrowth.core_graph import CollapseData
 
-    empty = SStateSet.from_collapse(
-        example_aut, CollapseData(a=2, e_o=())
-    )
-    with pytest.raises(PreconditionError):
+    # CollapseData itself rejects an empty collapse
+    with pytest.raises(PreconditionError, match="at least one edge"):
+        empty = SStateSet.from_collapse(example_aut, CollapseData(a=2, e_o=()))
         collapse_automaton(example_aut, empty)
 
 

@@ -208,6 +208,18 @@ def test_census_csv_needs_no_eigenvalue(capsys):
     assert out == run(capsys, "census", *EXAMPLE, "--format", "csv")[1]
 
 
+def test_census_counts_beyond_the_float_range(capsys):
+    # F4 itself: a_n = 8 * 7^(n-1), past the float range from n = 365
+    code, out, err = run(capsys, "census", "--gens", "x,y,z,t", "--alphabet", "xyzt",
+                         "--n-max", "400", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"400,{8 * 7**399},7.00234"
+    code, out, err = run(capsys, "census", *EXAMPLE, "--n-max", "2000")
+    assert (code, err) == (0, "")
+    n, count, root = out.splitlines()[-2].split()
+    assert (n, root) == ("2000", "1.45052") and int(count) > 10**308
+
+
 def test_census_rejects_a_negative_length(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", *EXAMPLE, "--n-max", "-3"])
@@ -254,6 +266,33 @@ def free_factor_c(length):
     return ["--gens", f"x,y,z t^{length}", "--alphabet", "xyzt"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["core", "--tol", "1e-8"],
+        ["whitehead", "--tol", "1e-8"],
+        ["automaton", "--tol", "1e-8"],
+        ["matrix", "--tol", "1e-8"],
+        ["verify", "--u-choice", "1"],
+        ["verify", "--format", "text"],
+    ],
+)
+def test_a_subcommand_rejects_an_option_it_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], *EXAMPLE, *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_and_reduce_step_agree_on_a_vanishing_gap(capsys):
+    # C(20): verify runs the step as reduce-step does, with the default
+    # certificate choice, so both end alike whether that step fails
+    # (exit 6 today) or succeeds
+    verify_code, _, verify_err = run(capsys, "verify", *free_factor_c(20))
+    step_code, _, step_err = run(capsys, "reduce-step", *free_factor_c(20))
+    assert (verify_code, verify_err) == (step_code, step_err)
+
+
 def test_verify_accepts_a_proven_gap_below_1e_8(capsys):
     # C(19): lambda1 - lambda = 4.6e-9, each eigenvalue the midpoint of
     # a bracket at most tol = 1e-10 wide around the exact root
@@ -294,6 +333,19 @@ def test_verify_on_a_rose_is_already_reduced(capsys):
         "ok   homogeneous ambiguity on 50 sampled words\n"
         "note already reduced: the core has a single vertex\n"
     )
+
+
+def test_verify_without_a_cut_vertex_writes_its_lines_then_the_error(capsys):
+    code, out, err = run(capsys, "verify", "--gens", "xx,yy", "--alphabet", "xy")
+    verdict = "no cut vertex in the Whitehead graph: the subgroup is not a free factor"
+    assert code == 4
+    assert out == (
+        "ok   core invariants\n"
+        "ok   automaton deterministic/ergodic/I=F\n"
+        "ok   homogeneous ambiguity on 50 sampled words\n"
+        f"note {verdict}\n"
+    )
+    assert err == f"no cut vertex: {verdict}\n"
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

@@ -218,9 +218,9 @@ def test_collapse_matches_rebuilt_core(example_core, example_alphabet):
 
 
 def test_collapse_requires_edges(example_core):
-    empty = CollapseData(a=2, e_o=())
-    with pytest.raises(PreconditionError):
-        collapse_core(example_core, empty)
+    # CollapseData itself rejects an empty collapse
+    with pytest.raises(PreconditionError, match="at least one edge"):
+        collapse_core(example_core, CollapseData(a=2, e_o=()))
 
 
 def test_collapse_data_validation():

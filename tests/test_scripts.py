@@ -20,6 +20,16 @@ def test_worked_example_matches_golden_file():
     assert proc.stdout == (ROOT / "tests" / "golden" / "worked-example.txt").read_bytes()
 
 
+def test_worked_example_writes_dot_files(tmp_path):
+    proc = run_script("worked_example.py", "--dot-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "automaton.dot", "core.dot", "whitehead.dot"
+    ]
+    # the collapse states of step 1 have their incoming edges dashed
+    assert "dashed" in (tmp_path / "automaton.dot").read_text()
+
+
 def test_corpus_sweep_runs():
     proc = run_script("corpus_sweep.py", "--count", "5", "--seed", "0")
     assert proc.returncode == 0, proc.stderr.decode()

@@ -107,11 +107,9 @@ def test_nse_rejects_empty_state_set(example_core):
     from cogrowth.core_graph import CollapseData
 
     aut = build_automaton(example_core)
-    empty = SStateSet.from_collapse(
-        aut, CollapseData(a=2, e_o=())
-    )
-    with pytest.raises(PreconditionError):
-        make_nse(aut, empty)
+    # CollapseData itself rejects an empty collapse
+    with pytest.raises(PreconditionError, match="at least one edge"):
+        make_nse(aut, SStateSet.from_collapse(aut, CollapseData(a=2, e_o=())))
 
 
 def test_adjacency_matches_reference_matrix(example_spectral):

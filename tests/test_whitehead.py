@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from cogrowth.core_graph import build_core, collapse_core, label_sets
@@ -13,13 +15,15 @@ from cogrowth.whitehead import (
     find_cut_vertices,
     whitehead_graph_of_core,
 )
-from cogrowth.words import Alphabet, parse_word, sigma
+from cogrowth.words import Alphabet, is_cyclically_reduced, parse_word, sigma
 from oracles import (
     all_small_cores,
     all_whitehead_automorphisms,
     cut_vertices,
     cyclic_length,
     reduce_primitive_word,
+    spanning_tree_basis,
+    whitehead_descent,
     whitehead_graph_of_word,
 )
 
@@ -222,6 +226,37 @@ def test_cut_vertices_match_the_search_oracle(corpus):
         reports = find_cut_vertices(whitehead_graph_of_core(ls, rank))
         got = [(r.letter, r.configuration, r.witness) for r in reports]
         assert got == cut_vertices(ls, rank)
+
+
+def test_free_factor_verdict_matches_whitehead_descent():
+    """On the 641 small cores of 2 letters on 2-3 vertices and 3 letters
+    on 2, no core without a cut vertex descends to a rose (the "not a
+    free factor" verdict holds), and every core with one does.  Where
+    the spanning-tree basis is cyclically reduced, `reduce_full` on it
+    reaches the descent's verdict; the other cores are counted."""
+    from cogrowth.pipeline import reduce_full
+
+    counts = Counter()
+    for rank, n_vertices in ((2, 2), (2, 3), (3, 2)):
+        alphabet = Alphabet(tuple("xyz"[:rank]))
+        for g in all_small_cores(alphabet, n_vertices):
+            final = whitehead_descent(g.edges, rank)
+            rose = len({v for o, _, t in final for v in (o, t)}) == 1
+            cut = bool(find_cut_vertices(whitehead_graph_of_core(label_sets(g), rank)))
+            assert rose == cut
+            basis = spanning_tree_basis(g.root, g.edges)
+            if not all(is_cyclically_reduced(w) for w in basis):
+                counts[cut, "no usable basis"] += 1
+                continue
+            status = reduce_full(basis, alphabet).status
+            assert status == ("single_vertex_core" if rose else "no_cut_vertex")
+            counts[cut, "reduce_full agrees"] += 1
+    assert counts == {
+        (False, "reduce_full agrees"): 199,
+        (False, "no usable basis"): 398,
+        (True, "reduce_full agrees"): 20,
+        (True, "no usable basis"): 24,
+    }
 
 
 def test_reduce_primitive_two_letter_word():
