@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .automaton import (
     Automaton,
     SStateSet,
@@ -104,9 +102,7 @@ def reduce_step(
 
     collapsed = collapse_automaton(aut, s)
     m1_direct = adjacency(collapsed, ose(collapsed))
-    if m1.ordering.states != m1_direct.ordering.states or not np.array_equal(
-        m1.matrix, m1_direct.matrix
-    ):
+    if m1.ordering.states != m1_direct.ordering.states or m1.rows != m1_direct.rows:
         raise CogrowthError(
             "row-transformed matrix disagrees with the collapsed automaton"
         )

@@ -2,9 +2,17 @@
 of the collapsed matrix, Perron-Frobenius eigenpairs, and the strict
 spectral-gap certificate.
 
+A matrix is held as its rows of column indices, its states' successors:
+a state has at most 2m - 1 of them, and most have one.  The row
+transform, the block check, the certificate and the eigenpair solve all
+work on those rows; a dense array is built only where a matrix is
+printed or read whole (`AdjacencyMatrix.matrix`).
+
 Eigenpairs come from Noda's inverse iteration; each reported eigenvalue
 lies in a Collatz-Wielandt bracket [min(Mv/v), max(Mv/v)] at most `tol`
-wide, which also contains the exact Perron root.  Irreducibility is
+wide, which also contains the exact Perron root.  Each shifted solve
+eliminates the states with a single successor along their chains, so
+only a dense system on the branch states remains.  Irreducibility is
 established where each automaton is built (`Automaton.validate`), not
 by the solver; `pipeline.reduce_step` requires the row-transformed
 matrix to equal that of the validated collapsed automaton.
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -69,14 +78,41 @@ def make_nse(aut: Automaton, s: SStateSet) -> StateOrdering:
 
 @dataclass(frozen=True)
 class AdjacencyMatrix:
-    """0/1 transition-count matrix of an automaton under a fixed ordering."""
+    """Transition-count matrix of an automaton under a fixed ordering.
 
-    matrix: np.ndarray
+    ``rows[i]`` lists the columns of row i's entries in increasing order,
+    a column once per unit of its entry: an automaton's rows are its
+    states' successors.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
     ordering: StateOrdering
+
+    @classmethod
+    def from_array(cls, array, ordering: StateOrdering) -> AdjacencyMatrix:
+        """The matrix of a square, nonnegative, integral array."""
+        mat = np.asarray(array)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError("matrix must be square")
+        if (mat < 0).any() or (mat != np.round(mat)).any():
+            raise ValueError("matrix must be nonnegative and integral")
+        columns = np.arange(len(mat))
+        counts = mat.astype(np.int64)
+        rows = tuple(tuple(np.repeat(columns, row).tolist()) for row in counts)
+        return cls(rows, ordering)
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.rows)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense int64 array, built on each call: for printing and for
+        reading the matrix whole."""
+        row_ids, cols = _entries(self.rows)
+        dense = np.zeros((self.size, self.size), dtype=np.int64)
+        np.add.at(dense, (row_ids, cols), 1)
+        return dense
 
     def to_csv(self, alphabet) -> str:
         names = self.ordering.render(alphabet)
@@ -92,6 +128,8 @@ class AdjacencyMatrix:
         block and a rule above the collapse rows (NSE only)."""
         names = self.ordering.render(alphabet)
         width = max(len(n) for n in names)
+        # one blank at least between neighbouring columns, at every order
+        field = max(3, len(str(self.size)) + 1)
         boundary = self.ordering.boundary
         lines = [
             "# rows/columns: "
@@ -101,7 +139,7 @@ class AdjacencyMatrix:
         for j in range(self.size):
             if boundary is not None and j == boundary:
                 header += " |"
-            header += f"{j + 1:>3d}"
+            header += f"{j + 1:>{field}d}"
         lines.append(header)
         for i, (name, row) in enumerate(zip(names, self.matrix)):
             if boundary is not None and i == boundary:
@@ -110,9 +148,19 @@ class AdjacencyMatrix:
             for j, x in enumerate(row):
                 if boundary is not None and j == boundary:
                     text += " |"
-                text += f"{int(x):>3d}"
+                text += f"{int(x):>{field}d}"
             lines.append(text)
         return "\n".join(lines) + "\n"
+
+
+def _entries(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each unit entry, row by row: M @ v is
+    np.bincount(row_ids, weights=v[cols], minlength=len(rows))."""
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    cols = np.fromiter(
+        itertools.chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum())
+    )
+    return np.repeat(np.arange(len(rows)), lengths), cols
 
 
 def adjacency(aut: Automaton, ordering: StateOrdering) -> AdjacencyMatrix:
@@ -121,54 +169,56 @@ def adjacency(aut: Automaton, ordering: StateOrdering) -> AdjacencyMatrix:
     ):
         raise PreconditionError("ordering does not cover the automaton's states")
     index = {q: i for i, q in enumerate(ordering.states)}
-    mat = np.zeros((len(index), len(index)), dtype=np.int64)
-    for (q, _), target in aut.transitions.items():
-        mat[index[q], index[target]] = 1
-    return AdjacencyMatrix(mat, ordering)
+    rows = tuple(
+        tuple(sorted(index[t] for _, t in aut.successors(q))) for q in ordering.states
+    )
+    return AdjacencyMatrix(rows, ordering)
 
 
-def _check_nse(m: AdjacencyMatrix, s: SStateSet):
-    if m.ordering.kind != "NSE" or m.ordering.boundary is None:
-        raise PreconditionError("matrix must be indexed by the NSE")
-    if m.ordering.states[m.ordering.boundary :] != s.elements:
-        raise PreconditionError("NSE tail does not match the collapse states")
-
-
-def decompose(m: AdjacencyMatrix, s: SStateSet):
-    """Blocks (M', U, Z, O) under the NSE; U rows carry at most a single
-    1 and O is zero, or the upstream construction is broken."""
-    _check_nse(m, s)
+def decompose(m: AdjacencyMatrix, s: SStateSet) -> tuple[tuple[int, ...], ...]:
+    """Check the blocks (M', U, Z, O) under the NSE: O is zero and each
+    row of U has at most a single 1, or the upstream construction is
+    broken.  Returns U by columns: per collapse state, the lead rows
+    feeding it."""
     b = m.ordering.boundary
-    mp, u = m.matrix[:b, :b], m.matrix[:b, b:]
-    z, o = m.matrix[b:, :b], m.matrix[b:, b:]
-    if o.any():
+    if m.ordering.kind != "NSE" or b is None:
+        raise PreconditionError("matrix must be indexed by the NSE")
+    if m.ordering.states[b:] != s.elements:
+        raise PreconditionError("NSE tail does not match the collapse states")
+    # a row's columns increase, so its entries in U or O come last
+    if any(row and row[-1] >= b for row in m.rows[b:]):
         raise DecompositionViolationError("collapse block O is not zero")
-    if (u.sum(axis=1) > 1).any() or not set(np.unique(u)) <= {0, 1}:
-        raise DecompositionViolationError("a row of U has more than one entry")
-    return mp, u, z, o
+    feeders = [[] for _ in s.elements]
+    for i, row in enumerate(m.rows[:b]):
+        if len(row) > 1 and row[-2] >= b:
+            raise DecompositionViolationError("a row of U has more than one entry")
+        if row and row[-1] >= b:
+            feeders[row[-1] - b].append(i)
+    return tuple(map(tuple, feeders))
 
 
 def derive_m1(m: AdjacencyMatrix, s: SStateSet) -> AdjacencyMatrix:
-    """Add each collapse state's row into the rows feeding it, then drop
-    the collapse rows and columns.
+    """Put each collapse state's row in place of its column in the rows
+    feeding it, then drop the collapse rows.
 
     The result is indexed by the collapsed automaton's OSE (the NSE lead
     block with merged vertex names).  `decompose` checks the blocks
-    first: with O zero every feeder is a lead row, so a collapse row is
-    never rewritten and adds no entry to another collapse column.
+    first: with O zero every feeder is a lead row and a collapse row has
+    no collapse column, so one substitution per lead row leaves the lead
+    block only.
     """
     decompose(m, s)
     b = m.ordering.boundary
-    work = m.matrix.astype(np.int64)
-    for offset in range(len(s.elements)):
-        col = b + offset
-        for i in np.nonzero(work[:, col])[0]:
-            work[i, :] += work[col, :]
-    result = work[:b, :b]
-    if (result > 1).any():
-        raise EntryOverflowError("row transformation produced an entry above 1")
+    rows = []
+    for row in m.rows[:b]:
+        if row and row[-1] >= b:
+            row = tuple(sorted(row[:-1] + m.rows[row[-1]]))
+        # an entry above 1 is a column repeated in the sorted row
+        if any(x == y for x, y in zip(row, row[1:])):
+            raise EntryOverflowError("row transformation produced an entry above 1")
+        rows.append(row)
     lead = tuple(s.rename(q) for q in m.ordering.states[:b])
-    return AdjacencyMatrix(result, StateOrdering(lead, "OSE"))
+    return AdjacencyMatrix(tuple(rows), StateOrdering(lead, "OSE"))
 
 
 @dataclass(frozen=True)
@@ -203,6 +253,34 @@ class PFResult:
 MAX_ITER = 10**6
 
 
+def _forced_chains(rows) -> tuple[list[int], list[int], list[int]]:
+    """(succ, end, depth) per state.
+
+    A state is forced when its row has a single entry other than itself,
+    its successor succ.  Every other state is a kernel state, and so is
+    one state cut from each cycle of forced states; there succ and end
+    are the state itself and depth is 0.  Following succ from a forced
+    state reaches the kernel state `end` after `depth` steps.
+    """
+    n = len(rows)
+    succ = [row[0] if len(row) == 1 and row[0] != q else q for q, row in enumerate(rows)]
+    end, depth = list(range(n)), [0] * n
+    seen = [0] * n  # 0 unseen, 1 on the current walk, 2 resolved
+    for start in range(n):
+        walk, q = [], start
+        while not seen[q] and succ[q] != q:
+            seen[q] = 1
+            walk.append(q)
+            q = succ[q]
+        if seen[q] == 1:  # the walk closed a cycle of forced states
+            succ[q] = q
+        for p in reversed(walk):
+            if succ[p] != p:
+                end[p], depth[p] = end[succ[p]], depth[succ[p]] + 1
+            seen[p] = 2
+    return succ, end, depth
+
+
 def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     """Noda's inverse iteration (Numer. Math. 17, 1971), stopped on the
     Collatz-Wielandt bracket.
@@ -215,6 +293,19 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     bracket narrows quadratically for a nonnegative irreducible matrix
     (Elsner, Linear Algebra Appl. 15, 1976).
 
+    The solve eliminates the forced states (`_forced_chains`).  A forced
+    state q has the one entry succ(q) off the diagonal, so w_q = (v_q +
+    w_succ(q)) / hi.  Run back from each chain's end, this gives w_q =
+    a_q + c_q w_end(q), with c_q = hi^-depth(q) and a_q the chain's sum
+    for w = 0 on the kernel.  Put into the kernel rows, it leaves a
+    dense system on the kernel states alone: for the automaton of a core
+    of rank r, at most the 6(r - 1) states at vertices of degree 3 or
+    more (Kotani-Sunada, 2000).  Its solution is then expanded along the
+    chains by the same recurrence.  The bracket is still computed from M
+    and v on every row, so it holds the root whatever the rounding of
+    the solve; rounding can only end the narrowing, which the stall
+    check reports.
+
     Irreducibility is not checked here.  Without it the result is still
     sound: for any nonnegative M and positive v the bracket contains the
     spectral radius, and with hi above it (hi I - M)^-1 is nonnegative,
@@ -222,17 +313,25 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     spectral radius or ends in ConvergenceFailureError (a stall, a
     singular solve or a lost positivity).
     """
-    mat = np.asarray(m.matrix, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    if (mat < 0).any() or (mat != np.round(mat)).any():
-        raise ValueError("matrix must be nonnegative and integral")
-    diagonal = np.diag_indices(mat.shape[0])
-    shifted = -mat
-    v = np.ones(mat.shape[0])
+    n = m.size
+    row_ids, cols = _entries(m.rows)
+    succ, end, depth = _forced_chains(m.rows)
+    kernel = [q for q in range(n) if not depth[q]]
+    # each forced state after its successor
+    forced = sorted((q for q in range(n) if depth[q]), key=depth.__getitem__)
+    k = len(kernel)
+    slot = {q: i for i, q in enumerate(kernel)}
+    # each entry of a kernel row: its row, its state, and its cell in the
+    # kernel system, at the column of the end of its chain
+    k_entries = [
+        (i, j, i * k + slot[end[j]]) for i, q in enumerate(kernel) for j in m.rows[q]
+    ]
+    diagonal = range(0, k * k, k + 1)
+
+    v = np.ones(n)
     previous = math.inf
     for iteration in range(1, MAX_ITER + 1):
-        ratios = (mat @ v) / v
+        ratios = np.bincount(row_ids, weights=v[cols], minlength=n) / v
         lo, hi = float(ratios.min()), float(ratios.max())
         width = hi - lo
         if width <= tol:
@@ -244,20 +343,36 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
                 f"{iteration} iterations, above tol {tol}"
             )
         previous = width
-        shifted[diagonal] = hi - mat[diagonal]
+        # a forced state has a positive ratio, so hi > 0 where one is
+        # divided
+        v_list, a, c = v.tolist(), [0.0] * n, [1.0] * n
+        for q in forced:
+            a[q] = (v_list[q] + a[succ[q]]) / hi
+            c[q] = c[succ[q]] / hi
+        shifted, rhs = [0.0] * (k * k), [v_list[q] for q in kernel]
+        for cell in diagonal:
+            shifted[cell] = hi
+        for i, j, cell in k_entries:
+            shifted[cell] -= c[j]
+            rhs[i] += a[j]
         try:
-            w = np.linalg.solve(shifted, v)
+            w_kernel = np.linalg.solve(np.array(shifted).reshape(k, k), np.array(rhs))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailureError(
                 f"Noda iteration: hi*I - M is singular at hi = {hi!r} "
                 f"after {iteration} iterations"
             ) from exc
-        if not (w > 0).all():
+        w = [0.0] * n
+        for q, x in zip(kernel, w_kernel.tolist()):
+            w[q] = x
+        for q in forced:
+            w[q] = (v_list[q] + w[succ[q]]) / hi
+        if not all(x > 0 for x in w):
             raise ConvergenceFailureError(
                 f"Noda iteration stalled at bracket width {width:.3g} after "
                 f"{iteration} iterations: rounding broke the iterate's positivity"
             )
-        v = w / w.max()
+        v = np.array(w) / max(w)
     raise ConvergenceFailureError(
         f"Noda iteration did not reach bracket width {tol} in {MAX_ITER} iterations"
     )
@@ -327,7 +442,7 @@ def certify_inequality(
     max|M1 v - lam1 v| for its eigenvector v of max entry 1, and rescales
     with the vector.
     """
-    _check_nse(m, s)
+    feeders = decompose(m, s)
     b = m.ordering.boundary
     if tuple(s.rename(q) for q in m.ordering.states[:b]) != m1.ordering.states:
         raise PreconditionError("collapsed matrix does not match the NSE lead block")
@@ -345,7 +460,7 @@ def certify_inequality(
     s_values: dict[State, tuple[float, float, float]] = {}
     for offset, state in enumerate(s.elements):
         row = b + offset
-        bound = float(m.matrix[row, :b] @ u[:b])  # the collapse row over the lead block
+        bound = float(sum(u[j] for j in m.rows[row]))  # O is zero: lead columns only
         lower, upper = bound / lam1, bound
         if u_override is not None:
             value = float(u_override)
@@ -357,25 +472,25 @@ def certify_inequality(
             value = (lower + upper) / 2
         u[row] = value
         s_values[state] = (value, lower, upper)
-        feeders = np.nonzero(m.matrix[:, row])[0]
         if u_override is None:
             if u_choice in (1, 3):
-                expected_strict.update(int(i) for i in feeders)
+                expected_strict.update(feeders[offset])
             if u_choice in (2, 3):
                 expected_strict.add(row)
 
     if u.min() <= 0:
         raise CertificateFailureError("comparison vector is not strictly positive")
-    mu = m.matrix @ u
+    row_ids, cols = _entries(m.rows)
+    mu = np.bincount(row_ids, weights=u[cols], minlength=n)
     lu = lam1 * u
     row_tol = 10 * tol * float(u.max())
     strict = []
-    for j in range(n):
-        if mu[j] > lu[j] + row_tol:
+    for j, (x, y) in enumerate(zip(mu.tolist(), lu.tolist())):
+        if x > y + row_tol:
             raise CertificateFailureError(
                 f"(Mu) exceeds lam1*u at NSE row {j + 1}", row=j + 1
             )
-        if mu[j] < lu[j] - row_tol:
+        if x < y - row_tol:
             strict.append(j)
     missing = expected_strict - set(strict)
     if missing:

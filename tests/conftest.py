@@ -79,3 +79,19 @@ def build_corpus(n_random=200):
 @pytest.fixture(scope="session")
 def corpus():
     return build_corpus()
+
+
+@pytest.fixture(scope="session")
+def ladder():
+    """The benchmark's ladder: free factors of F4 whose cores grow from 12
+    to 243 vertices (`perfbench/workloads.py`)."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.ladder_subgroups()

@@ -4,9 +4,11 @@ Each oracle deliberately avoids the code path it validates: folding is
 redone by whole-edge-set rewriting (no per-vertex worklist), word counts by
 enumerating every reduced word and tracing it through the graph (no
 automaton path counting), the top eigenvalue by exact
-characteristic-polynomial bisection (no power iteration), cut
-vertices by one search per letter (no shared piece search), and the
-free-factor verdict by greedy Whitehead descent (no Whitehead graph).
+characteristic-polynomial bisection (no power iteration) or by the
+Ihara-Bass pencil of the core (no transition matrix), the row transform
+on dense arrays (no successor lists), cut vertices by one search per
+letter (no shared piece search), and the free-factor verdict by greedy
+Whitehead descent (no Whitehead graph).
 
 The last section holds helpers that only the tests use: membership by
 tracing, reading a core back from JSON, the Whitehead graph of a word,
@@ -243,6 +245,51 @@ def charpoly_pf(mat, precision=Fraction(1, 10**12)) -> float:
         else:
             hi = mid
     return float((lo + hi) / 2)
+
+
+def ihara_bass_pf(core: CoreGraph, precision: float = 1e-14) -> float:
+    """Perron root of the core's transition matrix by the Ihara-Bass
+    formula (Bass 1992; Kotani-Sunada 2000), with no transition matrix.
+
+    The states are the core's directed edges and a transition is a
+    non-backtracking continuation, so det(I - uM) = (1 - u^2)^(E - V)
+    det(I - uA + u^2 (D - I)) on the V x V adjacency A and degrees D,
+    where a loop counts 2 in both.  The pencil is positive definite at
+    u = 0 and first turns singular at u = 1/lambda; bisection on (0, 1)
+    with a Cholesky test finds that point.
+    """
+    index = {v: i for i, v in enumerate(core.vertices)}
+    n = len(index)
+    adj = np.zeros((n, n))
+    degree = np.zeros(n)
+    for o, _, t in core.edges:
+        adj[index[o], index[t]] += 1
+        adj[index[t], index[o]] += 1
+        degree[index[o]] += 1
+        degree[index[t]] += 1
+    lo, hi = 0.0, 1.0
+    while hi - lo > precision:
+        u = (lo + hi) / 2
+        try:
+            np.linalg.cholesky(np.eye(n) - u * adj + u * u * np.diag(degree - 1))
+            lo = u
+        except np.linalg.LinAlgError:
+            hi = u
+    return 2 / (lo + hi)
+
+
+# -- the row transform on dense arrays -------------------------------------
+
+
+def dense_row_transform(mat, boundary: int) -> np.ndarray:
+    """The NSE row transform on a dense array: add each collapse row (from
+    `boundary` on) into every row with an entry in its column, then drop
+    the collapse rows and columns."""
+    work = np.array(mat, dtype=np.int64)
+    for col in range(boundary, len(work)):
+        for i in np.nonzero(work[:, col])[0]:
+            work[i, :] += work[col, :]
+    return work[:boundary, :boundary]
 
 
 # -- cut vertices by plain searches ---------------------------------------

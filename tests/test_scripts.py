@@ -34,3 +34,10 @@ def test_corpus_sweep_runs():
     proc = run_script("corpus_sweep.py", "--count", "5", "--seed", "0")
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout
+
+
+def test_scale_ladder_reduces_a_small_rung():
+    proc = run_script("scale_ladder.py", "300")
+    assert proc.returncode == 0, proc.stderr.decode()
+    (line,) = proc.stdout.decode().splitlines()
+    assert line.startswith("D(300): ") and "single_vertex_core" in line

@@ -9,6 +9,7 @@ from cogrowth.errors import (
     CertificateFailureError,
     ConvergenceFailureError,
     DecompositionViolationError,
+    EntryOverflowError,
     PreconditionError,
 )
 from cogrowth.spectral import (
@@ -132,13 +133,15 @@ def test_row_and_column_sums(example_spectral):
 
 def test_decomposition_blocks(example_spectral, example_alphabet):
     _, _, s, m, _ = example_spectral
-    mp, u, z, o = decompose(m, s)
+    feeders = decompose(m, s)
+    dense = m.matrix
+    u, o = dense[:10, 10:], dense[10:, 10:]
     assert o.shape == (2, 2) and not o.any()
-    assert mp.shape == (10, 10) and z.shape == (2, 10)
-    # the (2,y) column of U has its ones in rows (1,x^-1) and (1,t)
-    col = list(u[:, 0])
-    assert col == [0, 1, 0, 1, 0, 0, 0, 0, 0, 0]
     assert (u.sum(axis=1) <= 1).all()
+    # decompose returns U by columns: the (2,y) column has its ones in
+    # rows (1,x^-1) and (1,t)
+    assert feeders == ((1, 3), (0, 2))
+    assert [tuple(np.nonzero(col)[0]) for col in u.T] == list(feeders)
 
 
 def test_decomposition_on_corpus(corpus):
@@ -159,11 +162,32 @@ def test_decomposition_on_corpus(corpus):
 
 def test_derive_m1_rejects_a_nonzero_collapse_block(example_spectral):
     _, _, s, m, _ = example_spectral
-    broken = m.matrix.copy()
+    broken = m.matrix
     b = m.ordering.boundary
     broken[b, b + 1] = 1  # the first collapse state feeds the second
     with pytest.raises(DecompositionViolationError, match="block O"):
-        derive_m1(AdjacencyMatrix(broken, m.ordering), s)
+        derive_m1(AdjacencyMatrix.from_array(broken, m.ordering), s)
+
+
+@pytest.mark.parametrize(
+    "cells, error, match",
+    [
+        # (1,x^-1) feeds both collapse states
+        ([(1, 10), (1, 11)], DecompositionViolationError, "more than one entry"),
+        # (1,x^-1) feeds (2,y), whose row has its 1 in the (3,z) column too
+        ([(1, 5)], EntryOverflowError, "above 1"),
+    ],
+    ids=["two-entries-in-u", "entry-above-one"],
+)
+def test_derive_m1_rejects_a_lead_row_it_cannot_transform(
+    example_spectral, cells, error, match
+):
+    _, _, s, m, _ = example_spectral
+    broken = m.matrix
+    for cell in cells:
+        broken[cell] = 1
+    with pytest.raises(error, match=match):
+        derive_m1(AdjacencyMatrix.from_array(broken, m.ordering), s)
 
 
 def test_derive_m1_matches_frozen_matrix(example_spectral):
@@ -225,14 +249,13 @@ def test_pf_eigen_on_permutation_cycle():
     cycle = np.zeros((4, 4), dtype=np.int64)
     for i in range(4):
         cycle[i, (i + 1) % 4] = 1
-    pf = pf_eigen(AdjacencyMatrix(cycle, StateOrdering(states, "OSE")))
+    pf = pf_eigen(AdjacencyMatrix.from_array(cycle, StateOrdering(states, "OSE")))
     assert pf.eigenvalue == pytest.approx(1.0, abs=1e-9)
 
 
 def _matrix(rows):
-    mat = np.array(rows)
-    states = tuple((i, 1) for i in range(1, len(mat) + 1))
-    return AdjacencyMatrix(mat, StateOrdering(states, "OSE"))
+    states = tuple((i, 1) for i in range(1, len(rows) + 1))
+    return AdjacencyMatrix.from_array(rows, StateOrdering(states, "OSE"))
 
 
 @pytest.mark.parametrize(
@@ -302,13 +325,21 @@ def _grown_free_factor(min_vertices, seed):
 
 
 @pytest.fixture(scope="module")
-def corpus_matrices(corpus):
+def corpus_steps(corpus):
+    traces = [reduce_full(list(inst.gens), inst.alphabet) for inst in corpus]
+    return [step for trace in traces for step in trace.steps]
+
+
+@pytest.fixture(scope="module")
+def ladder_steps(ladder):
+    traces = [reduce_full(list(inst.gens), inst.alphabet) for inst in ladder]
+    return [step for trace in traces for step in trace.steps]
+
+
+@pytest.fixture(scope="module")
+def corpus_matrices(corpus_steps):
     """Both matrices of every step of every corpus reduction."""
-    out = []
-    for inst in corpus:
-        for step in reduce_full(list(inst.gens), inst.alphabet).steps:
-            out += [step.m, step.m1]
-    return out
+    return [m for step in corpus_steps for m in (step.m, step.m1)]
 
 
 def test_pf_eigen_is_within_tol_of_eigvals_on_large_matrices(example_alphabet):
@@ -337,6 +368,36 @@ def test_pf_eigen_on_corpus_matrices(corpus_matrices, tol):
         assert pf.eigenvector.max() == 1.0
         error = np.abs(m.matrix @ pf.eigenvector - pf.eigenvalue * pf.eigenvector).max()
         assert error <= pf.residual <= tol
+
+
+def test_pf_eigen_agrees_with_ihara_bass_on_the_ladder(ladder_steps):
+    # the Ihara-Bass pencil of the core never builds a transition matrix
+    assert len(ladder_steps) > 50
+    for step in ladder_steps:
+        assert abs(step.pf.eigenvalue - oracles.ihara_bass_pf(step.core_before)) <= 1e-9
+        assert abs(step.pf1.eigenvalue - oracles.ihara_bass_pf(step.core_after)) <= 1e-9
+
+
+def test_derive_m1_equals_the_dense_row_transform(corpus_steps, ladder_steps):
+    for step in corpus_steps + ladder_steps:
+        expected = oracles.dense_row_transform(step.m.matrix, step.m.ordering.boundary)
+        assert np.array_equal(step.m1.matrix, expected)
+
+
+def test_forced_states_meet_the_eigen_equation(corpus_steps, ladder_steps):
+    # a state q with one successor t other than itself has (M1 v)_q = v_t,
+    # so |v_t - lambda1 v_q| <= residual v_q; divided by v_q, both sides
+    # are exact in floating point (the ratio lies in the bracket)
+    for step in corpus_steps + ladder_steps:
+        aut, pf1 = step.aut_after, step.pf1
+        index = {q: i for i, q in enumerate(step.m1.ordering.states)}
+        v = pf1.eigenvector
+        for q in aut.states:
+            (successor, *others) = [t for _, t in aut.successors(q)]
+            if others or successor == q:
+                continue
+            i, j = index[q], index[successor]
+            assert abs(v[j] / v[i] - pf1.eigenvalue) <= pf1.residual
 
 
 def test_pf_eigen_reports_a_singular_solve_as_a_convergence_failure(
@@ -408,6 +469,21 @@ def test_census_growth_tracks_cogrowth(example_core, example_spectral):
         counts[n - 1] ** (1.0 / n) for n in range(1, 21) if counts[n - 1]
     )
     assert abs(best - alpha) / alpha < 0.05
+
+
+def test_matrix_text_keeps_columns_apart_from_order_100(example_alphabet):
+    n = 120
+    states = tuple((i, 1) for i in range(1, n + 1))
+    cycle = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    text = AdjacencyMatrix.from_array(cycle, StateOrdering(states, "OSE")).to_text(
+        example_alphabet
+    )
+    _, header, *body = text.splitlines()
+    assert header.split() == [str(j) for j in range(1, n + 1)]
+    assert {len(line) for line in body} == {len(header)}
+    assert [line.split()[1:] for line in body] == [
+        [str(x) for x in row] for row in cycle
+    ]
 
 
 def test_matrix_exports(example_spectral, example_alphabet):
