@@ -57,8 +57,8 @@ def main():
     print(step.m1.to_text(ab))
     print(f"lambda  = {step.pf.eigenvalue:.6f}")
     print(f"lambda1 = {step.pf1.eigenvalue:.6f}")
-    vec = step.pf1.eigenvector / step.pf1.eigenvector[5]
-    print("eigenvector (6th entry 1):", [round(float(x), 4) for x in vec])
+    vec = [x / step.pf1.eigenvector[5] for x in step.pf1.eigenvector]
+    print("eigenvector (6th entry 1):", [round(x, 4) for x in vec])
 
     cert = certify_inequality(step.m, step.m1, step.s_states, step.pf1, u_override=3.0)
     print("\ncertificate with both tail entries set to 3:")

@@ -13,10 +13,8 @@ solve an eigenpair (eigen, reduce-step, reduce, census, verify),
 `--u-choice` on reduce-step and reduce, which print one certificate,
 and `--format` on all but verify, which checks every choice.
 
-The commands that build a matrix (matrix, eigen, reduce-step, reduce,
-verify, and census in text format, which prints the eigenvalue) import
-`spectral` and `pipeline`, and so numpy, when they run; core,
-whitehead, automaton and census in csv format start without numpy.
+No subcommand imports numpy: the eigenpairs are solved in plain Python
+(see the spectral module).
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation,
 4 no cut vertex (certified not a free factor), 6 numerical failure.
@@ -33,6 +31,7 @@ import os
 import random
 import sys
 
+from . import pipeline
 from .automaton import (
     accepts,
     build_automaton,
@@ -48,6 +47,7 @@ from .errors import (
     PreconditionError,
     WordParseError,
 )
+from .spectral import adjacency, certify_inequality, ose, pf_eigen
 from .whitehead import find_cut_vertices, whitehead_graph_of_core
 from .words import Alphabet, format_word, letter_key, parse_word
 
@@ -141,9 +141,6 @@ def cmd_automaton(alphabet, gens, args) -> str:
 
 
 def cmd_matrix(alphabet, gens, args) -> str:
-    from . import pipeline
-    from .spectral import adjacency, ose
-
     if args.ordering == "nse":
         mat = pipeline.step_head(build_core(gens, alphabet))[-1]
     else:
@@ -155,14 +152,12 @@ def cmd_matrix(alphabet, gens, args) -> str:
         return _json({
             "ordering": mat.ordering.render(alphabet),
             "kind": mat.ordering.kind,
-            "matrix": [[int(x) for x in row] for row in mat.matrix],
+            "matrix": mat.matrix,
         })
     return mat.to_text(alphabet)
 
 
 def cmd_eigen(alphabet, gens, args) -> str:
-    from .spectral import adjacency, ose, pf_eigen
-
     aut = build_automaton(build_core(gens, alphabet))
     mat = adjacency(aut, ose(aut))
     pf = pf_eigen(mat, tol=args.tol)
@@ -198,11 +193,11 @@ def _step_json(step: pipeline.StepReport) -> dict:
         "ose": [format_state(q, ab) for q in step.aut_before.states],
         "nse": step.m.ordering.render(ab),
         "ose_after": step.m1.ordering.render(ab),
-        "matrix": [[int(x) for x in row] for row in step.m.matrix],
-        "matrix_1": [[int(x) for x in row] for row in step.m1.matrix],
-        "lambda": float(step.pf.eigenvalue),
-        "lambda_1": float(step.pf1.eigenvalue),
-        "eigenvector_1": [float(x) for x in step.pf1.eigenvector],
+        "matrix": step.m.matrix,
+        "matrix_1": step.m1.matrix,
+        "lambda": step.pf.eigenvalue,
+        "lambda_1": step.pf1.eigenvalue,
+        "eigenvector_1": step.pf1.eigenvector,
         "certificate": step.certificate.to_dict(step.m.ordering, ab),
         "gens_before": [format_word(w, ab) for w in step.gens_before],
         "gens_after": [format_word(w, ab) for w in step.gens_after],
@@ -233,8 +228,6 @@ def _step_text(step: pipeline.StepReport, tol: float) -> list[str]:
 
 
 def cmd_reduce_step(alphabet, gens, args) -> str:
-    from . import pipeline
-
     graph = build_core(gens, alphabet)
     if graph.n_vertices == 1:
         if args.format == "json":
@@ -250,8 +243,6 @@ def cmd_reduce_step(alphabet, gens, args) -> str:
 def cmd_reduce(ab, gens, args) -> tuple[str, int]:
     """`reduce` prints its trace whatever the terminal status, and exits 4
     on `no_cut_vertex` however many steps ran first."""
-    from . import pipeline
-
     trace = pipeline.reduce_full(gens, ab, u_choice=args.u_choice, tol=args.tol)
     code = EXIT_NO_CUT_VERTEX if trace.status == "no_cut_vertex" else EXIT_OK
     final_gens = [format_word(w, ab) for w in trace.final_gens]
@@ -286,8 +277,6 @@ def cmd_census(alphabet, gens, args) -> str:
     ]
     if args.format == "csv":
         return _text(["n,a_n,a_n^(1/n)"] + [f"{n},{a},{_f(est)}" for n, a, est in rows])
-    from .spectral import adjacency, ose, pf_eigen
-
     alpha = pf_eigen(adjacency(aut, ose(aut)), tol=args.tol).eigenvalue
     lines = [f"{'n':>4} {'a_n':>12} {'a_n^(1/n)':>10}"]
     lines += [f"{n:>4} {a:>12} {_f(est):>10}" for n, a, est in rows]
@@ -299,9 +288,6 @@ def cmd_verify(alphabet, gens, args) -> tuple[str, int | CogrowthError]:
     """Every check of the battery, certificate choices 1, 2 and 3
     included; exits 1 when one fails.  A core with no cut vertex ends the
     battery early: its lines are written, then the error is reported."""
-    from . import pipeline
-    from .spectral import certify_inequality
-
     graph = build_core(gens, alphabet)
     step = stop = None
     if graph.n_vertices > 1:
@@ -383,6 +369,17 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _tol(text: str) -> float:
+    """A bracket width: 0 and inf are widths, nan and negatives are not."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative number: {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cogrowth",
@@ -402,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--out", type=_out_path, default=None, help="output file (default stdout)"
         )
         if tol:
-            p.add_argument("--tol", type=float, default=1e-10,
+            p.add_argument("--tol", type=_tol, default=1e-10,
                            help="width of the Collatz-Wielandt bracket on the eigenvalue")
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])

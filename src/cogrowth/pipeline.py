@@ -120,8 +120,10 @@ def reduce_step(
         # keeps its bracket
         rename = check_next_automaton(previous, aut)
         position = {rename[q]: i for i, q in enumerate(previous.m1.ordering.states)}
-        vector = previous.pf1.eigenvector[[position[q] for q in m.ordering.states]]
-        pf = replace(previous.pf1, eigenvector=vector)
+        vector = previous.pf1.eigenvector
+        pf = replace(
+            previous.pf1, eigenvector=[vector[position[q]] for q in m.ordering.states]
+        )
     pf1 = pf_eigen(m1, tol=tol)
     certificate = certify_inequality(m, m1, s, pf1, u_choice=u_choice, tol=tol)
     return StepReport(

@@ -5,8 +5,11 @@ spectral-gap certificate.
 A matrix is held as its rows of column indices, its states' successors:
 a state has at most 2m - 1 of them, and most have one.  The row
 transform, the block check, the certificate and the eigenpair solve all
-work on those rows; a dense array is built only where a matrix is
-printed or read whole (`AdjacencyMatrix.matrix`).
+work on those rows; the dense matrix, a list of rows of ints, is built
+only where a matrix is printed or read whole (`AdjacencyMatrix.matrix`).
+All arithmetic is plain Python: the only dense system, that of each
+Noda step on the branch states, has order at most 6(r - 1) for a core of
+rank r, and no module of the package imports numpy.
 
 Eigenpairs come from Noda's inverse iteration; each reported eigenvalue
 lies in a Collatz-Wielandt bracket [min(Mv/v), max(Mv/v)] at most `tol`
@@ -29,12 +32,10 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .automaton import Automaton, SStateSet, State, format_state
 from .errors import (
@@ -90,15 +91,23 @@ class AdjacencyMatrix:
 
     @classmethod
     def from_array(cls, array, ordering: StateOrdering) -> AdjacencyMatrix:
-        """The matrix of a square, nonnegative, integral array."""
-        mat = np.asarray(array)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        """The matrix of a square, nonnegative, integral array: a nested
+        sequence of rows, such as a list of lists or a numpy array."""
+        try:
+            dense = [list(row) for row in array]
+        except TypeError:
+            raise ValueError("matrix must be square") from None
+        if any(len(row) != len(dense) for row in dense):
             raise ValueError("matrix must be square")
-        if (mat < 0).any() or (mat != np.round(mat)).any():
+        if not all(
+            isinstance(x, numbers.Real) and x >= 0 and x % 1 == 0
+            for row in dense
+            for x in row
+        ):
             raise ValueError("matrix must be nonnegative and integral")
-        columns = np.arange(len(mat))
-        counts = mat.astype(np.int64)
-        rows = tuple(tuple(np.repeat(columns, row).tolist()) for row in counts)
+        rows = tuple(
+            tuple(j for j, x in enumerate(row) for _ in range(int(x))) for row in dense
+        )
         return cls(rows, ordering)
 
     @property
@@ -106,12 +115,13 @@ class AdjacencyMatrix:
         return len(self.rows)
 
     @property
-    def matrix(self) -> np.ndarray:
-        """The dense int64 array, built on each call: for printing and for
-        reading the matrix whole."""
-        row_ids, cols = _entries(self.rows)
-        dense = np.zeros((self.size, self.size), dtype=np.int64)
-        np.add.at(dense, (row_ids, cols), 1)
+    def matrix(self) -> list[list[int]]:
+        """The dense matrix as a list of rows, built on each call: for
+        printing and for reading the matrix whole."""
+        dense = [[0] * self.size for _ in self.rows]
+        for line, row in zip(dense, self.rows):
+            for j in row:
+                line[j] += 1
         return dense
 
     def to_csv(self, alphabet) -> str:
@@ -120,7 +130,7 @@ class AdjacencyMatrix:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([""] + names)
         for name, row in zip(names, self.matrix):
-            writer.writerow([name] + [int(x) for x in row])
+            writer.writerow([name] + row)
         return buf.getvalue()
 
     def to_text(self, alphabet) -> str:
@@ -148,19 +158,9 @@ class AdjacencyMatrix:
             for j, x in enumerate(row):
                 if boundary is not None and j == boundary:
                     text += " |"
-                text += f"{int(x):>{field}d}"
+                text += f"{x:>{field}d}"
             lines.append(text)
         return "\n".join(lines) + "\n"
-
-
-def _entries(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of each unit entry, row by row: M @ v is
-    np.bincount(row_ids, weights=v[cols], minlength=len(rows))."""
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    cols = np.fromiter(
-        itertools.chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum())
-    )
-    return np.repeat(np.arange(len(rows)), lengths), cols
 
 
 def adjacency(aut: Automaton, ordering: StateOrdering) -> AdjacencyMatrix:
@@ -232,17 +232,17 @@ class PFResult:
     """
 
     eigenvalue: float
-    eigenvector: np.ndarray
+    eigenvector: list[float]
     iterations: int
     residual: float
 
     def to_json(self, states, alphabet) -> str:
         return json.dumps(
             {
-                "eigenvalue": float(self.eigenvalue),
-                "eigenvector": [float(x) for x in self.eigenvector],
+                "eigenvalue": self.eigenvalue,
+                "eigenvector": self.eigenvector,
                 "iterations": self.iterations,
-                "residual": float(self.residual),
+                "residual": self.residual,
                 "states": [format_state(q, alphabet) for q in states],
             },
             indent=2,
@@ -281,6 +281,39 @@ def _forced_chains(rows) -> tuple[list[int], list[int], list[int]]:
     return succ, end, depth
 
 
+def _solve(a: list[list[float]], b: list[float]) -> list[float]:
+    """The solution x of a x = b, by Gaussian elimination with partial
+    pivoting and back substitution by columns, as LAPACK's dgesv orders
+    them; the rows of `a` and the list `b`, which becomes x, are
+    overwritten.  Raises ConvergenceFailureError at a zero pivot: `a` is
+    singular."""
+    n = len(b)
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
+        head = a[pivot]
+        if not head[col]:
+            raise ConvergenceFailureError(
+                f"singular system: no nonzero pivot in column {col + 1}"
+            )
+        a[col], a[pivot] = head, a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        # a row operation changes only the columns where the pivot row
+        # is nonzero: the kernel system starts sparse
+        nonzero = [j for j in range(col + 1, n) if head[j]]
+        for row_index in range(col + 1, n):
+            row = a[row_index]
+            f = row[col] / head[col]
+            if f:
+                for j in nonzero:
+                    row[j] -= f * head[j]
+                b[row_index] -= f * b[col]
+    for j in reversed(range(n)):
+        b[j] /= a[j][j]
+        for i in range(j):
+            b[i] -= b[j] * a[i][j]
+    return b
+
+
 def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     """Noda's inverse iteration (Numer. Math. 17, 1971), stopped on the
     Collatz-Wielandt bracket.
@@ -301,7 +334,9 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     dense system on the kernel states alone: for the automaton of a core
     of rank r, at most the 6(r - 1) states at vertices of degree 3 or
     more (Kotani-Sunada, 2000).  Its solution is then expanded along the
-    chains by the same recurrence.  The bracket is still computed from M
+    chains by the same recurrence.  The kernel system is solved by
+    Gaussian elimination with partial pivoting (`_solve`), a zero pivot
+    reported as a singular solve.  The bracket is still computed from M
     and v on every row, so it holds the root whatever the rounding of
     the solve; rounding can only end the narrowing, which the stall
     check reports.
@@ -314,25 +349,24 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     singular solve or a lost positivity).
     """
     n = m.size
-    row_ids, cols = _entries(m.rows)
     succ, end, depth = _forced_chains(m.rows)
     kernel = [q for q in range(n) if not depth[q]]
     # each forced state after its successor
     forced = sorted((q for q in range(n) if depth[q]), key=depth.__getitem__)
     k = len(kernel)
     slot = {q: i for i, q in enumerate(kernel)}
-    # each entry of a kernel row: its row, its state, and its cell in the
-    # kernel system, at the column of the end of its chain
+    # each entry of a kernel row: its row, its state, and its column in
+    # the kernel system, that of the end of its chain
     k_entries = [
-        (i, j, i * k + slot[end[j]]) for i, q in enumerate(kernel) for j in m.rows[q]
+        (i, j, slot[end[j]]) for i, q in enumerate(kernel) for j in m.rows[q]
     ]
-    diagonal = range(0, k * k, k + 1)
 
-    v = np.ones(n)
+    v = [1.0] * n
     previous = math.inf
     for iteration in range(1, MAX_ITER + 1):
-        ratios = np.bincount(row_ids, weights=v[cols], minlength=n) / v
-        lo, hi = float(ratios.min()), float(ratios.max())
+        get = v.__getitem__
+        ratios = [sum(map(get, row)) / x for row, x in zip(m.rows, v)]
+        lo, hi = min(ratios), max(ratios)
         width = hi - lo
         if width <= tol:
             return PFResult((lo + hi) / 2, v, iteration, width)
@@ -345,34 +379,37 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
         previous = width
         # a forced state has a positive ratio, so hi > 0 where one is
         # divided
-        v_list, a, c = v.tolist(), [0.0] * n, [1.0] * n
+        a, c = [0.0] * n, [1.0] * n
         for q in forced:
-            a[q] = (v_list[q] + a[succ[q]]) / hi
+            a[q] = (v[q] + a[succ[q]]) / hi
             c[q] = c[succ[q]] / hi
-        shifted, rhs = [0.0] * (k * k), [v_list[q] for q in kernel]
-        for cell in diagonal:
-            shifted[cell] = hi
-        for i, j, cell in k_entries:
-            shifted[cell] -= c[j]
+        shifted, rhs = [[0.0] * k for _ in kernel], [v[q] for q in kernel]
+        for i, row in enumerate(shifted):
+            row[i] = hi
+        for i, j, col in k_entries:
+            shifted[i][col] -= c[j]
             rhs[i] += a[j]
         try:
-            w_kernel = np.linalg.solve(np.array(shifted).reshape(k, k), np.array(rhs))
-        except np.linalg.LinAlgError as exc:
+            w_kernel = _solve(shifted, rhs)
+        except ConvergenceFailureError as exc:
             raise ConvergenceFailureError(
                 f"Noda iteration: hi*I - M is singular at hi = {hi!r} "
                 f"after {iteration} iterations"
             ) from exc
         w = [0.0] * n
-        for q, x in zip(kernel, w_kernel.tolist()):
+        for q, x in zip(kernel, w_kernel):
             w[q] = x
         for q in forced:
-            w[q] = (v_list[q] + w[succ[q]]) / hi
-        if not all(x > 0 for x in w):
+            w[q] = (v[q] + w[succ[q]]) / hi
+        top = max(w)
+        # min(w) / top is the least entry of the next iterate, which must
+        # not underflow to zero either
+        if not (all(x > 0 for x in w) and min(w) / top > 0):
             raise ConvergenceFailureError(
                 f"Noda iteration stalled at bracket width {width:.3g} after "
                 f"{iteration} iterations: rounding broke the iterate's positivity"
             )
-        v = np.array(w) / max(w)
+        v = [x / top for x in w]
     raise ConvergenceFailureError(
         f"Noda iteration did not reach bracket width {tol} in {MAX_ITER} iterations"
     )
@@ -389,7 +426,7 @@ class InequalityCertificate:
     """
 
     lam1: float
-    u: np.ndarray
+    u: list[float]
     strict_rows: tuple[int, ...]
     s_values: dict[State, tuple[float, float, float]]
     u_choice: int | None
@@ -398,8 +435,8 @@ class InequalityCertificate:
         """The certificate as the JSON object `reduce-step` prints, its
         rows named by `ordering`, the NSE."""
         return {
-            "lambda_1": float(self.lam1),
-            "u": [float(x) for x in self.u],
+            "lambda_1": self.lam1,
+            "u": self.u,
             "rows": ordering.render(alphabet),
             "strict_rows": list(self.strict_rows),
             "choice": self.u_choice,
@@ -448,19 +485,19 @@ def certify_inequality(
         raise PreconditionError("collapsed matrix does not match the NSE lead block")
     if u_choice not in (1, 2, 3):
         raise PreconditionError("u_choice must be 1, 2 or 3")
-    if pf1.eigenvector.shape != (m1.size,):
+    if len(pf1.eigenvector) != m1.size:
         raise PreconditionError("eigenpair does not belong to the collapsed matrix")
 
     lam1 = pf1.eigenvalue
     n = m.size
-    u = np.zeros(n)
-    u[:b] = pf1.eigenvector / pf1.eigenvector.min()
+    low = min(pf1.eigenvector)
+    u = [x / low for x in pf1.eigenvector] + [0.0] * (n - b)
 
     expected_strict: set[int] = set()
     s_values: dict[State, tuple[float, float, float]] = {}
     for offset, state in enumerate(s.elements):
         row = b + offset
-        bound = float(sum(u[j] for j in m.rows[row]))  # O is zero: lead columns only
+        bound = sum(u[j] for j in m.rows[row])  # O is zero: lead columns only
         lower, upper = bound / lam1, bound
         if u_override is not None:
             value = float(u_override)
@@ -478,19 +515,17 @@ def certify_inequality(
             if u_choice in (2, 3):
                 expected_strict.add(row)
 
-    if u.min() <= 0:
+    if not all(x > 0 for x in u):
         raise CertificateFailureError("comparison vector is not strictly positive")
-    row_ids, cols = _entries(m.rows)
-    mu = np.bincount(row_ids, weights=u[cols], minlength=n)
-    lu = lam1 * u
-    row_tol = 10 * tol * float(u.max())
+    row_tol = 10 * tol * max(u)
     strict = []
-    for j, (x, y) in enumerate(zip(mu.tolist(), lu.tolist())):
-        if x > y + row_tol:
+    for j, (row, x) in enumerate(zip(m.rows, u)):
+        mu, y = sum(u[i] for i in row), lam1 * x
+        if mu > y + row_tol:
             raise CertificateFailureError(
                 f"(Mu) exceeds lam1*u at NSE row {j + 1}", row=j + 1
             )
-        if x < y - row_tol:
+        if mu < y - row_tol:
             strict.append(j)
     missing = expected_strict - set(strict)
     if missing:

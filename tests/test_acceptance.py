@@ -132,9 +132,8 @@ def test_criterion_1_example_structure(example_alphabet):
 
 def test_criterion_2_example_matrix(example_gens, example_alphabet):
     step = pipeline.reduce_step(build_core(example_gens, example_alphabet), example_gens)
-    ok = step.m.matrix.shape == (12, 12) and np.array_equal(
-        step.m.matrix, np.array(EXAMPLE_M)
-    )
+    matrix = np.asarray(step.m.matrix)
+    ok = matrix.shape == (12, 12) and np.array_equal(matrix, np.array(EXAMPLE_M))
     assert report("2 matrix bit-exact", ok)
 
 
@@ -150,7 +149,7 @@ def test_criterion_3_eigenvector_reference_tuple(example_gens, example_alphabet)
     # The closed form derived in the module docstring, to two decimals.
     step = pipeline.reduce_step(build_core(example_gens, example_alphabet), example_gens)
     reference = (3.12, 3.12, 4.41, 4.41, 2.69, 1.0, 1.64, 1.64, 2.69, 1.0)
-    v = step.pf1.eigenvector / step.pf1.eigenvector[5]
+    v = np.asarray(step.pf1.eigenvector) / step.pf1.eigenvector[5]
     deviations = [
         (i + 1, float(x), r)
         for i, (x, r) in enumerate(zip(v, reference))
@@ -163,7 +162,7 @@ def test_criterion_4_example_certificate(example_gens, example_alphabet):
     step = pipeline.reduce_step(build_core(example_gens, example_alphabet), example_gens)
     cert = certify_inequality(step.m, step.m1, step.s_states, step.pf1, u_override=3.0)
     ok = cert.strict_rows == (1, 2, 3, 4, 11, 12)
-    mu = step.m.matrix @ cert.u
+    mu = np.asarray(step.m.matrix) @ np.asarray(cert.u)
     for row in range(4, 10):  # NSE rows 5..10
         ok = ok and abs(mu[row] - cert.lam1 * cert.u[row]) <= 1e-9
     assert report("4 certificate at u=3", ok, f"strict rows {cert.strict_rows}")
@@ -197,11 +196,12 @@ def test_criterion_5_theorem_suite(runs):
             if not isomorphic(step.aut_after, rebuilt):
                 raise AssertionError("collapse not isomorphic to direct build")
             direct = adjacency(step.aut_after, ose(step.aut_after))
-            if not np.array_equal(direct.matrix, step.m1.matrix):
+            m1 = np.asarray(step.m1.matrix)
+            if not np.array_equal(np.asarray(direct.matrix), m1):
                 raise AssertionError("derived matrix differs from direct adjacency")
             boundary = step.m.ordering.boundary
-            lead = step.m.matrix[:boundary, :boundary]
-            if not (lead <= step.m1.matrix).all():
+            lead = np.asarray(step.m.matrix)[:boundary, :boundary]
+            if not (lead <= m1).all():
                 raise AssertionError("lead block exceeds the collapsed matrix")
             index = {q: i for i, q in enumerate(step.m.ordering.states)}
             expected_strict = set()
@@ -209,7 +209,7 @@ def test_criterion_5_theorem_suite(runs):
                 feeders = [index[q] for q in step.s_states.incoming[state]]
                 targets = [index[t] for _, t in step.s_states.outgoing[state]]
                 expected_strict |= {(i, j) for i in feeders for j in targets}
-            actual = {tuple(p) for p in zip(*np.nonzero(step.m1.matrix - lead))}
+            actual = {tuple(p) for p in zip(*np.nonzero(m1 - lead))}
             if actual != expected_strict:
                 raise AssertionError("strict positions differ from prescription")
             if not step.pf.eigenvalue < step.pf1.eigenvalue - 1e-8:
@@ -251,7 +251,7 @@ def test_criterion_6_growth_estimate_at_20(runs):
         aut, label = entry["aut"], entry["inst"].label
         order = ose(aut)
         pf = pf_eigen(adjacency(aut, order))
-        lam, v = pf.eigenvalue, pf.eigenvector
+        lam, v = pf.eigenvalue, np.asarray(pf.eigenvector)
         initial = [i for i, q in enumerate(order.states) if q in aut.initial]
         final = [i for i, q in enumerate(order.states) if q in aut.final]
         k, size = aut.ambiguity, len(order.states)

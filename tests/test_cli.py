@@ -227,6 +227,15 @@ def test_census_rejects_a_negative_length(capsys):
     assert "must not be negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_tol_rejects_nan_and_negative_values(capsys, tol):
+    # a usage error, not a numerical failure: --tol 0 keeps exit 6
+    with pytest.raises(SystemExit) as exc:
+        main(["eigen", *EXAMPLE, "--tol", tol])
+    assert exc.value.code == 2
+    assert "must be a nonnegative number" in capsys.readouterr().err
+
+
 def test_eigen_reports_a_bracket_that_bounds_the_error(capsys):
     # [min Mv/v, max Mv/v] = [1, 2] after one iteration: it encloses the
     # Perron root 1.45109, so any tol above 1 returns its midpoint
@@ -431,22 +440,16 @@ def test_corpus_reduce_output_matches_golden_file(capsys):
 
 
 # Runs in a fresh interpreter, since the test process has numpy loaded.
-# Prints what it saw as JSON: the numpy flags, then the names that failed.
+# With sys.modules["numpy"] = None any import of numpy raises
+# ImportError.  Prints what it saw as JSON.
 IMPORT_BOUNDARY = """
 import contextlib, io, json, sys
+sys.modules["numpy"] = None
 import cogrowth
 from cogrowth.cli import main
-seen = {"import": "numpy" in sys.modules}
-example = ["--gens", "yX,yzYzt", "--alphabet", "xyzt"]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main([command, *example, "--format", fmt])
-             for command in ("core", "whitehead", "automaton")
-             for fmt in ("text", "json", "dot")]
-    codes.append(main(["census", *example, "--format", "csv"]))
-    seen["structural"] = "numpy" in sys.modules
-    codes.append(main(["eigen", *example]))
-seen["eigen"] = "numpy" in sys.modules
-seen["codes"] = codes
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+seen = {"numpy": sys.modules["numpy"] is not None, "codes": codes}
 seen["unresolved"] = [n for n in cogrowth.__all__ if not hasattr(cogrowth, n)]
 try:
     getattr(cogrowth, "no_such_name")
@@ -457,15 +460,19 @@ print(json.dumps(seen))
 """
 
 
-def test_structural_commands_run_without_numpy():
+def test_no_subcommand_imports_numpy():
+    commands = list(GOLDEN_COMMANDS.values()) + [
+        [command, *EXAMPLE, *fmt]
+        for command in ("reduce", "reduce-step")
+        for fmt in ([], ["--format", "json"])
+    ] + [["verify", *EXAMPLE]]
     src = Path(__file__).parents[1] / "src"
-    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, json.dumps(commands)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert json.loads(proc.stdout) == {
-        "import": False,
-        "structural": False,
-        "eigen": True,
-        "codes": [0] * 11,
+        "numpy": False,
+        "codes": [0] * len(commands),
         "unresolved": [],
         "no_such_name": "AttributeError",
     }

@@ -3,6 +3,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -174,8 +175,8 @@ def test_consecutive_steps_solve_the_same_eigenvalue(traces):
         # a carried eigenpair must still be one of its own step's matrix:
         # its Collatz-Wielandt bracket, recomputed here, stays tol wide
         for step in trace.steps:
-            v = step.pf.eigenvector
-            ratios = (step.m.matrix @ v) / v
+            v = np.asarray(step.pf.eigenvector)
+            ratios = (np.asarray(step.m.matrix) @ v) / v
             assert ratios.max() - ratios.min() <= tol
             assert ratios.min() <= step.pf.eigenvalue <= ratios.max()
 

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from cogrowth import spectral
 from cogrowth.automaton import SStateSet, build_automaton, collapse_automaton, word_census
 from cogrowth.core_graph import build_core
 from cogrowth.errors import (
@@ -25,7 +26,13 @@ from cogrowth.spectral import (
 )
 from cogrowth.pipeline import reduce_full
 from cogrowth.whitehead import choose_automorphism, random_whitehead
-from cogrowth.words import Alphabet, apply_whitehead, is_cyclically_reduced, parse_word
+from cogrowth.words import (
+    Alphabet,
+    apply_whitehead,
+    free_reduce,
+    is_cyclically_reduced,
+    parse_word,
+)
 
 import oracles
 
@@ -121,20 +128,21 @@ def test_adjacency_matches_reference_matrix(example_spectral):
 def test_row_and_column_sums(example_spectral):
     _, _, _, m, _ = example_spectral
     # row sums are out-degrees: the collapse-state rows have sum 2
-    assert m.matrix[10].sum() == 2 and m.matrix[11].sum() == 2
+    dense = np.asarray(m.matrix)
+    assert dense[10].sum() == 2 and dense[11].sum() == 2
     # column sums are in-degrees
     aut = example_spectral[0]
     index = {q: i for i, q in enumerate(m.ordering.states)}
     indeg = [0] * 12
     for (_, _), t in aut.transitions.items():
         indeg[index[t]] += 1
-    assert list(m.matrix.sum(axis=0)) == indeg
+    assert list(dense.sum(axis=0)) == indeg
 
 
 def test_decomposition_blocks(example_spectral, example_alphabet):
     _, _, s, m, _ = example_spectral
     feeders = decompose(m, s)
-    dense = m.matrix
+    dense = np.asarray(m.matrix)
     u, o = dense[:10, 10:], dense[10:, 10:]
     assert o.shape == (2, 2) and not o.any()
     assert (u.sum(axis=1) <= 1).all()
@@ -162,7 +170,7 @@ def test_decomposition_on_corpus(corpus):
 
 def test_derive_m1_rejects_a_nonzero_collapse_block(example_spectral):
     _, _, s, m, _ = example_spectral
-    broken = m.matrix
+    broken = np.asarray(m.matrix)
     b = m.ordering.boundary
     broken[b, b + 1] = 1  # the first collapse state feeds the second
     with pytest.raises(DecompositionViolationError, match="block O"):
@@ -183,7 +191,7 @@ def test_derive_m1_rejects_a_lead_row_it_cannot_transform(
     example_spectral, cells, error, match
 ):
     _, _, s, m, _ = example_spectral
-    broken = m.matrix
+    broken = np.asarray(m.matrix)
     for cell in cells:
         broken[cell] = 1
     with pytest.raises(error, match=match):
@@ -205,8 +213,9 @@ def test_derive_m1_equals_collapsed_adjacency(example_spectral):
 
 def test_lead_block_below_m1_with_prescribed_strict_positions(example_spectral):
     _, _, s, m, m1 = example_spectral
-    lead = m.matrix[:10, :10]
-    assert (lead <= m1.matrix).all()
+    dense1 = np.asarray(m1.matrix)
+    lead = np.asarray(m.matrix)[:10, :10]
+    assert (lead <= dense1).all()
     expected_strict = set()
     index = {q: i for i, q in enumerate(m.ordering.states)}
     for state in s.elements:
@@ -214,7 +223,7 @@ def test_lead_block_below_m1_with_prescribed_strict_positions(example_spectral):
         targets = [index[t] for _, t in s.outgoing[state]]
         expected_strict |= {(i, j) for i in feeders for j in targets}
     actual_strict = {
-        (i, j) for i, j in zip(*np.nonzero(m1.matrix - lead))
+        (i, j) for i, j in zip(*np.nonzero(dense1 - lead))
     }
     assert actual_strict == expected_strict
 
@@ -226,14 +235,14 @@ def test_pf_eigen_reference_values(example_spectral):
     assert pf.eigenvalue == pytest.approx(1.45, abs=0.005)
     assert pf1.eigenvalue == pytest.approx(1.64, abs=0.005)
     assert pf.residual <= 1e-10 and pf1.residual <= 1e-10
-    assert pf.eigenvector.min() > 0 and pf1.eigenvector.min() > 0
+    assert min(pf.eigenvector) > 0 and min(pf1.eigenvector) > 0
     assert pf1.eigenvalue - pf.eigenvalue > 0.1
 
 
 def test_pf_eigenvector_satisfies_eigen_equations(example_spectral):
     _, _, _, _, m1 = example_spectral
     pf1 = pf_eigen(m1)
-    v = pf1.eigenvector / pf1.eigenvector[5]
+    v = np.asarray(pf1.eigenvector) / pf1.eigenvector[5]
     # exact solution: entries are powers of the eigenvalue plus a pair of
     # equal entries 2/(lam-1)
     lam = pf1.eigenvalue
@@ -277,7 +286,7 @@ def test_pf_eigen_on_reducible_input_is_sound_or_fails(rows, solved):
         with pytest.raises(ConvergenceFailureError, match="singular"):
             pf_eigen(m, tol=tol)
         return
-    radius = max(abs(np.linalg.eigvals(m.matrix.astype(float))))
+    radius = max(abs(np.linalg.eigvals(np.asarray(m.matrix, dtype=float))))
     assert abs(pf_eigen(m, tol=tol).eigenvalue - radius) <= tol
 
 
@@ -350,8 +359,9 @@ def test_pf_eigen_is_within_tol_of_eigvals_on_large_matrices(example_alphabet):
     tol = 1e-10
     for m in (_ose_matrix(fold, example_alphabet), _ose_matrix(*_grown_free_factor(100, 0))):
         pf = pf_eigen(m, tol=tol)
-        exact = max(np.linalg.eigvals(m.matrix.astype(float)).real)
-        ratios = (m.matrix @ pf.eigenvector) / pf.eigenvector
+        dense, v = np.asarray(m.matrix, dtype=float), np.asarray(pf.eigenvector)
+        exact = max(np.linalg.eigvals(dense).real)
+        ratios = (dense @ v) / v
         lo, hi = ratios.min(), ratios.max()
         assert m.size >= 200
         assert abs(pf.eigenvalue - exact) <= tol
@@ -365,8 +375,9 @@ def test_pf_eigen_on_corpus_matrices(corpus_matrices, tol):
     for m in corpus_matrices:
         pf = pf_eigen(m, tol=tol)
         assert pf.iterations <= 20
-        assert pf.eigenvector.max() == 1.0
-        error = np.abs(m.matrix @ pf.eigenvector - pf.eigenvalue * pf.eigenvector).max()
+        assert max(pf.eigenvector) == 1.0
+        v = np.asarray(pf.eigenvector)
+        error = np.abs(np.asarray(m.matrix) @ v - pf.eigenvalue * v).max()
         assert error <= pf.residual <= tol
 
 
@@ -406,18 +417,57 @@ def test_pf_eigen_reports_a_singular_solve_as_a_convergence_failure(
     _, _, _, m, _ = example_spectral
 
     def singular(a, b):
-        raise np.linalg.LinAlgError("Singular matrix")
+        raise ConvergenceFailureError("no nonzero pivot")
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(spectral, "_solve", singular)
     with pytest.raises(ConvergenceFailureError, match="singular"):
         pf_eigen(m)
 
 
 def test_pf_eigen_stops_when_rounding_breaks_positivity(example_spectral, monkeypatch):
     _, _, _, m, _ = example_spectral
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: -b)
+    monkeypatch.setattr(spectral, "_solve", lambda a, b: [-x for x in b])
     with pytest.raises(ConvergenceFailureError, match="stalled"):
         pf_eigen(m)
+
+
+def test_solve_agrees_with_numpy_on_m_matrices():
+    # s I - B with B >= 0 and s above its spectral radius: a nonsingular
+    # M-matrix, as each shifted Noda system is, at orders far above the
+    # workloads' kernels (at most 12)
+    for order in range(1, 41):
+        rng = np.random.default_rng(order)
+        b = rng.random((order, order)) * (rng.random((order, order)) < 0.3)
+        shift = 1.01 * max(abs(np.linalg.eigvals(b))) + 0.01
+        a, rhs = shift * np.eye(order) - b, rng.random(order) + 0.1
+        expected = np.linalg.solve(a, rhs)
+        assert np.allclose(spectral._solve(a.tolist(), rhs.tolist()), expected,
+                           rtol=1e-9, atol=0), order
+
+
+@pytest.mark.parametrize(
+    "a", [[[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [0.0, 1.0]]], ids=["rank-one", "zero-column"]
+)
+def test_solve_reports_a_singular_system(a):
+    with pytest.raises(ConvergenceFailureError, match="singular"):
+        spectral._solve(a, [1.0, 1.0])
+
+
+def test_pf_eigen_on_a_subgroup_of_rank_25():
+    # 25 random words of length 8 in F4: a kernel of 92 branch states
+    rng = random.Random(0)
+    gens = []
+    while len(gens) < 25:
+        w = free_reduce(rng.choice((1, 2, 3, 4, -1, -2, -3, -4)) for _ in range(8))
+        if w and is_cyclically_reduced(w):
+            gens.append(w)
+    m = _ose_matrix(gens, Alphabet(tuple("xyzt")))
+    _, _, depth = spectral._forced_chains(m.rows)
+    assert depth.count(0) >= 80
+    tol = 1e-10
+    pf = pf_eigen(m, tol=tol)
+    exact = max(np.linalg.eigvals(np.asarray(m.matrix, dtype=float)).real)
+    assert abs(pf.eigenvalue - exact) <= tol
 
 
 def test_certificate_with_override_of_three(example_spectral):
@@ -430,7 +480,7 @@ def test_certificate_with_override_of_three(example_spectral):
         assert upper == pytest.approx(4.1221, abs=5e-4)
     # equality within 1e-9 on the untouched rows
     lam1 = cert.lam1
-    mu = m.matrix @ cert.u
+    mu = np.asarray(m.matrix) @ np.asarray(cert.u)
     for row in range(4, 10):
         assert abs(mu[row] - lam1 * cert.u[row]) <= 1e-9
 
