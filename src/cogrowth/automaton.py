@@ -231,7 +231,10 @@ class SStateSet:
 def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
     """Replace each two-step path through a collapse state by one
     transition, drop the collapse states, and update the initial set
-    when a collapse state sat at the root."""
+    when a collapse state sat at the root.
+
+    The result is not validated: `pipeline.reduce_step` checks it
+    against the automaton built, and validated, from the next core."""
     sset = set(s.elements)
     transitions = {
         (s.rename(q), letter): s.rename(target)
@@ -258,9 +261,7 @@ def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
     if len(states) != len(set(states)):
         raise DeterminismViolationError("vertex merge identified two states")
     initial = {s.rename(q) for q in initial}
-    collapsed = Automaton(aut.alphabet, states, transitions, initial)
-    collapsed.validate()
-    return collapsed
+    return Automaton(aut.alphabet, states, transitions, initial)
 
 
 def _signature(aut: Automaton, seed: State):

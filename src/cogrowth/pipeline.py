@@ -2,34 +2,29 @@
 
 A step takes a folded core: it picks the collapse automorphism, builds
 the automaton and both matrices (row-transformed and directly collapsed,
-checked against each other), folds the core of the images (checked
-against the contracted core), solves the Perron-Frobenius eigenpairs of
-both matrices, and certifies the strict gap.  The follow-up generators
-are the cyclically reduced images of the input generators and their
-core is carried into the next step, so iterating strictly shrinks the
-core until a single-vertex core remains or no cut vertex is left.
+checked against each other), folds the core of the images and builds
+its automaton, checks the contracted core and the collapsed automaton
+against those two, solves the Perron-Frobenius eigenpairs of both
+matrices, and certifies the strict gap.  The follow-up generators are
+the cyclically reduced images of the input generators, and their core
+and automaton are carried into the next step, so iterating strictly
+shrinks the core until a single-vertex core remains or no cut vertex is
+left.
 
-The full reduction runs the construction forward.  Through the vertex
-map `StepReport.core_map`, each step checks the previous collapsed
-automaton against the one built from its core (`check_next_automaton`)
-and reuses the previous collapsed eigenpair instead of solving its
-matrix again, so each artifact is computed once and a reduction of k
-steps solves k + 1 eigenpairs.
+The full reduction runs the construction forward.  Each step takes the
+previous step's core, automaton and collapsed eigenpair, the last
+reordered through the vertex map `StepReport.core_map`, instead of
+building or solving them again, so each artifact is computed and
+checked once and a reduction of k steps solves k + 1 eigenpairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .automaton import (
-    Automaton,
-    SStateSet,
-    State,
-    build_automaton,
-    collapse_automaton,
-)
+from .automaton import Automaton, SStateSet, build_automaton, collapse_automaton
 from .core_graph import CollapseData, CoreGraph, build_core, canonical, collapse_core
-from .errors import CogrowthError, NoCutVertexError
+from .errors import CogrowthError, NoCutVertexError, PreconditionError
 from .spectral import (
     AdjacencyMatrix,
     InequalityCertificate,
@@ -58,24 +53,17 @@ class StepReport:
     core_after: CoreGraph
     # vertex ids of the contracted core -> those of core_after
     core_map: dict[int, int]
+    # the automata built from core_before and core_after; the collapsed
+    # automaton, checked against aut_after, is not kept
     aut_before: Automaton
     aut_after: Automaton
-    # m is indexed by the NSE, m1 by the collapsed automaton's OSE
+    # m is indexed by the NSE, m1 by the collapsed automaton's OSE, in
+    # the contracted core's vertex ids
     m: AdjacencyMatrix
     m1: AdjacencyMatrix
     pf: PFResult
     pf1: PFResult
     certificate: InequalityCertificate
-
-
-def step_head(core: CoreGraph):
-    """The collapse automorphism, its collapse data, the automaton, the
-    collapse states and the matrix under the NSE; raises NoCutVertexError
-    when no step exists."""
-    phi, cd = choose_automorphism(core)
-    aut = build_automaton(core)
-    s = SStateSet.from_collapse(aut, cd)
-    return phi, cd, aut, s, adjacency(aut, make_nse(aut, s))
 
 
 def reduce_step(
@@ -89,15 +77,23 @@ def reduce_step(
     """Run one collapse step on `core`, the folded core of `gens`.
 
     The next core is folded from the images of `gens` and must be the
-    contracted core up to rooted isomorphism.
+    contracted core up to rooted isomorphism; the collapsed automaton,
+    renamed through that isomorphism, must be the automaton built from
+    the next core.  CogrowthError is raised otherwise.
 
-    `previous` is the step whose `core_after` is `core`.  Its collapsed
-    automaton must be the one built from `core` (`check_next_automaton`),
-    or CogrowthError is raised; its collapsed eigenpair, reordered to the
-    NSE, is then `pf`, and only the collapsed matrix is solved.  Without
-    it both matrices are solved.
+    `previous` is the step whose `core_after` is `core`, or
+    PreconditionError is raised.  Its `aut_after` is then the automaton
+    of `core`, and its collapsed eigenpair, reordered to the NSE, is
+    `pf`, so only the collapsed matrix is solved.  Without it the
+    automaton is built and both matrices are solved.
     """
-    phi, cd, aut, s, m = step_head(core)
+    if previous is not None and previous.core_after is not core:
+        raise PreconditionError("the previous step did not end at this core")
+    # a core with no cut vertex raises here, before any automaton is built
+    phi, cd = choose_automorphism(core)
+    aut = build_automaton(core) if previous is None else previous.aut_after
+    s = SStateSet.from_collapse(aut, cd)
+    m = adjacency(aut, make_nse(aut, s))
     m1 = derive_m1(m, s)
 
     collapsed = collapse_automaton(aut, s)
@@ -108,18 +104,22 @@ def reduce_step(
         )
     gens_after = tuple(cyclic_reduce(apply_whitehead(phi, w))[0] for w in gens)
     core_after = build_core(list(gens_after), core.alphabet)
+    aut_after = build_automaton(core_after)
     # build_core's numbering is canonical: its edges are their own form
     core_map, form = canonical(collapse_core(core, cd))
     if form != core_after.edges:
         raise CogrowthError("contracted core disagrees with the core of the images")
+    _check_collapsed(collapsed, core_map, aut_after)
 
     if previous is None:
         pf = pf_eigen(m, tol=tol)
     else:
         # M is the previous M1 with its states renamed: the eigenpair
         # keeps its bracket
-        rename = check_next_automaton(previous, aut)
-        position = {rename[q]: i for i, q in enumerate(previous.m1.ordering.states)}
+        position = {
+            (previous.core_map[v], letter): i
+            for i, (v, letter) in enumerate(previous.m1.ordering.states)
+        }
         vector = previous.pf1.eigenvector
         pf = replace(
             previous.pf1, eigenvector=[vector[position[q]] for q in m.ordering.states]
@@ -136,7 +136,7 @@ def reduce_step(
         core_after=core_after,
         core_map=core_map,
         aut_before=aut,
-        aut_after=collapsed,
+        aut_after=aut_after,
         m=m,
         m1=m1,
         pf=pf,
@@ -145,24 +145,23 @@ def reduce_step(
     )
 
 
-def check_next_automaton(step: StepReport, aut: Automaton) -> dict[State, State]:
-    """Rename `step.aut_after` through `step.core_map` and require its
-    states, transitions, initial set and alphabet to be those of `aut`,
-    the automaton built from `step.core_after`; raises CogrowthError
-    otherwise.  Returns the state renaming, one-to-one onto `aut.states`."""
-    prev = step.aut_after
-    rename = {q: (step.core_map[q[0]], q[1]) for q in prev.states}
-    transitions = {(rename[q], l): rename[t] for (q, l), t in prev.transitions.items()}
+def _check_collapsed(collapsed: Automaton, core_map: dict[int, int], aut: Automaton):
+    """Rename `collapsed` through the vertex map `core_map` and require its
+    states (one-to-one), transitions, initial set and alphabet to be
+    those of `aut`; raises CogrowthError otherwise."""
+    rename = {q: (core_map[q[0]], q[1]) for q in collapsed.states}
+    transitions = {
+        (rename[q], l): rename[t] for (q, l), t in collapsed.transitions.items()
+    }
     if (
-        prev.alphabet != aut.alphabet
+        collapsed.alphabet != aut.alphabet
         or sorted(rename.values()) != sorted(aut.states)
         or transitions != aut.transitions
-        or {rename[q] for q in prev.initial} != aut.initial
+        or {rename[q] for q in collapsed.initial} != aut.initial
     ):
         raise CogrowthError(
-            "collapsed automaton of the previous step disagrees with the automaton of the core"
+            "collapsed automaton disagrees with the automaton of the core of the images"
         )
-    return rename
 
 
 @dataclass(frozen=True)

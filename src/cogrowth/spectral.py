@@ -18,7 +18,9 @@ eliminates the states with a single successor along their chains, so
 only a dense system on the branch states remains.  Irreducibility is
 established where each automaton is built (`Automaton.validate`), not
 by the solver; `pipeline.reduce_step` requires the row-transformed
-matrix to equal that of the validated collapsed automaton.
+matrix to equal that of the collapsed automaton, and the collapsed
+automaton to equal the validated one built from the next core, before
+it solves the collapsed matrix.
 
 The old state enumeration (OSE) sorts states by (vertex, letter).  The
 new enumeration (NSE) used for one collapse step moves the collapse
@@ -34,7 +36,6 @@ import csv
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 from .automaton import Automaton, SStateSet, State, format_state
@@ -50,19 +51,22 @@ from .words import letter_key
 
 @dataclass(frozen=True)
 class StateOrdering:
-    """A fixed listing of automaton states; `boundary` (NSE only) is the
-    index of the first collapse state."""
+    """A fixed listing of automaton states; `boundary`, set on an NSE
+    only, is the index of the first collapse state."""
 
     states: tuple[State, ...]
-    kind: str
     boundary: int | None = None
+
+    @property
+    def kind(self) -> str:
+        return "OSE" if self.boundary is None else "NSE"
 
     def render(self, alphabet) -> list[str]:
         return [format_state(q, alphabet) for q in self.states]
 
 
 def ose(aut: Automaton) -> StateOrdering:
-    return StateOrdering(aut.states, "OSE")
+    return StateOrdering(aut.states)
 
 
 def make_nse(aut: Automaton, s: SStateSet) -> StateOrdering:
@@ -74,7 +78,7 @@ def make_nse(aut: Automaton, s: SStateSet) -> StateOrdering:
         (q for q in aut.states if q not in sset),
         key=lambda q: (s.merge.get(q[0], q[0]), letter_key(q[1])),
     )
-    return StateOrdering(tuple(lead) + s.elements, "NSE", boundary=len(lead))
+    return StateOrdering(tuple(lead) + s.elements, boundary=len(lead))
 
 
 @dataclass(frozen=True)
@@ -88,27 +92,6 @@ class AdjacencyMatrix:
 
     rows: tuple[tuple[int, ...], ...]
     ordering: StateOrdering
-
-    @classmethod
-    def from_array(cls, array, ordering: StateOrdering) -> AdjacencyMatrix:
-        """The matrix of a square, nonnegative, integral array: a nested
-        sequence of rows, such as a list of lists or a numpy array."""
-        try:
-            dense = [list(row) for row in array]
-        except TypeError:
-            raise ValueError("matrix must be square") from None
-        if any(len(row) != len(dense) for row in dense):
-            raise ValueError("matrix must be square")
-        if not all(
-            isinstance(x, numbers.Real) and x >= 0 and x % 1 == 0
-            for row in dense
-            for x in row
-        ):
-            raise ValueError("matrix must be nonnegative and integral")
-        rows = tuple(
-            tuple(j for j, x in enumerate(row) for _ in range(int(x))) for row in dense
-        )
-        return cls(rows, ordering)
 
     @property
     def size(self) -> int:
@@ -181,7 +164,7 @@ def decompose(m: AdjacencyMatrix, s: SStateSet) -> tuple[tuple[int, ...], ...]:
     broken.  Returns U by columns: per collapse state, the lead rows
     feeding it."""
     b = m.ordering.boundary
-    if m.ordering.kind != "NSE" or b is None:
+    if b is None:
         raise PreconditionError("matrix must be indexed by the NSE")
     if m.ordering.states[b:] != s.elements:
         raise PreconditionError("NSE tail does not match the collapse states")
@@ -218,7 +201,7 @@ def derive_m1(m: AdjacencyMatrix, s: SStateSet) -> AdjacencyMatrix:
             raise EntryOverflowError("row transformation produced an entry above 1")
         rows.append(row)
     lead = tuple(s.rename(q) for q in m.ordering.states[:b])
-    return AdjacencyMatrix(tuple(rows), StateOrdering(lead, "OSE"))
+    return AdjacencyMatrix(tuple(rows), StateOrdering(lead))
 
 
 @dataclass(frozen=True)
@@ -227,8 +210,10 @@ class PFResult:
 
     ``residual`` holds the width of the final Collatz-Wielandt bracket,
     which contains both the eigenvalue and the exact Perron root, so it
-    bounds their distance; with max entry 1 it is also an upper bound on
-    max|Mv - lambda v|.
+    bounds their distance.  With max entry 1, max|Mv - lambda v| is at
+    most half of it plus the rounding of the ratios Mv/v and of their
+    midpoint, a few units in the last place of lambda: the width alone
+    is no bound once the bracket is only a few units wide.
     """
 
     eigenvalue: float
@@ -475,9 +460,10 @@ def certify_inequality(
     The comparison vector is the collapsed eigenvector scaled so its
     smallest entry is 1; override values and the reported bounds are
     expressed in that scale.  A row's slack must exceed 10 * tol times
-    the vector's largest entry: `pf1`'s bracket width, at most tol, bounds
-    max|M1 v - lam1 v| for its eigenvector v of max entry 1, and rescales
-    with the vector.
+    the vector's largest entry: for `pf1`'s eigenvector v of max entry 1,
+    max|M1 v - lam1 v| is at most half its bracket width, itself at most
+    tol, plus the rounding of the ratios M1 v / v (see `PFResult`), and
+    the bound rescales with the vector.
     """
     feeders = decompose(m, s)
     b = m.ordering.boundary

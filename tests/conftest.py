@@ -5,6 +5,7 @@ import pytest
 
 from cogrowth import Alphabet, parse_word
 from cogrowth.core_graph import build_core
+from cogrowth.pipeline import reduce_full
 from cogrowth.whitehead import random_free_factor
 
 CORPUS_SEED = 20240811
@@ -95,3 +96,15 @@ def ladder():
     sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module.ladder_subgroups()
+
+
+@pytest.fixture(scope="session")
+def corpus_traces(corpus):
+    """`reduce_full` at its defaults on every corpus instance."""
+    return [reduce_full(list(inst.gens), inst.alphabet) for inst in corpus]
+
+
+@pytest.fixture(scope="session")
+def ladder_traces(ladder):
+    """`reduce_full` at its defaults on every ladder rung."""
+    return [reduce_full(list(inst.gens), inst.alphabet) for inst in ladder]

@@ -11,19 +11,22 @@ letter (no shared piece search), and the free-factor verdict by greedy
 Whitehead descent (no Whitehead graph).
 
 The last section holds helpers that only the tests use: membership by
-tracing, reading a core back from JSON, the Whitehead graph of a word,
-rooted isomorphism with a fixed and with a free root, every small core
-graph, and an exhaustive Whitehead search.
+tracing, a matrix read from a dense array, reading a core back from
+JSON, the Whitehead graph of a word, rooted isomorphism with a fixed
+and with a free root, every small core graph, and an exhaustive
+Whitehead search.
 """
 
 import itertools
 import json
+import numbers
 from fractions import Fraction
 
 import numpy as np
 
 from cogrowth.core_graph import CoreGraph, canonical
 from cogrowth.errors import NotCyclicallyReducedError, PreconditionError
+from cogrowth.spectral import AdjacencyMatrix, StateOrdering
 from cogrowth.whitehead import WhiteheadGraph
 from cogrowth.words import (
     Alphabet,
@@ -390,6 +393,27 @@ def membership(graph: CoreGraph, word) -> bool:
         if v is None:
             return False
     return v == graph.root
+
+
+def from_array(array, ordering: StateOrdering) -> AdjacencyMatrix:
+    """The matrix of a square, nonnegative, integral array: a nested
+    sequence of rows, such as a list of lists or a numpy array."""
+    try:
+        dense = [list(row) for row in array]
+    except TypeError:
+        raise ValueError("matrix must be square") from None
+    if any(len(row) != len(dense) for row in dense):
+        raise ValueError("matrix must be square")
+    if not all(
+        isinstance(x, numbers.Real) and x >= 0 and x % 1 == 0
+        for row in dense
+        for x in row
+    ):
+        raise ValueError("matrix must be nonnegative and integral")
+    rows = tuple(
+        tuple(j for j, x in enumerate(row) for _ in range(int(x))) for row in dense
+    )
+    return AdjacencyMatrix(rows, ordering)
 
 
 def core_from_json(text: str) -> CoreGraph:

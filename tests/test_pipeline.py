@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -7,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cogrowth import pipeline, spectral
-from cogrowth.automaton import accepts, build_automaton
+from cogrowth import automaton, pipeline, spectral
+from cogrowth.automaton import Automaton, accepts, build_automaton, collapse_automaton
 from cogrowth.core_graph import CoreGraph, build_core, label_sets
-from cogrowth.errors import CogrowthError
+from cogrowth.errors import CogrowthError, PreconditionError
 from cogrowth.whitehead import random_whitehead
 from cogrowth.words import (
     Alphabet,
@@ -22,11 +21,6 @@ from cogrowth.words import (
 from oracles import membership
 
 AB4 = Alphabet(("x", "y", "z", "t"))
-
-
-@pytest.fixture(scope="module")
-def traces(corpus):
-    return [pipeline.reduce_full(list(inst.gens), inst.alphabet) for inst in corpus]
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +85,14 @@ def test_full_reduction_folds_once_per_step_and_solves_each_matrix_once(
     pf_eigen = counted("pf_eigen", spectral.pf_eigen)
     monkeypatch.setattr(pipeline, "pf_eigen", pf_eigen)
     monkeypatch.setattr(spectral, "pf_eigen", pf_eigen)
+    monkeypatch.setattr(
+        automaton, "strongly_connected", counted("connected", automaton.strongly_connected)
+    )
     steps = len(pipeline.reduce_full(example_gens, example_alphabet).steps)
     assert steps == 4
     assert calls["build_core"] == steps + 1
+    # each automaton is built and validated once, the final rose's included
+    assert calls["connected"] == steps + 1
     # the first step solves M and M1; each later step reuses the previous M1's
     assert calls["pf_eigen"] == steps + 1
 
@@ -107,52 +106,63 @@ def test_step_rejects_a_core_that_is_not_folded_from_the_generators(
 
 
 def test_step_rejects_a_carried_pair_that_is_not_its_automaton(
-    example_gens, example_alphabet
+    example_gens, example_alphabet, example_core
 ):
     first = pipeline.reduce_full(example_gens, example_alphabet).steps[0]
-    # step 1's collapsed automaton keeps the contracted core's vertex ids,
-    # which differ from those of the core folded from the images
-    assert first.aut_after.states != build_automaton(first.core_after).states
-    identity = {v: v for v in first.core_map}
-    with pytest.raises(CogrowthError, match="collapsed automaton"):
-        pipeline.reduce_step(
-            first.core_after,
-            first.gens_after,
-            previous=dataclasses.replace(first, core_map=identity),
-        )
+    # the carried automaton is that of the core the previous step ended
+    # at, which an equal core folded again is not
+    twin = build_core(list(first.gens_after), example_alphabet)
+    assert twin.edges == first.core_after.edges
+    for core, gens in ((twin, first.gens_after), (example_core, example_gens)):
+        with pytest.raises(PreconditionError, match="previous step"):
+            pipeline.reduce_step(core, gens, previous=first)
 
 
-def test_next_automaton_is_the_collapsed_one_renamed(traces):
+def test_step_checks_its_own_collapsed_automaton(example_core, example_gens, monkeypatch):
+    # moving the initial set keeps the collapsed matrix, so only the
+    # automaton check can tell
+    def misplaced(aut, s):
+        good = collapse_automaton(aut, s)
+        initial = set(good.states) - set(good.initial)
+        return Automaton(good.alphabet, good.states, good.transitions, initial)
+
+    monkeypatch.setattr(pipeline, "collapse_automaton", misplaced)
+    with pytest.raises(CogrowthError, match="collapsed automaton disagrees"):
+        pipeline.reduce_step(example_core, example_gens)
+
+
+def test_next_automaton_is_the_collapsed_one_renamed(corpus_traces, ladder_traces):
     checked = 0
-    for trace in traces:
+    for trace in corpus_traces + ladder_traces:
+        for earlier, later in zip(trace.steps, trace.steps[1:]):
+            assert later.aut_before is earlier.aut_after
         for step in trace.steps:
-            aut = build_automaton(step.core_after)
-            rename = pipeline.check_next_automaton(step, aut)
-            assert list(rename) == list(step.aut_after.states)
-            assert sorted(rename.values()) == sorted(aut.states)  # one-to-one, onto
+            rebuilt = build_automaton(step.core_after)
+            assert step.aut_after.states == rebuilt.states
+            assert step.aut_after.transitions == rebuilt.transitions
+            assert step.aut_after.initial == rebuilt.initial
+            collapsed = collapse_automaton(step.aut_before, step.s_states)
+            pipeline._check_collapsed(collapsed, step.core_map, step.aut_after)
             checked += 1
-    assert checked >= 400
+    assert checked >= 470
 
 
 def test_next_automaton_check_rejects_a_wrong_vertex_map(example_gens, example_alphabet):
     first = pipeline.reduce_full(example_gens, example_alphabet).steps[0]
-    aut = build_automaton(first.core_after)
+    collapsed = collapse_automaton(first.aut_before, first.s_states)
     # a folded core has no rooted automorphism, so every other bijection
     # onto its vertices renames the automaton into another one
     for u, v in itertools.combinations(first.core_map, 2):
         swapped = {**first.core_map, u: first.core_map[v], v: first.core_map[u]}
         with pytest.raises(CogrowthError, match="collapsed automaton"):
-            pipeline.check_next_automaton(dataclasses.replace(first, core_map=swapped), aut)
+            pipeline._check_collapsed(collapsed, swapped, first.aut_after)
     # swapping the two vertices of this core preserves every labelled
     # edge but moves the root: only the initial set tells the maps apart
     ab = Alphabet(("x", "y"))
     symmetric = build_automaton(CoreGraph(ab, 1, [(1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 2)]))
-    fake = dataclasses.replace(first, aut_after=symmetric, core_map={1: 1, 2: 2})
-    pipeline.check_next_automaton(fake, symmetric)
+    pipeline._check_collapsed(symmetric, {1: 1, 2: 2}, symmetric)
     with pytest.raises(CogrowthError, match="collapsed automaton"):
-        pipeline.check_next_automaton(
-            dataclasses.replace(fake, core_map={1: 2, 2: 1}), symmetric
-        )
+        pipeline._check_collapsed(symmetric, {1: 2, 2: 1}, symmetric)
 
 
 def test_full_reduction_on_corpus_sample(corpus):
@@ -165,11 +175,11 @@ def test_full_reduction_on_corpus_sample(corpus):
     assert statuses == {"single_vertex_core"}
 
 
-def test_consecutive_steps_solve_the_same_eigenvalue(traces):
+def test_consecutive_steps_solve_the_same_eigenvalue(corpus_traces):
     # the automaton after one collapse is the automaton before the next,
     # so the two brackets, each at most tol wide, enclose the same root
     tol = 1e-10  # reduce_full's default, which the traces use
-    for trace in traces:
+    for trace in corpus_traces:
         for earlier, later in zip(trace.steps, trace.steps[1:]):
             assert abs(later.pf.eigenvalue - earlier.pf1.eigenvalue) <= 2 * tol
         # a carried eigenpair must still be one of its own step's matrix:

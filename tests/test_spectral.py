@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from cogrowth.errors import (
     PreconditionError,
 )
 from cogrowth.spectral import (
-    AdjacencyMatrix,
     StateOrdering,
     adjacency,
     certify_inequality,
@@ -24,7 +24,6 @@ from cogrowth.spectral import (
     ose,
     pf_eigen,
 )
-from cogrowth.pipeline import reduce_full
 from cogrowth.whitehead import choose_automorphism, random_whitehead
 from cogrowth.words import (
     Alphabet,
@@ -174,7 +173,7 @@ def test_derive_m1_rejects_a_nonzero_collapse_block(example_spectral):
     b = m.ordering.boundary
     broken[b, b + 1] = 1  # the first collapse state feeds the second
     with pytest.raises(DecompositionViolationError, match="block O"):
-        derive_m1(AdjacencyMatrix.from_array(broken, m.ordering), s)
+        derive_m1(oracles.from_array(broken, m.ordering), s)
 
 
 @pytest.mark.parametrize(
@@ -195,7 +194,7 @@ def test_derive_m1_rejects_a_lead_row_it_cannot_transform(
     for cell in cells:
         broken[cell] = 1
     with pytest.raises(error, match=match):
-        derive_m1(AdjacencyMatrix.from_array(broken, m.ordering), s)
+        derive_m1(oracles.from_array(broken, m.ordering), s)
 
 
 def test_derive_m1_matches_frozen_matrix(example_spectral):
@@ -258,13 +257,13 @@ def test_pf_eigen_on_permutation_cycle():
     cycle = np.zeros((4, 4), dtype=np.int64)
     for i in range(4):
         cycle[i, (i + 1) % 4] = 1
-    pf = pf_eigen(AdjacencyMatrix.from_array(cycle, StateOrdering(states, "OSE")))
+    pf = pf_eigen(oracles.from_array(cycle, StateOrdering(states)))
     assert pf.eigenvalue == pytest.approx(1.0, abs=1e-9)
 
 
 def _matrix(rows):
     states = tuple((i, 1) for i in range(1, len(rows) + 1))
-    return AdjacencyMatrix.from_array(rows, StateOrdering(states, "OSE"))
+    return oracles.from_array(rows, StateOrdering(states))
 
 
 @pytest.mark.parametrize(
@@ -293,9 +292,9 @@ def test_pf_eigen_on_reducible_input_is_sound_or_fails(rows, solved):
 @pytest.mark.parametrize(
     "rows", [[[1, 1]], [[1, -1], [1, 1]], [[1, 0.5], [1, 1]]]
 )
-def test_pf_eigen_rejects_a_matrix_that_is_not_square_nonnegative_integral(rows):
+def test_from_array_rejects_a_matrix_that_is_not_square_nonnegative_integral(rows):
     with pytest.raises(ValueError):
-        pf_eigen(_matrix(rows))
+        _matrix(rows)
 
 
 @pytest.mark.parametrize("tol", [0.0, float("nan"), -1.0])
@@ -334,15 +333,13 @@ def _grown_free_factor(min_vertices, seed):
 
 
 @pytest.fixture(scope="module")
-def corpus_steps(corpus):
-    traces = [reduce_full(list(inst.gens), inst.alphabet) for inst in corpus]
-    return [step for trace in traces for step in trace.steps]
+def corpus_steps(corpus_traces):
+    return [step for trace in corpus_traces for step in trace.steps]
 
 
 @pytest.fixture(scope="module")
-def ladder_steps(ladder):
-    traces = [reduce_full(list(inst.gens), inst.alphabet) for inst in ladder]
-    return [step for trace in traces for step in trace.steps]
+def ladder_steps(ladder_traces):
+    return [step for trace in ladder_traces for step in trace.steps]
 
 
 @pytest.fixture(scope="module")
@@ -368,6 +365,10 @@ def test_pf_eigen_is_within_tol_of_eigvals_on_large_matrices(example_alphabet):
         assert lo <= pf.eigenvalue <= hi and hi - lo <= tol
 
 
+# the relative spacing of doubles: twice the unit roundoff
+ULP = Fraction(1, 2**52)
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-10])
 def test_pf_eigen_on_corpus_matrices(corpus_matrices, tol):
     # Noda's iteration converges quadratically: a return to linear
@@ -376,9 +377,17 @@ def test_pf_eigen_on_corpus_matrices(corpus_matrices, tol):
         pf = pf_eigen(m, tol=tol)
         assert pf.iterations <= 20
         assert max(pf.eigenvector) == 1.0
-        v = np.asarray(pf.eigenvector)
-        error = np.abs(np.asarray(m.matrix) @ v - pf.eigenvalue * v).max()
-        assert error <= pf.residual <= tol
+        assert pf.residual <= tol
+        # exact arithmetic on the returned floats: the exact ratio (Mv)_i
+        # / v_i is within half the bracket of lambda, up to the rounding
+        # of the computed ratio (a sum of d terms, then a division: at
+        # most d roundings) and of the bracket's midpoint (one more)
+        lam, half = Fraction(pf.eigenvalue), Fraction(pf.residual) / 2
+        v = [Fraction(x) for x in pf.eigenvector]
+        for row, x in zip(m.rows, v):
+            mv = sum(v[j] for j in row)
+            rounding = (len(row) + 1) * ULP * max(mv, lam * x)
+            assert abs(mv - lam * x) <= x * half + rounding
 
 
 def test_pf_eigen_agrees_with_ihara_bass_on_the_ladder(ladder_steps):
@@ -400,7 +409,7 @@ def test_forced_states_meet_the_eigen_equation(corpus_steps, ladder_steps):
     # so |v_t - lambda1 v_q| <= residual v_q; divided by v_q, both sides
     # are exact in floating point (the ratio lies in the bracket)
     for step in corpus_steps + ladder_steps:
-        aut, pf1 = step.aut_after, step.pf1
+        aut, pf1 = collapse_automaton(step.aut_before, step.s_states), step.pf1
         index = {q: i for i, q in enumerate(step.m1.ordering.states)}
         v = pf1.eigenvector
         for q in aut.states:
@@ -525,7 +534,7 @@ def test_matrix_text_keeps_columns_apart_from_order_100(example_alphabet):
     n = 120
     states = tuple((i, 1) for i in range(1, n + 1))
     cycle = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
-    text = AdjacencyMatrix.from_array(cycle, StateOrdering(states, "OSE")).to_text(
+    text = oracles.from_array(cycle, StateOrdering(states)).to_text(
         example_alphabet
     )
     _, header, *body = text.splitlines()
