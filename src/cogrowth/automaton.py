@@ -184,18 +184,16 @@ def accepts(aut: Automaton, word: Word) -> int:
 
 @dataclass(frozen=True)
 class SStateSet:
-    """States removed by one collapse step, with their incident edges.
+    """States removed by one collapse step, and the vertex merge.
 
     ``elements`` fixes the order the matrix work uses: per collapse edge
     (origin id order), first (terminus, a), then (origin, a^-1).
-    ``incoming[s]`` are the d origin states of edges into s (all labeled
-    by s's letter) and ``outgoing[s]`` the d' pairs (letter, target).
-    ``merge`` renames collapsed origin vertices to their termini.
+    ``merge`` renames collapsed origin vertices to their termini.  Who
+    feeds a collapse state, and whom it feeds, is read off the automaton
+    (`collapse_automaton`) or off the NSE matrix (`spectral.derive_m1`).
     """
 
     elements: tuple[State, ...]
-    incoming: dict[State, tuple[State, ...]]
-    outgoing: dict[State, tuple[tuple[Letter, State], ...]]
     merge: dict[int, int]
 
     @classmethod
@@ -207,22 +205,11 @@ class SStateSet:
         missing = [s for s in elements if s not in state_set]
         if missing:
             raise PreconditionError(f"collapse states {missing} not in the automaton")
-        incoming = {}
-        outgoing = {}
+        # every arc between two collapse states leaves one of them
         sset = set(elements)
-        back = predecessors(aut, elements)
-        for s in elements:
-            inc = tuple(sorted(back[s], key=state_key))
-            out = aut.successors(s)
-            if not inc or not out:
-                raise PreconditionError(f"collapse state {s} has a missing side")
-            if any(q in sset for q in inc) or any(t in sset for _, t in out):
-                raise DeterminismViolationError(
-                    "collapse states are adjacent to each other"
-                )
-            incoming[s] = inc
-            outgoing[s] = out
-        return cls(tuple(elements), incoming, outgoing, cd.merge_map())
+        if any(t in sset for s in elements for _, t in aut.successors(s)):
+            raise DeterminismViolationError("collapse states are adjacent to each other")
+        return cls(tuple(elements), cd.merge_map())
 
     def rename(self, state: State) -> State:
         return (self.merge.get(state[0], state[0]), state[1])
@@ -230,8 +217,9 @@ class SStateSet:
 
 def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
     """Replace each two-step path through a collapse state by one
-    transition, drop the collapse states, and update the initial set
-    when a collapse state sat at the root.
+    transition and drop the collapse states; an initial collapse state
+    hands its place in the initial set to the origins of its incoming
+    transitions.
 
     The result is not validated: `pipeline.reduce_step` checks it
     against the automaton built, and validated, from the next core."""
@@ -241,22 +229,25 @@ def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
         for (q, letter), target in aut.transitions.items()
         if q not in sset and target not in sset
     }
-    for removed in s.elements:
-        for origin in s.incoming[removed]:
-            for letter, target in s.outgoing[removed]:
-                key = (s.rename(origin), letter)
-                new_target = s.rename(target)
-                if transitions.get(key, new_target) != new_target:
-                    raise DeterminismViolationError(
-                        f"collapse doubly defines delta at {key}"
-                    )
-                transitions[key] = new_target
-
-    initial = set(aut.initial)
-    for removed in s.elements:
+    # the arcs into collapse states, from states that survive (no collapse
+    # state feeds another), in state order: a clash is reported at the
+    # first origin that makes it
+    into = sorted(
+        ((q, target) for (q, _), target in aut.transitions.items() if target in sset),
+        key=lambda arc: state_key(arc[0]),
+    )
+    initial = {q for q in aut.initial if q not in sset}
+    for origin, removed in into:
+        for letter, target in aut.successors(removed):
+            key = (s.rename(origin), letter)
+            new_target = s.rename(target)
+            if transitions.get(key, new_target) != new_target:
+                raise DeterminismViolationError(
+                    f"collapse doubly defines delta at {key}"
+                )
+            transitions[key] = new_target
         if removed in aut.initial:
-            initial.discard(removed)
-            initial.update(s.incoming[removed])
+            initial.add(origin)
     states = [s.rename(q) for q in aut.states if q not in sset]
     if len(states) != len(set(states)):
         raise DeterminismViolationError("vertex merge identified two states")

@@ -70,8 +70,5 @@ class ConvergenceFailureError(NumericalError):
 
 
 class CertificateFailureError(NumericalError):
-    """The inequality certificate could not be validated; carries the row."""
-
-    def __init__(self, message, row=None):
-        super().__init__(message)
-        self.row = row
+    """The inequality certificate could not be validated; the message
+    names the row, if one failed."""

@@ -27,7 +27,10 @@ new enumeration (NSE) used for one collapse step moves the collapse
 states to the tail; the leading block is ordered exactly like the OSE of
 the collapsed automaton, so removing a tail state's row/column after
 adding it into the rows that feed it yields the collapsed adjacency
-matrix positionally.
+matrix positionally.  The matrix itself says who feeds whom: a lead
+row feeds the tail state of its last column, when that column is in
+the tail.  `derive_m1` checks the blocks once per step (`decompose`),
+and `certify_inequality` reads the feeder rows off the same rows.
 """
 
 from __future__ import annotations
@@ -158,11 +161,11 @@ def adjacency(aut: Automaton, ordering: StateOrdering) -> AdjacencyMatrix:
     return AdjacencyMatrix(rows, ordering)
 
 
-def decompose(m: AdjacencyMatrix, s: SStateSet) -> tuple[tuple[int, ...], ...]:
+def decompose(m: AdjacencyMatrix, s: SStateSet) -> None:
     """Check the blocks (M', U, Z, O) under the NSE: O is zero and each
     row of U has at most a single 1, or the upstream construction is
-    broken.  Returns U by columns: per collapse state, the lead rows
-    feeding it."""
+    broken.  `derive_m1` runs it, once per step.  Nothing is returned:
+    M's rows already say which lead rows feed which collapse state."""
     b = m.ordering.boundary
     if b is None:
         raise PreconditionError("matrix must be indexed by the NSE")
@@ -171,13 +174,8 @@ def decompose(m: AdjacencyMatrix, s: SStateSet) -> tuple[tuple[int, ...], ...]:
     # a row's columns increase, so its entries in U or O come last
     if any(row and row[-1] >= b for row in m.rows[b:]):
         raise DecompositionViolationError("collapse block O is not zero")
-    feeders = [[] for _ in s.elements]
-    for i, row in enumerate(m.rows[:b]):
-        if len(row) > 1 and row[-2] >= b:
-            raise DecompositionViolationError("a row of U has more than one entry")
-        if row and row[-1] >= b:
-            feeders[row[-1] - b].append(i)
-    return tuple(map(tuple, feeders))
+    if any(len(row) > 1 and row[-2] >= b for row in m.rows[:b]):
+        raise DecompositionViolationError("a row of U has more than one entry")
 
 
 def derive_m1(m: AdjacencyMatrix, s: SStateSet) -> AdjacencyMatrix:
@@ -457,6 +455,11 @@ def certify_inequality(
     scalar override replaces every collapse entry; its strict rows are
     whatever the verification finds.
 
+    `m` is the NSE matrix that `derive_m1` checked and turned into `m1`;
+    the feeder rows and the collapse states are read off it, and its
+    blocks are not checked again.  The certificate does not rest on
+    them: the inequality is verified on every row of M.
+
     The comparison vector is the collapsed eigenvector scaled so its
     smallest entry is 1; override values and the reported bounds are
     expressed in that scale.  A row's slack must exceed 10 * tol times
@@ -465,8 +468,9 @@ def certify_inequality(
     tol, plus the rounding of the ratios M1 v / v (see `PFResult`), and
     the bound rescales with the vector.
     """
-    feeders = decompose(m, s)
     b = m.ordering.boundary
+    if b is None:
+        raise PreconditionError("matrix must be indexed by the NSE")
     if tuple(s.rename(q) for q in m.ordering.states[:b]) != m1.ordering.states:
         raise PreconditionError("collapsed matrix does not match the NSE lead block")
     if u_choice not in (1, 2, 3):
@@ -480,9 +484,17 @@ def certify_inequality(
     u = [x / low for x in pf1.eigenvector] + [0.0] * (n - b)
 
     expected_strict: set[int] = set()
+    if u_override is None:
+        if u_choice in (1, 3):
+            # the feeder rows: a row's columns increase, so a lead row
+            # feeds a collapse state when its last column is in the tail
+            expected_strict.update(
+                i for i, row in enumerate(m.rows[:b]) if row and row[-1] >= b
+            )
+        if u_choice in (2, 3):
+            expected_strict.update(range(b, n))
     s_values: dict[State, tuple[float, float, float]] = {}
-    for offset, state in enumerate(s.elements):
-        row = b + offset
+    for row, state in enumerate(m.ordering.states[b:], start=b):
         bound = sum(u[j] for j in m.rows[row])  # O is zero: lead columns only
         lower, upper = bound / lam1, bound
         if u_override is not None:
@@ -495,11 +507,6 @@ def certify_inequality(
             value = (lower + upper) / 2
         u[row] = value
         s_values[state] = (value, lower, upper)
-        if u_override is None:
-            if u_choice in (1, 3):
-                expected_strict.update(feeders[offset])
-            if u_choice in (2, 3):
-                expected_strict.add(row)
 
     if not all(x > 0 for x in u):
         raise CertificateFailureError("comparison vector is not strictly positive")
@@ -508,9 +515,7 @@ def certify_inequality(
     for j, (row, x) in enumerate(zip(m.rows, u)):
         mu, y = sum(u[i] for i in row), lam1 * x
         if mu > y + row_tol:
-            raise CertificateFailureError(
-                f"(Mu) exceeds lam1*u at NSE row {j + 1}", row=j + 1
-            )
+            raise CertificateFailureError(f"(Mu) exceeds lam1*u at NSE row {j + 1}")
         if mu < y - row_tol:
             strict.append(j)
     missing = expected_strict - set(strict)

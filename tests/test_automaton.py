@@ -13,8 +13,8 @@ from cogrowth.automaton import (
     sample_accepted_word,
     word_census,
 )
-from cogrowth.core_graph import build_core, collapse_core
-from cogrowth.errors import PreconditionError
+from cogrowth.core_graph import CollapseData, CoreGraph, build_core, collapse_core
+from cogrowth.errors import DeterminismViolationError, PreconditionError
 from cogrowth.whitehead import choose_automorphism
 from cogrowth.words import Alphabet, parse_word
 
@@ -105,12 +105,41 @@ def test_collapse_states_and_ose(example_aut, example_collapse, example_alphabet
 
 
 def test_collapse_rejects_empty_state_set(example_aut):
-    from cogrowth.core_graph import CollapseData
-
     # CollapseData itself rejects an empty collapse
     with pytest.raises(PreconditionError, match="at least one edge"):
         empty = SStateSet.from_collapse(example_aut, CollapseData(a=2, e_o=()))
         collapse_automaton(example_aut, empty)
+
+
+# F2 cores (x = 1, y = 2) with a collapse that breaks one guarantee each
+DETERMINISM_WITNESSES = [
+    pytest.param(
+        ((1, 2, 1), (2, 2, 3), (3, 1, 1), (3, 2, 2)),
+        CollapseData(2, ((1, 2, 2),)),
+        "collapse states are adjacent to each other",
+        id="adjacent",
+    ),
+    pytest.param(
+        ((1, 2, 1), (2, 2, 3), (3, 1, 1), (3, 2, 2)),
+        CollapseData(1, ((3, 1, 1),)),
+        "collapse doubly defines delta at ((1, 2), 2)",
+        id="doubly-defined",
+    ),
+    pytest.param(
+        ((1, 2, 1), (2, 1, 1), (3, 1, 2), (3, 2, 3)),
+        CollapseData(1, ((3, 1, 1),)),
+        "vertex merge identified two states",
+        id="merged-states",
+    ),
+]
+
+
+@pytest.mark.parametrize("edges, cd, message", DETERMINISM_WITNESSES)
+def test_collapse_rejects_a_collapse_that_breaks_determinism(edges, cd, message):
+    aut = build_automaton(CoreGraph(AB2, 1, edges))
+    with pytest.raises(DeterminismViolationError) as excinfo:
+        collapse_automaton(aut, SStateSet.from_collapse(aut, cd))
+    assert str(excinfo.value) == message
 
 
 def test_collapsed_language_equals_rebuilt_language(example_core, example_aut, example_collapse, example_alphabet):

@@ -88,11 +88,14 @@ def test_full_reduction_folds_once_per_step_and_solves_each_matrix_once(
     monkeypatch.setattr(
         automaton, "strongly_connected", counted("connected", automaton.strongly_connected)
     )
+    monkeypatch.setattr(spectral, "decompose", counted("decompose", spectral.decompose))
     steps = len(pipeline.reduce_full(example_gens, example_alphabet).steps)
     assert steps == 4
     assert calls["build_core"] == steps + 1
     # each automaton is built and validated once, the final rose's included
     assert calls["connected"] == steps + 1
+    # the blocks of each M are checked once, by derive_m1
+    assert calls["decompose"] == steps
     # the first step solves M and M1; each later step reuses the previous M1's
     assert calls["pf_eigen"] == steps + 1
 

@@ -2,12 +2,14 @@ from collections import Counter
 
 import pytest
 
-from cogrowth.core_graph import build_core, collapse_core, label_sets
+from cogrowth.automaton import SStateSet, build_automaton, collapse_automaton
+from cogrowth.core_graph import CoreGraph, build_core, canonical, collapse_core, label_sets
 from cogrowth.errors import (
     NoCutVertexError,
     NotCyclicallyReducedError,
     PreconditionError,
 )
+from cogrowth.pipeline import _check_collapsed
 from cogrowth.whitehead import (
     WhiteheadGraph,
     choose_automorphism,
@@ -179,14 +181,17 @@ def test_every_cut_vertex_of_every_small_core_collapses(rank, n_vertices, n_core
     (not only the first) of every labelled core with root 1, every
     vertex of degree >= 2 and rank >= 2: 15 + 404 + 15,858 cores on 2-4
     vertices over 2 letters and 222 + 28,046 on 2-3 vertices over 3
-    letters, 44,545 in all."""
+    letters, 44,545 in all.  On each cut the collapsed automaton is
+    also the automaton of the contracted core, initial set included."""
     alphabet = Alphabet(tuple("xyz"[:rank]))
     count = 0
     for g in all_small_cores(alphabet, n_vertices):
         count += 1
         ls = label_sets(g)
         wg = whitehead_graph_of_core(ls, rank)
-        for cut in find_cut_vertices(wg):
+        cuts = find_cut_vertices(wg)
+        aut = build_automaton(g) if cuts else None
+        for cut in cuts:
             a = cut.letter
             phi, cd = collapse_for_cut(g, ls, cut)
             pieces = wg.components_after_removal(a)
@@ -206,6 +211,12 @@ def test_every_cut_vertex_of_every_small_core_collapses(rank, n_vertices, n_core
                 assert ls[v] & ls[t] <= {a}
             collapsed = collapse_core(g, cd)
             assert collapsed.n_vertices == g.n_vertices - len(cd.s_o)
+            ids, form = canonical(collapsed)
+            _check_collapsed(
+                collapse_automaton(aut, SStateSet.from_collapse(aut, cd)),
+                ids,
+                build_automaton(CoreGraph(alphabet, 1, form)),
+            )
     assert count == n_cores
 
 
