@@ -224,10 +224,17 @@ def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
     The result is not validated: `pipeline.reduce_step` checks it
     against the automaton built, and validated, from the next core."""
     sset = set(s.elements)
+    merge = s.merge
+    rename = {
+        q: (merge.get(q[0], q[0]), q[1]) for q in aut.states if q not in sset
+    }
+    if len(set(rename.values())) != len(rename):
+        raise DeterminismViolationError("vertex merge identified two states")
+    # one-to-one on the surviving states, the merge keeps their arcs apart
     transitions = {
-        (s.rename(q), letter): s.rename(target)
+        (rename[q], letter): rename[target]
         for (q, letter), target in aut.transitions.items()
-        if q not in sset and target not in sset
+        if q in rename and target in rename
     }
     # the arcs into collapse states, from states that survive (no collapse
     # state feeds another), in state order: a clash is reported at the
@@ -239,8 +246,8 @@ def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
     initial = {q for q in aut.initial if q not in sset}
     for origin, removed in into:
         for letter, target in aut.successors(removed):
-            key = (s.rename(origin), letter)
-            new_target = s.rename(target)
+            key = (rename[origin], letter)
+            new_target = rename[target]
             if transitions.get(key, new_target) != new_target:
                 raise DeterminismViolationError(
                     f"collapse doubly defines delta at {key}"
@@ -248,11 +255,8 @@ def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
             transitions[key] = new_target
         if removed in aut.initial:
             initial.add(origin)
-    states = [s.rename(q) for q in aut.states if q not in sset]
-    if len(states) != len(set(states)):
-        raise DeterminismViolationError("vertex merge identified two states")
-    initial = {s.rename(q) for q in initial}
-    return Automaton(aut.alphabet, states, transitions, initial)
+    initial = {rename[q] for q in initial}
+    return Automaton(aut.alphabet, rename.values(), transitions, initial)
 
 
 def _signature(aut: Automaton, seed: State):

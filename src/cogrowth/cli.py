@@ -38,6 +38,7 @@ from .automaton import (
     build_automaton,
     format_state,
     sample_accepted_word,
+    state_key,
     word_census,
 )
 from .core_graph import build_core, label_sets
@@ -132,7 +133,7 @@ def cmd_automaton(alphabet, gens, args) -> str:
         return aut.to_dot()
     if args.format == "json":
         return aut.to_json() + "\n"
-    initial = sorted(aut.initial, key=lambda q: (q[0], letter_key(q[1])))
+    initial = sorted(aut.initial, key=state_key)
     return _text([
         f"automaton: {aut.n_states} states, {len(aut.transitions)} transitions, "
         f"ambiguity {aut.ambiguity}",

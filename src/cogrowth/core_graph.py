@@ -36,17 +36,17 @@ class CoreGraph:
         self.edges = tuple(sorted(set(edges)))
         verts = {root}
         ext: dict[tuple[int, Letter], int] = {}
+        rank = alphabet.rank
         for o, g, t in self.edges:
-            if not 1 <= g <= alphabet.rank:
+            if not 1 <= g <= rank:
                 raise ValueError(f"edge label {g} outside alphabet")
             verts.add(o)
             verts.add(t)
             for key, target in (((o, g), t), ((t, -g), o)):
-                if key in ext and ext[key] != target:
+                if ext.setdefault(key, target) != target:
                     raise FoldingViolationError(
                         f"two edges labeled {alphabet.spell(key[1])} at vertex {key[0]}"
                     )
-                ext[key] = target
         self.vertices = tuple(sorted(verts))
         self._ext = ext
         out: dict[int, list[Letter]] = {v: [] for v in self.vertices}

@@ -48,6 +48,7 @@ broken invariant trips.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core_graph import CollapseData, CoreGraph, build_core, label_sets
@@ -136,19 +137,20 @@ class WhiteheadGraph:
         return "\n".join(lines) + "\n"
 
 
-def _edge(u: Letter, v: Letter) -> tuple[Letter, Letter]:
-    return (u, v) if letter_key(u) <= letter_key(v) else (v, u)
-
-
 def whitehead_graph_of_core(ls: dict[int, frozenset], rank: int) -> WhiteheadGraph:
-    """Union of complete graphs on each label set."""
+    """Union of complete graphs on each label set.
+
+    Vertices that share a label set add the same pairs, so each distinct
+    label set is expanded once and adds its number of vertices to the
+    multiplicity of each of its pairs.  A pair is stored with its letters
+    in the global order.
+    """
     mult: dict[tuple[Letter, Letter], int] = {}
-    for v in sorted(ls):
-        letters = sorted(ls[v], key=letter_key)
+    for labels, count in Counter(ls.values()).items():
+        letters = sorted(labels, key=letter_key)
         for i, u in enumerate(letters):
             for w in letters[i + 1 :]:
-                e = _edge(u, w)
-                mult[e] = mult.get(e, 0) + 1
+                mult[u, w] = mult.get((u, w), 0) + count
     return WhiteheadGraph(rank, mult)
 
 
@@ -174,17 +176,21 @@ class CutVertexReport:
 
 def find_cut_vertices(wg: WhiteheadGraph) -> list[CutVertexReport]:
     """All cut vertices, in the global letter order."""
-    reports = []
+    return list(_cut_vertices(wg))
+
+
+def _cut_vertices(wg: WhiteheadGraph):
+    """The cut vertices in the global letter order, each found only when
+    the search reaches it."""
     for a in wg.vertices:
         pieces = wg.components_after_removal(a)
         if not pieces:  # isolated
             continue
         witness = tuple(tuple(sorted(p, key=letter_key)) for p in pieces)
         if not any(-a in p for p in pieces):
-            reports.append(CutVertexReport(a, 1, witness))
+            yield CutVertexReport(a, 1, witness)
         elif len(pieces) > 1:
-            reports.append(CutVertexReport(a, 2, witness))
-    return reports
+            yield CutVertexReport(a, 2, witness)
 
 
 def collapse_for_cut(
@@ -208,7 +214,8 @@ def choose_automorphism(
     graph: CoreGraph,
 ) -> tuple[WhiteheadAutomorphism, CollapseData]:
     """The collapse of the first cut vertex in the global letter order;
-    the module docstring proves that it always succeeds.
+    the module docstring proves that it always succeeds.  The search
+    stops at that vertex: the letters after it are not examined.
 
     Raises NoCutVertexError when the Whitehead graph has no cut vertex,
     which certifies the subgroup is not a free factor.
@@ -216,12 +223,12 @@ def choose_automorphism(
     if graph.n_vertices <= 1:
         raise PreconditionError("core already has a single vertex")
     ls = label_sets(graph)
-    cuts = find_cut_vertices(whitehead_graph_of_core(ls, graph.alphabet.rank))
-    if not cuts:
+    cut = next(_cut_vertices(whitehead_graph_of_core(ls, graph.alphabet.rank)), None)
+    if cut is None:
         raise NoCutVertexError(
             "no cut vertex in the Whitehead graph: the subgroup is not a free factor"
         )
-    return collapse_for_cut(graph, ls, cuts[0])
+    return collapse_for_cut(graph, ls, cut)
 
 
 def random_whitehead(rng, rank: int) -> WhiteheadAutomorphism:

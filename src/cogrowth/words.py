@@ -25,21 +25,22 @@ Word = tuple[int, ...]
 MAX_WORD_LENGTH = 10**6
 
 
-def letter_key(letter: Letter) -> tuple[int, int]:
-    """Global sort key: by generator index, positive before inverse.
-
-    This single order is the tie-breaker used by every enumeration
-    downstream (vertex discovery, state orderings, cut-vertex search).
-    """
-    return (abs(letter), 0 if letter > 0 else 1)
-
-
 def sigma(rank: int) -> tuple[Letter, ...]:
     """All 2*rank letters in the global order: x1, x1^-1, x2, x2^-1, ..."""
     out = []
     for g in range(1, rank + 1):
         out.extend((g, -g))
     return tuple(out)
+
+
+# The global order of letters: by generator index, positive before
+# inverse (x1, x1^-1, x2, ...).  It is the tie-breaker of every
+# enumeration downstream (vertex discovery, state orderings, cut-vertex
+# search).  One table holds it for every letter of an alphabet (at most
+# 26 generators, named by distinct lowercase letters), and the sort key
+# is a lookup into it, so a sort makes no Python-level call per letter.
+_LETTER_ORDER = {letter: i for i, letter in enumerate(sigma(26))}
+letter_key = _LETTER_ORDER.__getitem__
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,9 +16,9 @@ from cogrowth.automaton import (
     word_census,
 )
 from cogrowth.core_graph import CollapseData, CoreGraph, build_core, collapse_core
-from cogrowth.errors import DeterminismViolationError, PreconditionError
+from cogrowth.errors import CogrowthError, DeterminismViolationError, PreconditionError
 from cogrowth.whitehead import choose_automorphism
-from cogrowth.words import Alphabet, parse_word
+from cogrowth.words import Alphabet, parse_word, sigma
 
 import oracles
 
@@ -119,11 +121,13 @@ DETERMINISM_WITNESSES = [
         "collapse states are adjacent to each other",
         id="adjacent",
     ),
+    # the merge sends (1,y) and (3,y) to one state, and the arcs of both
+    # on y to one key: the states are reported, not the arcs
     pytest.param(
         ((1, 2, 1), (2, 2, 3), (3, 1, 1), (3, 2, 2)),
         CollapseData(1, ((3, 1, 1),)),
-        "collapse doubly defines delta at ((1, 2), 2)",
-        id="doubly-defined",
+        "vertex merge identified two states",
+        id="merge-before-delta",
     ),
     pytest.param(
         ((1, 2, 1), (2, 1, 1), (3, 1, 2), (3, 2, 3)),
@@ -140,6 +144,36 @@ def test_collapse_rejects_a_collapse_that_breaks_determinism(edges, cd, message)
     with pytest.raises(DeterminismViolationError) as excinfo:
         collapse_automaton(aut, SStateSet.from_collapse(aut, cd))
     assert str(excinfo.value) == message
+
+
+def test_no_small_collapse_clashes_on_delta_without_merging_states():
+    """Every collapse (a letter a and a nonempty set of a-edges) of the
+    15 + 404 + 222 small cores of 2 letters on 2-3 vertices and 3
+    letters on 2 either is rejected by `CollapseData`, merges two
+    states, or collapses: none doubly defines delta alone.  A clash at
+    an origin o on a letter l needs l at o and at its terminus t, and
+    then the surviving states (o, l^-1) and (t, l^-1) merge."""
+    outcomes = Counter()
+    for rank, n_vertices in ((2, 2), (2, 3), (3, 2)):
+        alphabet = Alphabet(tuple("xyz"[:rank]))
+        for g in oracles.all_small_cores(alphabet, n_vertices):
+            aut = build_automaton(g)
+            for a in sigma(rank):
+                edges = [(v, a, g.step(v, a)) for v in g.vertices if g.step(v, a)]
+                for k in range(1, len(edges) + 1):
+                    for e_o in itertools.combinations(edges, k):
+                        try:
+                            s = SStateSet.from_collapse(aut, CollapseData(a, e_o))
+                            collapse_automaton(aut, s)
+                        except CogrowthError as exc:
+                            outcomes[str(exc)] += 1
+                        else:
+                            outcomes["collapsed"] += 1
+    assert outcomes == {
+        "origin and terminus sets overlap": 5146,
+        "vertex merge identified two states": 2432,
+        "collapsed": 1520,
+    }
 
 
 def test_collapsed_language_equals_rebuilt_language(example_core, example_aut, example_collapse, example_alphabet):

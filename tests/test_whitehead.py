@@ -81,15 +81,23 @@ def test_single_label_pair_gives_one_edge():
 
 
 def test_edge_count_bound_on_corpus(corpus):
+    """Each vertex adds one edge per pair of its labels, also when label
+    sets repeat: on the corpus and on x^100 y x^-100 z, x^100 z x^-100 t,
+    where 297 of the 303 vertices share the label set {x, x^-1}."""
     from math import comb
 
-    for inst in corpus[:30]:
-        g = build_core(list(inst.gens), inst.alphabet)
+    fold = ("x^100 y x^-100 z", "x^100 z x^-100 t")
+    inputs = [(list(inst.gens), inst.alphabet) for inst in corpus[:30]]
+    inputs.append(([parse_word(w, AB4) for w in fold], AB4))
+    for gens, alphabet in inputs:
+        g = build_core(gens, alphabet)
         ls = label_sets(g)
-        wg = whitehead_graph_of_core(ls, inst.alphabet.rank)
-        assert wg.n_edges_simple <= sum(
-            comb(len(ls[v]), 2) for v in g.vertices
-        )
+        wg = whitehead_graph_of_core(ls, alphabet.rank)
+        pairs = sum(comb(len(ls[v]), 2) for v in g.vertices)
+        assert wg.n_edges_simple <= pairs
+        assert wg.n_edges_multiset == pairs
+    assert g.n_vertices == 303
+    assert Counter(ls.values())[frozenset({1, -1})] == 297
 
 
 def test_example_cut_vertices(example_core):
@@ -191,6 +199,9 @@ def test_every_cut_vertex_of_every_small_core_collapses(rank, n_vertices, n_core
         wg = whitehead_graph_of_core(ls, rank)
         cuts = find_cut_vertices(wg)
         aut = build_automaton(g) if cuts else None
+        if cuts:
+            # the search in choose_automorphism stops at the first cut
+            assert choose_automorphism(g) == collapse_for_cut(g, ls, cuts[0])
         for cut in cuts:
             a = cut.letter
             phi, cd = collapse_for_cut(g, ls, cut)

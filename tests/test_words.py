@@ -193,6 +193,16 @@ def test_alphabet_validation():
 def test_letter_order_is_generator_then_sign():
     assert sorted(sigma(2), key=letter_key) == [1, -1, 2, -2]
     assert sigma(4) == (1, -1, 2, -2, 3, -3, 4, -4)
+    # the order table against a key computed from the letter, at every rank
+    oracle = lambda l: (abs(l), l < 0)
+    for rank in range(2, 27):
+        letters = [g * sign for g in range(1, rank + 1) for sign in (-1, 1)]
+        expected = sorted(letters, key=oracle)
+        assert sorted(letters, key=letter_key) == expected
+        assert list(sigma(rank)) == expected
+        for u in letters:
+            for v in letters:
+                assert (letter_key(u) < letter_key(v)) == (oracle(u) < oracle(v))
 
 
 def test_cyclically_reduced_predicate():
