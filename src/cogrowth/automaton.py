@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .core_graph import CollapseData, CoreGraph
 from .errors import (
+    CogrowthError,
     DeterminismViolationError,
     NonIntegerCensusError,
     PreconditionError,
@@ -32,26 +33,21 @@ def format_state(state: State, alphabet: Alphabet) -> str:
 
 
 class Automaton:
-    """Deterministic acceptor with I = F; immutable after construction."""
+    """Deterministic acceptor with I = F; immutable after construction.
 
-    def __init__(self, alphabet, states, transitions, initial):
+    ``states`` are in the OSE order (by vertex, then entry letter), and
+    ``rows[i]`` lists state i's successors' indices in letter order; a
+    transition's letter is its target's entry letter, so the rows are the
+    whole transition function.  The constructor trusts both orders, as
+    `build_automaton` and `collapse_automaton` produce them.
+    """
+
+    def __init__(self, alphabet, states, rows, initial):
         self.alphabet = alphabet
-        self.states = tuple(sorted(states, key=state_key))
-        self.transitions = dict(transitions)
+        self.states = tuple(states)
+        self.rows = tuple(rows)
         self.initial = self.final = frozenset(initial)
-        out: dict[State, list[tuple[Letter, State]]] = {q: [] for q in self.states}
-        for (q, letter), target in self.transitions.items():
-            out[q].append((letter, target))
-        self._out = {
-            q: tuple(sorted(pairs, key=lambda p: letter_key(p[0])))
-            for q, pairs in out.items()
-        }
-
-    def successors(self, state: State) -> tuple[tuple[Letter, State], ...]:
-        return self._out[state]
-
-    def step(self, state: State, letter: Letter):
-        return self.transitions.get((state, letter))
+        self.index = dict(zip(self.states, range(len(self.states))))
 
     @property
     def n_states(self) -> int:
@@ -62,102 +58,105 @@ class Automaton:
         return len(self.initial) - 1
 
     def validate(self):
-        for (q, letter), target in self.transitions.items():
-            if target[1] != letter:
-                raise PreconditionError("transition label differs from target letter")
-            if letter == -q[1]:
-                raise PreconditionError(
-                    "transition labeled with the inverse of the entry letter"
-                )
-        arcs = ((q, target) for (q, _), target in self.transitions.items())
-        if not strongly_connected(self.states, arcs):
+        """No transition undoes its state's entry letter, and the diagram
+        is strongly connected; raises PreconditionError otherwise."""
+        entry = [letter for _, letter in self.states]
+        for row, letter in zip(self.rows, entry):
+            for j in row:
+                if entry[j] == -letter:
+                    raise PreconditionError(
+                        "transition labeled with the inverse of the entry letter"
+                    )
+        if not strongly_connected(self.rows):
             raise PreconditionError("transition diagram is not strongly connected")
 
     def to_json(self) -> str:
-        spell = lambda q: format_state(q, self.alphabet)
+        names = [format_state(q, self.alphabet) for q in self.states]
         data = {
-            "states": [spell(q) for q in self.states],
+            "states": names,
             "transitions": [
                 {
-                    "from": spell(q),
-                    "label": self.alphabet.spell_caret(letter),
-                    "to": spell(t),
+                    "from": names[i],
+                    "label": self.alphabet.spell_caret(self.states[j][1]),
+                    "to": names[j],
                 }
-                for q in self.states
-                for letter, t in self.successors(q)
+                for i, row in enumerate(self.rows)
+                for j in row
             ],
-            "initial": sorted(spell(q) for q in self.initial),
-            "final": sorted(spell(q) for q in self.final),
+            "initial": sorted(format_state(q, self.alphabet) for q in self.initial),
+            "final": sorted(format_state(q, self.alphabet) for q in self.final),
         }
         return json.dumps(data, indent=2)
 
     def to_dot(self, dashed_into=frozenset()) -> str:
         """DOT rendering; transitions into `dashed_into` states are dashed
         (the edges a collapse would remove)."""
-        spell = lambda q: format_state(q, self.alphabet)
+        names = [format_state(q, self.alphabet) for q in self.states]
         lines = ["digraph automaton {", "  rankdir=LR;"]
-        for q in self.states:
+        for q, name in zip(self.states, names):
             shape = "doublecircle" if q in self.initial else "circle"
-            lines.append(f'  "{spell(q)}" [shape={shape}];')
-        for q in self.states:
-            for letter, t in self.successors(q):
+            lines.append(f'  "{name}" [shape={shape}];')
+        for i, row in enumerate(self.rows):
+            for j in row:
+                t = self.states[j]
                 style = ", style=dashed" if t in dashed_into else ""
-                lines.append(
-                    f'  "{spell(q)}" -> "{spell(t)}" [label="{self.alphabet.spell(letter)}"{style}];'
-                )
+                label = self.alphabet.spell(t[1])
+                lines.append(f'  "{names[i]}" -> "{names[j]}" [label="{label}"{style}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
-def predecessors(aut: Automaton, states) -> dict[State, list[State]]:
-    """Origins of the transitions into each of `states`, in one pass over
-    the transitions."""
-    back: dict[State, list[State]] = {q: [] for q in states}
-    for (q, _), t in aut.transitions.items():
-        if t in back:
-            back[t].append(q)
-    return back
-
-
-def strongly_connected(nodes, arcs) -> bool:
-    """Whether the digraph on `nodes` with (source, target) `arcs` is
+def strongly_connected(rows) -> bool:
+    """Whether the digraph whose node i has the successors `rows[i]` is
     nonempty and strongly connected."""
-    fwd: dict = {q: [] for q in nodes}
-    bwd: dict = {q: [] for q in nodes}
-    for p, q in arcs:
-        fwd[p].append(q)
-        bwd[q].append(p)
-    if not fwd:
+    if not rows:
         return False
-    start = next(iter(fwd))
-    for graph in (fwd, bwd):
-        seen = {start}
-        stack = [start]
+    back: list[list[int]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            back[j].append(i)
+    for graph in (rows, back):
+        seen = [True] + [False] * (len(rows) - 1)
+        stack = [0]
         while stack:
-            for w in graph[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(fwd):
+            for j in graph[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        if not all(seen):
             return False
     return True
 
 
 def build_automaton(graph: CoreGraph) -> Automaton:
-    """States, transitions and initial set read off the extended core."""
-    states = []
+    """States, transitions and initial set read off the extended core.
+
+    The states at v are entered by the inverses of its labels, and the
+    one entered by l^-1 moves on every label of v but l: each state's row
+    is the list of the states v's labels lead to, less one entry.  The
+    order of v's states is worked out once per label set.
+    """
+    first: dict[int, int] = {}  # vertex -> index of its first state
+    slot: dict[int, dict[Letter, int]] = {}  # vertex -> entry letter -> offset
+    layouts: dict[tuple[Letter, ...], dict[Letter, int]] = {}
+    n = 0
     for v in graph.vertices:
-        for letter in graph.out_letters(v):
-            # an edge labeled l leaves v iff one labeled -l enters v
-            states.append((v, -letter))
-    transitions = {}
-    for (v, entry) in states:
-        for letter in graph.out_letters(v):
-            if letter == -entry:
-                continue
-            transitions[((v, entry), letter)] = (graph.step(v, letter), letter)
-    initial = {q for q in states if q[0] == graph.root}
-    aut = Automaton(graph.alphabet, states, transitions, initial)
+        labels = tuple(graph.neighbours(v))
+        if labels not in layouts:
+            entries = sorted([-l for l in labels], key=letter_key)
+            layouts[labels] = dict(zip(entries, range(len(entries))))
+        first[v], slot[v] = n, layouts[labels]
+        n += len(labels)
+    states = [(v, e) for v in graph.vertices for e in slot[v]]
+    rows: list = [None] * n
+    for v in graph.vertices:
+        out = graph.neighbours(v)
+        targets = [first[w] + slot[w][l] for l, w in out.items()]
+        here, base = slot[v], first[v]
+        for k, l in enumerate(out):
+            rows[base + here[-l]] = (*targets[:k], *targets[k + 1 :])
+    root = first[graph.root]
+    aut = Automaton(graph.alphabet, states, rows, states[root : root + graph.degree(graph.root)])
     aut.validate()
     return aut
 
@@ -173,12 +172,13 @@ def accepts(aut: Automaton, word: Word) -> int:
         return 1
     count = 0
     for q in aut.initial:
+        i = aut.index[q]
         for letter in word:
-            q = aut.step(q, letter)
-            if q is None:
+            i = next((j for j in aut.rows[i] if aut.states[j][1] == letter), None)
+            if i is None:
                 break
         else:
-            count += q in aut.final
+            count += aut.states[i] in aut.final
     return count
 
 
@@ -201,18 +201,26 @@ class SStateSet:
         elements = []
         for o, a, t in sorted(cd.e_o):
             elements.extend([(t, a), (o, -a)])
-        state_set = set(aut.states)
-        missing = [s for s in elements if s not in state_set]
+        missing = [s for s in elements if s not in aut.index]
         if missing:
             raise PreconditionError(f"collapse states {missing} not in the automaton")
         # every arc between two collapse states leaves one of them
-        sset = set(elements)
-        if any(t in sset for s in elements for _, t in aut.successors(s)):
+        inside = {aut.index[s] for s in elements}
+        if any(not inside.isdisjoint(aut.rows[i]) for i in inside):
             raise DeterminismViolationError("collapse states are adjacent to each other")
         return cls(tuple(elements), cd.merge_map())
 
-    def rename(self, state: State) -> State:
-        return (self.merge.get(state[0], state[0]), state[1])
+    def rename(self, states) -> tuple[State, ...]:
+        """The states with their vertices merged, in the same order."""
+        return tuple([(self.merge.get(v, v), letter) for v, letter in states])
+
+    def survivors(self, aut: Automaton) -> list[int]:
+        """Indices of `aut`'s states outside the collapse, sorted by their
+        merged names: the collapsed OSE and the NSE lead block."""
+        gone = {aut.index[q] for q in self.elements}
+        vertex, letter = zip(*aut.states)
+        key = list(zip(map(self.merge.get, vertex, vertex), map(letter_key, letter)))
+        return sorted((i for i in range(len(key)) if i not in gone), key=key.__getitem__)
 
 
 def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
@@ -221,66 +229,66 @@ def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
     hands its place in the initial set to the origins of its incoming
     transitions.
 
+    The merge must not identify two surviving states, and no state may
+    gain two moves on one letter ("collapse doubly defines delta").
+    Once the first check passes, the second cannot fail for a set from
+    `SStateSet.from_collapse` on edges o -a-> t of the core.  A state
+    feeding (t, a) sits at o and one feeding (o, a^-1) at t; either keeps
+    its own moves, on labels of its vertex, and gains those of the
+    collapse state, on labels of the other one.  A clash needs a label
+    l != a, a^-1 at both o and t, and then the surviving states
+    (o, l^-1) and (t, l^-1) merge.  The check stays for other sets.
+
     The result is not validated: `pipeline.reduce_step` checks it
     against the automaton built, and validated, from the next core."""
-    sset = set(s.elements)
-    merge = s.merge
-    rename = {
-        q: (merge.get(q[0], q[0]), q[1]) for q in aut.states if q not in sset
-    }
-    if len(set(rename.values())) != len(rename):
+    states, rows, index = aut.states, aut.rows, aut.index
+    order = s.survivors(aut)
+    new_states = s.rename([states[i] for i in order])
+    if len(set(new_states)) != len(new_states):
         raise DeterminismViolationError("vertex merge identified two states")
-    # one-to-one on the surviving states, the merge keeps their arcs apart
-    transitions = {
-        (rename[q], letter): rename[target]
-        for (q, letter), target in aut.transitions.items()
-        if q in rename and target in rename
-    }
-    # the arcs into collapse states, from states that survive (no collapse
-    # state feeds another), in state order: a clash is reported at the
-    # first origin that makes it
-    into = sorted(
-        ((q, target) for (q, _), target in aut.transitions.items() if target in sset),
-        key=lambda arc: state_key(arc[0]),
-    )
-    initial = {q for q in aut.initial if q not in sset}
-    for origin, removed in into:
-        for letter, target in aut.successors(removed):
-            key = (rename[origin], letter)
-            new_target = rename[target]
-            if transitions.get(key, new_target) != new_target:
-                raise DeterminismViolationError(
-                    f"collapse doubly defines delta at {key}"
-                )
-            transitions[key] = new_target
-        if removed in aut.initial:
-            initial.add(origin)
-    initial = {rename[q] for q in initial}
-    return Automaton(aut.alphabet, rename.values(), transitions, initial)
+    # the OSE order, checked on state_key, not on the key survivors sorts by
+    if new_states != tuple(sorted(new_states, key=state_key)):
+        raise CogrowthError("collapsed states are not in the OSE order")
+    new = dict(zip(order, range(len(order))))  # old index -> new index
+    gone = {index[q] for q in s.elements}
+    initial = set(s.rename(q for q in aut.initial if index[q] not in gone))
+    new_rows = []
+    for i, name in zip(order, new_states):
+        row = rows[i]
+        if gone.isdisjoint(row):
+            new_rows.append(tuple([new[j] for j in row]))
+            continue
+        by_letter = {states[j][1]: new[j] for j in row if j not in gone}
+        for j in gone.intersection(row):  # a single one, for a checked set
+            for t in rows[j]:
+                if by_letter.setdefault(states[t][1], new[t]) != new[t]:
+                    raise DeterminismViolationError(
+                        f"collapse doubly defines delta at {(name, states[t][1])}"
+                    )
+            if states[j] in aut.initial:
+                initial.add(name)
+        new_rows.append(tuple(by_letter[l] for l in sorted(by_letter, key=letter_key)))
+    return Automaton(aut.alphabet, new_states, new_rows, initial)
 
 
-def _signature(aut: Automaton, seed: State):
-    """Canonical encoding of the reachable part, relabeled breadth-first
-    from the seed along the global letter order."""
+def _signature(aut: Automaton, seed: int):
+    """Canonical encoding of the part reachable from state index `seed`,
+    relabeled breadth-first along the global letter order."""
     ids = {seed: 0}
     order = [seed]
-    i = 0
-    while i < len(order):
-        for letter, target in aut.successors(order[i]):
-            if target not in ids:
-                ids[target] = len(ids)
-                order.append(target)
-        i += 1
-    rows = []
-    for q in order:
-        rows.append(
-            (
-                tuple((letter, ids[t]) for letter, t in aut.successors(q)),
-                q in aut.initial,
-                q in aut.final,
-            )
+    for i in order:
+        for j in aut.rows[i]:
+            if j not in ids:
+                ids[j] = len(ids)
+                order.append(j)
+    return tuple(
+        (
+            tuple((aut.states[j][1], ids[j]) for j in aut.rows[i]),
+            aut.states[i] in aut.initial,
+            aut.states[i] in aut.final,
         )
-    return tuple(rows)
+        for i in order
+    )
 
 
 def isomorphic(a1: Automaton, a2: Automaton) -> bool:
@@ -290,15 +298,15 @@ def isomorphic(a1: Automaton, a2: Automaton) -> bool:
         a1.alphabet.rank != a2.alphabet.rank
         or a1.n_states != a2.n_states
         or len(a1.initial) != len(a2.initial)
-        or len(a1.transitions) != len(a2.transitions)
+        or sum(map(len, a1.rows)) != sum(map(len, a2.rows))
     ):
         return False
     if not a1.states:
         return True
     seed = min(a1.initial, key=state_key) if a1.initial else a1.states[0]
-    sig = _signature(a1, seed)
+    sig = _signature(a1, a1.index[seed])
     candidates = a2.initial if a1.initial else a2.states
-    return any(_signature(a2, q) == sig for q in candidates)
+    return any(_signature(a2, a2.index[q]) == sig for q in candidates)
 
 
 def word_census(aut: Automaton, n_max: int) -> list[int]:
@@ -307,17 +315,14 @@ def word_census(aut: Automaton, n_max: int) -> list[int]:
     k = aut.ambiguity
     if k < 1:
         raise PreconditionError("census needs ambiguity >= 1")
-    index = {q: i for i, q in enumerate(aut.states)}
-    arrows = [(index[q], index[t]) for (q, _), t in aut.transitions.items()]
-    final = [index[q] for q in aut.final]
-    vec = [0] * len(aut.states)
-    for q in aut.initial:
-        vec[index[q]] = 1
+    final = [aut.index[q] for q in aut.final]
+    vec = [int(q in aut.initial) for q in aut.states]
     counts = []
     for n in range(1, n_max + 1):
         nxt = [0] * len(vec)
-        for src, dst in arrows:
-            nxt[dst] += vec[src]
+        for row, paths in zip(aut.rows, vec):
+            for j in row:
+                nxt[j] += paths
         vec = nxt
         paths = sum(vec[i] for i in final)
         if paths % k:
@@ -331,26 +336,27 @@ def word_census(aut: Automaton, n_max: int) -> list[int]:
 def sample_accepted_word(aut: Automaton, rng, target_len: int) -> Word:
     """Random accepted word of length >= target_len: a random admissible
     walk, steered to the nearest final state once long enough."""
-    dist = {q: 0 for q in aut.final}
-    frontier = list(aut.final)
-    back = predecessors(aut, aut.states)
+    states, rows = aut.states, aut.rows
+    back: list[list[int]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            back[j].append(i)
+    frontier = [aut.index[q] for q in aut.final]
+    dist = dict.fromkeys(frontier, 0)
     while frontier:
         nxt = []
-        for q in frontier:
-            for p in back[q]:
-                if p not in dist:
-                    dist[p] = dist[q] + 1
-                    nxt.append(p)
+        for j in frontier:
+            for i in back[j]:
+                if i not in dist:
+                    dist[i] = dist[j] + 1
+                    nxt.append(i)
         frontier = nxt
-    q = rng.choice(sorted(aut.initial, key=state_key))
+    i = aut.index[rng.choice(sorted(aut.initial, key=state_key))]
     word = []
-    while len(word) < target_len or q not in aut.final:
+    while len(word) < target_len or states[i] not in aut.final:
         if len(word) < target_len:
-            options = aut.successors(q)
-            letter, q = options[rng.randrange(len(options))]
+            i = rows[i][rng.randrange(len(rows[i]))]
         else:
-            letter, q = min(
-                aut.successors(q), key=lambda p: (dist[p[1]], letter_key(p[0]))
-            )
-        word.append(letter)
+            i = min(rows[i], key=lambda j: (dist[j], letter_key(states[j][1])))
+        word.append(states[i][1])
     return tuple(word)

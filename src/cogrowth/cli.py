@@ -135,7 +135,7 @@ def cmd_automaton(alphabet, gens, args) -> str:
         return aut.to_json() + "\n"
     initial = sorted(aut.initial, key=state_key)
     return _text([
-        f"automaton: {aut.n_states} states, {len(aut.transitions)} transitions, "
+        f"automaton: {aut.n_states} states, {sum(map(len, aut.rows))} transitions, "
         f"ambiguity {aut.ambiguity}",
         "OSE: " + ", ".join(format_state(q, alphabet) for q in aut.states),
         "initial = final: " + ", ".join(format_state(q, alphabet) for q in initial),

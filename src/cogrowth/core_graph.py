@@ -24,50 +24,58 @@ from .errors import (
     NotCyclicallyReducedError,
     PreconditionError,
 )
-from .words import Alphabet, Letter, Word, is_cyclically_reduced, letter_key
+from .words import Alphabet, Letter, Word, is_cyclically_reduced, letter_key, sigma
 
 
 class CoreGraph:
-    """Folded, connected, rooted labeled graph; immutable after build."""
+    """Folded, connected, rooted labeled graph; immutable after build.
+
+    Each vertex maps its extended edges' labels, in the global letter
+    order, to their endpoints; `edges` is the positive half, sorted.
+    """
 
     def __init__(self, alphabet: Alphabet, root: int, edges):
-        self.alphabet = alphabet
-        self.root = root
-        self.edges = tuple(sorted(set(edges)))
-        verts = {root}
-        ext: dict[tuple[int, Letter], int] = {}
-        rank = alphabet.rank
-        for o, g, t in self.edges:
-            if not 1 <= g <= rank:
+        edges = tuple(sorted(set(edges)))
+        by_label: dict[int, list] = {g: [] for g in range(1, alphabet.rank + 1)}
+        for o, g, t in edges:
+            if g not in by_label:
                 raise ValueError(f"edge label {g} outside alphabet")
-            verts.add(o)
-            verts.add(t)
-            for key, target in (((o, g), t), ((t, -g), o)):
-                if ext.setdefault(key, target) != target:
+            by_label[g].append((o, t))
+        nbr = {v: {} for v in sorted({root, *(v for o, _, t in edges for v in (o, t))})}
+        for letter in sigma(alphabet.rank):  # fills each map in the global order
+            for o, t in by_label[abs(letter)]:
+                v, w = (o, t) if letter > 0 else (t, o)
+                if nbr[v].setdefault(letter, w) != w:
                     raise FoldingViolationError(
-                        f"two edges labeled {alphabet.spell(key[1])} at vertex {key[0]}"
+                        f"two edges labeled {alphabet.spell(letter)} at vertex {v}"
                     )
-        self.vertices = tuple(sorted(verts))
-        self._ext = ext
-        out: dict[int, list[Letter]] = {v: [] for v in self.vertices}
-        for (v, letter) in ext:
-            out[v].append(letter)
-        self._out_letters = {
-            v: tuple(sorted(ls, key=letter_key)) for v, ls in out.items()
-        }
+        self._assemble(alphabet, root, edges, nbr)
+
+    @classmethod
+    def _from_maps(cls, alphabet, root, edges, nbr) -> "CoreGraph":
+        """A core from trusted parts; each map of `nbr` in letter order."""
+        graph = cls.__new__(cls)
+        graph._assemble(alphabet, root, edges, nbr)
+        return graph
+
+    def _assemble(self, alphabet, root, edges, nbr):
+        """Every core's one assembly: sorted `edges`, `nbr` in vertex order."""
+        self.alphabet, self.root, self.edges, self._nbr = alphabet, root, edges, nbr
+        self.vertices = tuple(nbr)
 
     # -- basic queries ------------------------------------------------
 
     def step(self, vertex: int, letter: Letter):
         """Endpoint of the extended edge labeled `letter` at `vertex`, or None."""
-        return self._ext.get((vertex, letter))
+        return self._nbr.get(vertex, {}).get(letter)
 
-    def out_letters(self, vertex: int) -> tuple[Letter, ...]:
-        """Labels of extended edges leaving `vertex`, in the global order."""
-        return self._out_letters[vertex]
+    def neighbours(self, vertex: int) -> dict[Letter, int]:
+        """The extended edges leaving `vertex`, label -> endpoint, in the
+        global letter order; not to be modified."""
+        return self._nbr[vertex]
 
     def degree(self, vertex: int) -> int:
-        return len(self._out_letters[vertex])
+        return len(self._nbr[vertex])
 
     @property
     def n_vertices(self) -> int:
@@ -101,8 +109,7 @@ class CoreGraph:
         stack = [self.root]
         while stack:
             v = stack.pop()
-            for letter in self._out_letters[v]:
-                w = self._ext[(v, letter)]
+            for w in self._nbr[v].values():
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -191,6 +198,11 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
     their representatives when read.  With n letters over rank m there
     are fewer than n merges of at most 2m labels each, so the fold costs
     O(n m log n) instead of one rescan of the edge list per merge.
+
+    One depth-first pass (`_discover`) then gives the canonical ids and
+    each vertex's letter order, hence the sorted edges and neighbour
+    maps; every representative must be reached, with degree >= 2.
+    `CoreGraph._from_maps` skips the label checks: a fold cannot fail them.
     """
     for w in gens:
         if not w:
@@ -248,39 +260,47 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
             r = rep[r]
         rep[v] = r
 
-    # folding cyclically reduced loops leaves no hanging vertex (validate checks)
-    reps = [v for v, out in enumerate(nbr) if out is not None]
-    folded = [(v, g, rep[t]) for v in reps for g, t in nbr[v].items() if g > 0]
-    if len(folded) - len(reps) + 1 < 2:
+    ids, found = _discover(rep[0], nbr, rep)
+    # folding cyclically reduced loops cannot fail these checks; they stay
+    if len(found) != len(nbr) - nbr.count(None):
+        raise PreconditionError("graph is not connected")
+    adjacency: dict[int, dict[Letter, int]] = {}
+    edges = []
+    for v, letters in found:
+        out, i = nbr[v], ids[v]
+        if len(letters) < 2:
+            raise PreconditionError(f"vertex {i} has degree < 2")
+        adjacency[i] = mapped = {l: ids[rep[out[l]]] for l in letters}
+        edges += [(i, l, w) for l, w in mapped.items() if l > 0]
+    if len(edges) - len(found) + 1 < 2:
         raise CyclicOrTrivialSubgroupError(
             "subgroup is trivial or cyclic; the core has no branching"
         )
-
-    ids = _dfs_renumber(
-        rep[0], lambda v: [rep[nbr[v][l]] for l in sorted(nbr[v], key=letter_key)]
-    )
-    graph = CoreGraph(alphabet, 1, [(ids[o], g, ids[t]) for o, g, t in folded])
-    graph.validate()
-    return graph
+    return CoreGraph._from_maps(alphabet, 1, tuple(edges), adjacency)
 
 
-def _dfs_renumber(root: int, neighbours) -> dict[int, int]:
-    """Depth-first discovery ids (1-based) from `root`; `neighbours(v)`
-    lists the ends of v's extended edges in the global letter order."""
+def _discover(root: int, nbr, rep):
+    """Depth-first discovery from `root` along the global letter order:
+    the ids 1, 2, ... of the vertices reached, and each with its sorted
+    labels, in order.  `rep` maps the neighbours in `nbr[v]` to vertices."""
     ids: dict[int, int] = {}
+    found: list[tuple[int, list[Letter]]] = []
     stack = [root]
     while stack:
         v = stack.pop()
         if v in ids:
             continue
-        ids[v] = len(ids) + 1
-        stack.extend(reversed(neighbours(v)))
-    return ids
+        ids[v] = len(found) + 1
+        out = nbr[v]
+        letters = sorted(out, key=letter_key)
+        found.append((v, letters))
+        stack.extend([rep[out[l]] for l in reversed(letters)])
+    return ids, found
 
 
 def label_sets(graph: CoreGraph) -> dict[int, frozenset[Letter]]:
     """Per-vertex sets of labels of outgoing extended edges."""
-    return {v: frozenset(graph.out_letters(v)) for v in graph.vertices}
+    return {v: frozenset(out) for v, out in graph._nbr.items()}
 
 
 def collapse_core(graph: CoreGraph, cd: CollapseData) -> CoreGraph:
@@ -320,7 +340,6 @@ def canonical(graph: CoreGraph):
     by them, sorted: equal forms = rooted isomorphic, and then the ids are
     the isomorphism onto the form.  `build_core` numbers by the same
     discovery, so its edges are their own form."""
-    ids = _dfs_renumber(
-        graph.root, lambda v: [graph.step(v, l) for l in graph.out_letters(v)]
-    )
+    nbr = graph._nbr
+    ids, _ = _discover(graph.root, nbr, dict(zip(nbr, nbr)))  # no fold to resolve
     return ids, tuple(sorted((ids[o], g, ids[t]) for o, g, t in graph.edges))

@@ -148,16 +148,18 @@ def reduce_step(
 def _check_collapsed(collapsed: Automaton, core_map: dict[int, int], aut: Automaton):
     """Rename `collapsed` through the vertex map `core_map` and require its
     states (one-to-one), transitions, initial set and alphabet to be
-    those of `aut`; raises CogrowthError otherwise."""
-    rename = {q: (core_map[q[0]], q[1]) for q in collapsed.states}
-    transitions = {
-        (rename[q], l): rename[t] for (q, l), t in collapsed.transitions.items()
-    }
+    those of `aut`; raises CogrowthError otherwise.  Renaming keeps the
+    letters, so each row carried over must be `aut`'s row exactly."""
+    position = [aut.index.get((core_map[v], l)) for v, l in collapsed.states]
     if (
         collapsed.alphabet != aut.alphabet
-        or sorted(rename.values()) != sorted(aut.states)
-        or transitions != aut.transitions
-        or {rename[q] for q in collapsed.initial} != aut.initial
+        or None in position
+        or sorted(position) != list(range(aut.n_states))
+        or any(
+            tuple([position[j] for j in row]) != aut.rows[p]
+            for row, p in zip(collapsed.rows, position)
+        )
+        or {(core_map[v], letter) for v, letter in collapsed.initial} != aut.initial
     ):
         raise CogrowthError(
             "collapsed automaton disagrees with the automaton of the core of the images"

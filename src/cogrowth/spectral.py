@@ -2,11 +2,11 @@
 of the collapsed matrix, Perron-Frobenius eigenpairs, and the strict
 spectral-gap certificate.
 
-A matrix is held as its rows of column indices, its states' successors:
-a state has at most 2m - 1 of them, and most have one.  The row
-transform, the block check, the certificate and the eigenpair solve all
-work on those rows; the dense matrix, a list of rows of ints, is built
-only where a matrix is printed or read whole (`AdjacencyMatrix.matrix`).
+A matrix is held as its rows of column indices: the automaton's successor
+rows, sorted, under the OSE, and permuted under an NSE (at most 2m - 1
+entries, most rows one).  The row transform, the block check, the
+certificate and the eigenpair solve all work on those rows; the dense
+matrix is built only where it is printed or read whole (`.matrix`).
 All arithmetic is plain Python: the only dense system, that of each
 Noda step on the branch states, has order at most 6(r - 1) for a core of
 rank r, and no module of the package imports numpy.
@@ -49,7 +49,6 @@ from .errors import (
     EntryOverflowError,
     PreconditionError,
 )
-from .words import letter_key
 
 
 @dataclass(frozen=True)
@@ -76,12 +75,8 @@ def make_nse(aut: Automaton, s: SStateSet) -> StateOrdering:
     """NSE: non-collapse states ordered by their post-merge (vertex,
     letter) keys but keeping their original names, then the collapse
     states."""
-    sset = set(s.elements)
-    lead = sorted(
-        (q for q in aut.states if q not in sset),
-        key=lambda q: (s.merge.get(q[0], q[0]), letter_key(q[1])),
-    )
-    return StateOrdering(tuple(lead) + s.elements, boundary=len(lead))
+    lead = tuple([aut.states[i] for i in s.survivors(aut)])
+    return StateOrdering(lead + s.elements, boundary=len(lead))
 
 
 @dataclass(frozen=True)
@@ -150,15 +145,18 @@ class AdjacencyMatrix:
 
 
 def adjacency(aut: Automaton, ordering: StateOrdering) -> AdjacencyMatrix:
-    if set(ordering.states) != set(aut.states) or len(ordering.states) != len(
-        aut.states
-    ):
-        raise PreconditionError("ordering does not cover the automaton's states")
-    index = {q: i for i, q in enumerate(ordering.states)}
-    rows = tuple(
-        tuple(sorted(index[t] for _, t in aut.successors(q))) for q in ordering.states
-    )
-    return AdjacencyMatrix(rows, ordering)
+    """The matrix of `aut` under `ordering`: each state's successors at
+    their positions in the ordering, sorted.  The OSE keeps the
+    automaton's own indices; an NSE permutes them."""
+    rows = aut.rows
+    if ordering.states != aut.states:
+        order = [aut.index.get(q) for q in ordering.states]
+        if len(order) != len(rows) or None in order or len(set(order)) != len(order):
+            raise PreconditionError("ordering does not cover the automaton's states")
+        position = sorted(range(len(order)), key=order.__getitem__)  # inverse
+        rows = [tuple(map(position.__getitem__, rows[q])) for q in order]
+    rows = [tuple(sorted(row)) for row in rows]
+    return AdjacencyMatrix(tuple(rows), ordering)
 
 
 def decompose(m: AdjacencyMatrix, s: SStateSet) -> None:
@@ -198,7 +196,7 @@ def derive_m1(m: AdjacencyMatrix, s: SStateSet) -> AdjacencyMatrix:
         if any(x == y for x, y in zip(row, row[1:])):
             raise EntryOverflowError("row transformation produced an entry above 1")
         rows.append(row)
-    lead = tuple(s.rename(q) for q in m.ordering.states[:b])
+    lead = s.rename(m.ordering.states[:b])
     return AdjacencyMatrix(tuple(rows), StateOrdering(lead))
 
 
@@ -471,7 +469,7 @@ def certify_inequality(
     b = m.ordering.boundary
     if b is None:
         raise PreconditionError("matrix must be indexed by the NSE")
-    if tuple(s.rename(q) for q in m.ordering.states[:b]) != m1.ordering.states:
+    if s.rename(m.ordering.states[:b]) != m1.ordering.states:
         raise PreconditionError("collapsed matrix does not match the NSE lead block")
     if u_choice not in (1, 2, 3):
         raise PreconditionError("u_choice must be 1, 2 or 3")

@@ -3,7 +3,8 @@
 Each oracle deliberately avoids the code path it validates: folding is
 redone by whole-edge-set rewriting (no per-vertex worklist), word counts by
 enumerating every reduced word and tracing it through the graph (no
-automaton path counting), the top eigenvalue by exact
+automaton path counting), the automaton by its definition on the edge
+list (no neighbour maps, no successor rows), the top eigenvalue by exact
 characteristic-polynomial bisection (no power iteration) or by the
 Ihara-Bass pencil of the core (no transition matrix), the row transform
 on dense arrays (no successor lists), cut vertices by one search per
@@ -11,10 +12,11 @@ letter (no shared piece search), and the free-factor verdict by greedy
 Whitehead descent (no Whitehead graph).
 
 The last section holds helpers that only the tests use: membership by
-tracing, a matrix read from a dense array, reading a core back from
-JSON, the Whitehead graph of a word, rooted isomorphism with a fixed
-and with a free root, every small core graph, and an exhaustive
-Whitehead search.
+tracing, an automaton's transition function as a dict, its successors
+and predecessors by state, an automaton built from such a dict, a
+matrix read from a dense array, reading a core back from JSON, the
+Whitehead graph of a word, rooted isomorphism with a fixed and with a
+free root, every small core graph, and an exhaustive Whitehead search.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from cogrowth.automaton import Automaton, state_key
 from cogrowth.core_graph import CoreGraph, canonical
 from cogrowth.errors import NotCyclicallyReducedError, PreconditionError
 from cogrowth.spectral import AdjacencyMatrix, StateOrdering
@@ -158,11 +161,12 @@ def brute_language_vectors(aut, rank, n_max):
     n_letters = len(letters)
     states = list(aut.states)
     index = {q: i for i, q in enumerate(states)}
+    delta = transitions(aut)
     dead = len(states)
     table = np.full((n_letters, dead + 1), dead, dtype=np.int16)
     for li, letter in enumerate(letters):
         for q, qi in index.items():
-            target = aut.step(q, letter)
+            target = delta.get((q, letter))
             if target is not None:
                 table[li, qi] = index[target]
     finals = np.zeros(dead + 1, dtype=bool)
@@ -188,6 +192,37 @@ def brute_language_vectors(aut, rank, n_max):
             accepted |= finals[tr]
         out.append(accepted)
     return out
+
+
+# -- the automaton read off its definition ----------------------------------
+
+
+def automaton_by_definition(graph: CoreGraph):
+    """The automaton of a core from the edge list alone (no neighbour
+    maps, no rows): a state (v, l) for each extended edge that enters v
+    with label l, and from it a transition on every label l' != l^-1
+    that leaves v, to (the end of that edge, l').
+
+    Returns the states sorted by vertex, then letter (x1, x1^-1, x2,
+    ...), each state's successors in the same letter order, and the
+    states at the root, the initial set.
+    """
+    key = lambda l: (abs(l), l < 0)
+    leaving = {}
+    for o, g, t in graph.edges:
+        leaving.setdefault(o, {})[g] = t
+        leaving.setdefault(t, {})[-g] = o
+    states = sorted(
+        ((w, l) for v in leaving for l, w in leaving[v].items()),
+        key=lambda q: (q[0], key(q[1])),
+    )
+    successors = {
+        (v, l): [
+            (leaving[v][m], m) for m in sorted(leaving[v], key=key) if m != -l
+        ]
+        for v, l in states
+    }
+    return states, successors, {q for q in states if q[0] == graph.root}
 
 
 # -- Perron-Frobenius value by characteristic polynomial -------------------
@@ -393,6 +428,44 @@ def membership(graph: CoreGraph, word) -> bool:
         if v is None:
             return False
     return v == graph.root
+
+
+def transitions(aut: Automaton) -> dict:
+    """The transition function, (state, letter) -> target, read off the
+    automaton's rows: a transition's letter is its target's."""
+    return {
+        (aut.states[i], aut.states[j][1]): aut.states[j]
+        for i, row in enumerate(aut.rows)
+        for j in row
+    }
+
+
+def successors(aut: Automaton, state) -> list:
+    """(letter, target) of each transition leaving `state`, in the
+    global letter order."""
+    return [(aut.states[j][1], aut.states[j]) for j in aut.rows[aut.index[state]]]
+
+
+def predecessors(aut: Automaton, states) -> dict:
+    """Origins of the transitions into each of `states`."""
+    back = {q: [] for q in states}
+    for (q, _), t in transitions(aut).items():
+        if t in back:
+            back[t].append(q)
+    return back
+
+
+def automaton_from_transitions(alphabet, states, delta, initial) -> Automaton:
+    """The automaton with the transition function `delta`, a dict
+    (state, letter) -> target whose letter is the target's."""
+    states = sorted(states, key=state_key)
+    index = {q: i for i, q in enumerate(states)}
+    rows = [[] for _ in states]
+    for (q, letter), t in sorted(delta.items(), key=lambda item: letter_key(item[0][1])):
+        if t[1] != letter:
+            raise ValueError("transition label differs from target letter")
+        rows[index[q]].append(index[t])
+    return Automaton(alphabet, states, [tuple(row) for row in rows], initial)
 
 
 def from_array(array, ordering: StateOrdering) -> AdjacencyMatrix:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cogrowth.automaton import (
-    Automaton,
     SStateSet,
     accepts,
     build_automaton,
@@ -17,6 +16,7 @@ from cogrowth.automaton import (
 )
 from cogrowth.core_graph import CollapseData, CoreGraph, build_core, collapse_core
 from cogrowth.errors import CogrowthError, DeterminismViolationError, PreconditionError
+from cogrowth.spectral import adjacency, ose
 from cogrowth.whitehead import choose_automorphism
 from cogrowth.words import Alphabet, parse_word, sigma
 
@@ -61,6 +61,39 @@ def test_example_initial_set_and_ambiguity(example_aut, example_alphabet):
     assert example_aut.initial == example_aut.final
     assert example_aut.initial == {S(ab, 1, "X"), S(ab, 1, "Y"), S(ab, 1, "t")}
     assert example_aut.ambiguity == 2
+
+
+def assert_matches_definition(g):
+    """States, successors in letter order and initial set against
+    `oracles.automaton_by_definition`; the OSE matrix rows are the
+    successors' indices, sorted."""
+    aut = build_automaton(g)
+    states, successors, initial = oracles.automaton_by_definition(g)
+    assert aut.states == tuple(states)
+    assert [[aut.states[j] for j in row] for row in aut.rows] == [
+        successors[q] for q in states
+    ]
+    assert aut.initial == initial
+    index = {q: i for i, q in enumerate(states)}
+    assert adjacency(aut, ose(aut)).rows == tuple(
+        tuple(sorted(index[t] for t in successors[q])) for q in states
+    )
+
+
+def test_build_automaton_matches_its_definition(corpus, ladder, request):
+    """On the 641 small cores and every core of the corpus and the
+    ladder, those after each reduction step included."""
+    cores = [g for rank, n_vertices in ((2, 2), (2, 3), (3, 2))
+             for g in oracles.all_small_cores(Alphabet(tuple("xyz"[:rank])), n_vertices)]
+    cores += [build_core(list(inst.gens), inst.alphabet) for inst in corpus + ladder]
+    for g in cores:
+        assert_matches_definition(g)
+    # last, as a broken automaton stops the reductions
+    traces = request.getfixturevalue("corpus_traces") + request.getfixturevalue("ladder_traces")
+    after = [step.core_after for trace in traces for step in trace.steps]
+    for g in after:
+        assert_matches_definition(g)
+    assert (len(cores), len(after)) == (641 + 212, 475)
 
 
 def test_state_count_equals_twice_edges(corpus):
@@ -192,12 +225,12 @@ def test_collapsed_language_equals_rebuilt_language(example_core, example_aut, e
 
 def test_isomorphic_under_state_renaming(example_aut, example_alphabet):
     mapping = {v: v + 10 for v in range(1, 6)}
-    renamed = Automaton(
+    renamed = oracles.automaton_from_transitions(
         example_alphabet,
         [(mapping[v], l) for v, l in example_aut.states],
         {
             ((mapping[q[0]], q[1]), letter): (mapping[t[0]], t[1])
-            for (q, letter), t in example_aut.transitions.items()
+            for (q, letter), t in oracles.transitions(example_aut).items()
         },
         {(mapping[v], l) for v, l in example_aut.initial},
     )

@@ -189,6 +189,65 @@ def test_fold_family_closed_form(n, image):
     assert build_automaton(core).n_states == 6 * n + 8
 
 
+def assert_one_pass_core_is_the_constructed_core(core):
+    """`build_core` assembles its core from one depth-first pass; the
+    constructor, from the edge list, must give the same graph."""
+    built = CoreGraph(core.alphabet, 1, core.edges)
+    assert core.root == built.root == 1
+    assert core.vertices == built.vertices
+    assert core.edges == built.edges
+    for v in core.vertices:
+        assert list(core.neighbours(v).items()) == list(built.neighbours(v).items())
+        assert core.degree(v) == built.degree(v)
+    for o, g, t in core.edges:
+        for graph in (core, built):
+            assert (graph.step(o, g), graph.step(t, -g)) == (t, o)
+
+
+def test_one_pass_core_equals_the_constructed_core(corpus, ladder, request):
+    cores = [build_core(list(inst.gens), inst.alphabet) for inst in corpus + ladder]
+    for n in (1, 2, 5, 25, 100, 400):
+        for image in ((1, 2, 3, 4), (-3, 1, -4, 2)):
+            gens = [tuple(image[abs(l) - 1] * (1 if l > 0 else -1) for l in w)
+                    for w in fold_family(n)]
+            cores.append(build_core(gens, AB4))
+    for core in cores:
+        assert_one_pass_core_is_the_constructed_core(core)
+    # the small cores whose spanning-tree basis is cyclically reduced
+    small = 0
+    for rank, n_vertices in ((2, 2), (2, 3), (3, 2)):
+        alphabet = Alphabet(tuple("xyz"[:rank]))
+        for g in oracles.all_small_cores(alphabet, n_vertices):
+            basis = oracles.spanning_tree_basis(g.root, g.edges)
+            if all(is_cyclically_reduced(w) for w in basis):
+                core = build_core(basis, alphabet)
+                assert canonical(core)[1] == canonical(g)[1]
+                assert_one_pass_core_is_the_constructed_core(core)
+                small += 1
+    # last, as a broken core stops the reductions
+    traces = request.getfixturevalue("corpus_traces") + request.getfixturevalue("ladder_traces")
+    after = [step.core_after for trace in traces for step in trace.steps]
+    for core in after:
+        assert_one_pass_core_is_the_constructed_core(core)
+    # 212 inputs, 12 of the fold family and the cores after 475 steps
+    assert (len(cores), small, len(after)) == (212 + 12, 219, 475)
+
+
+@pytest.mark.parametrize(
+    "edges, error, message",
+    [
+        ([(1, 1, 2), (1, 1, 3), (2, 2, 3)], "FoldingViolationError", "two edges labeled x at vertex 1"),
+        ([(1, 1, 3), (2, 1, 3), (1, 2, 2)], "FoldingViolationError", "two edges labeled X at vertex 3"),
+        ([(1, 3, 2), (2, 1, 1)], "ValueError", "edge label 3 outside alphabet"),
+    ],
+    ids=["label-clash", "inverse-label-clash", "label-outside-alphabet"],
+)
+def test_constructor_rejects_edges_that_are_not_folded(edges, error, message):
+    with pytest.raises(Exception) as excinfo:
+        CoreGraph(AB2, 1, edges)
+    assert (type(excinfo.value).__name__, str(excinfo.value)) == (error, message)
+
+
 def test_folding_confluence_under_generator_permutation(example_gens, example_alphabet):
     base = build_core(example_gens, example_alphabet)
     for perm in itertools.permutations(example_gens):

@@ -18,7 +18,7 @@ from cogrowth.words import (
     is_cyclically_reduced,
     parse_word,
 )
-from oracles import membership
+from oracles import membership, transitions
 
 AB4 = Alphabet(("x", "y", "z", "t"))
 
@@ -127,10 +127,23 @@ def test_step_checks_its_own_collapsed_automaton(example_core, example_gens, mon
     def misplaced(aut, s):
         good = collapse_automaton(aut, s)
         initial = set(good.states) - set(good.initial)
-        return Automaton(good.alphabet, good.states, good.transitions, initial)
+        return Automaton(good.alphabet, good.states, good.rows, initial)
 
     monkeypatch.setattr(pipeline, "collapse_automaton", misplaced)
     with pytest.raises(CogrowthError, match="collapsed automaton disagrees"):
+        pipeline.reduce_step(example_core, example_gens)
+
+
+def test_step_checks_the_order_of_the_collapsed_states(
+    example_core, example_gens, monkeypatch
+):
+    # the NSE lead block and the collapsed OSE share this order, so the
+    # two matrices agree and the renamed automaton matches either way
+    survivors = automaton.SStateSet.survivors
+    monkeypatch.setattr(
+        automaton.SStateSet, "survivors", lambda s, aut: survivors(s, aut)[::-1]
+    )
+    with pytest.raises(CogrowthError, match="not in the OSE order"):
         pipeline.reduce_step(example_core, example_gens)
 
 
@@ -142,7 +155,7 @@ def test_next_automaton_is_the_collapsed_one_renamed(corpus_traces, ladder_trace
         for step in trace.steps:
             rebuilt = build_automaton(step.core_after)
             assert step.aut_after.states == rebuilt.states
-            assert step.aut_after.transitions == rebuilt.transitions
+            assert transitions(step.aut_after) == transitions(rebuilt)
             assert step.aut_after.initial == rebuilt.initial
             collapsed = collapse_automaton(step.aut_before, step.s_states)
             pipeline._check_collapsed(collapsed, step.core_map, step.aut_after)
