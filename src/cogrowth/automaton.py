@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core_graph import CollapseData, CoreGraph
+from .core_graph import CollapseData, CoreGraph, rooted_map
 from .errors import (
     CogrowthError,
     DeterminismViolationError,
@@ -188,13 +188,16 @@ class SStateSet:
 
     ``elements`` fixes the order the matrix work uses: per collapse edge
     (origin id order), first (terminus, a), then (origin, a^-1).
-    ``merge`` renames collapsed origin vertices to their termini.  Who
-    feeds a collapse state, and whom it feeds, is read off the automaton
+    ``merge`` renames collapsed origin vertices to their termini, and
+    ``survivors`` lists the automaton's other states, by index, in the
+    collapsed OSE order, which is the NSE lead block.  Who feeds a
+    collapse state, and whom it feeds, is read off the automaton
     (`collapse_automaton`) or off the NSE matrix (`spectral.derive_m1`).
     """
 
     elements: tuple[State, ...]
     merge: dict[int, int]
+    survivors: tuple[int, ...]
 
     @classmethod
     def from_collapse(cls, aut: Automaton, cd: CollapseData) -> "SStateSet":
@@ -208,19 +211,16 @@ class SStateSet:
         inside = {aut.index[s] for s in elements}
         if any(not inside.isdisjoint(aut.rows[i]) for i in inside):
             raise DeterminismViolationError("collapse states are adjacent to each other")
-        return cls(tuple(elements), cd.merge_map())
+        merge = cd.merge_map()
+        vertex, letter = zip(*aut.states)
+        key = list(zip(map(merge.get, vertex, vertex), map(letter_key, letter)))
+        # the index's own ints 0, 1, ...: a step keeps no new object per state
+        survivors = sorted((i for i in aut.index.values() if i not in inside), key=key.__getitem__)
+        return cls(tuple(elements), merge, tuple(survivors))
 
     def rename(self, states) -> tuple[State, ...]:
         """The states with their vertices merged, in the same order."""
         return tuple([(self.merge.get(v, v), letter) for v, letter in states])
-
-    def survivors(self, aut: Automaton) -> list[int]:
-        """Indices of `aut`'s states outside the collapse, sorted by their
-        merged names: the collapsed OSE and the NSE lead block."""
-        gone = {aut.index[q] for q in self.elements}
-        vertex, letter = zip(*aut.states)
-        key = list(zip(map(self.merge.get, vertex, vertex), map(letter_key, letter)))
-        return sorted((i for i in range(len(key)) if i not in gone), key=key.__getitem__)
 
 
 def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
@@ -241,13 +241,13 @@ def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
 
     The result is not validated: `pipeline.reduce_step` checks it
     against the automaton built, and validated, from the next core."""
-    states, rows, index = aut.states, aut.rows, aut.index
-    order = s.survivors(aut)
+    states, rows, index, order = aut.states, aut.rows, aut.index, s.survivors
     new_states = s.rename([states[i] for i in order])
     if len(set(new_states)) != len(new_states):
         raise DeterminismViolationError("vertex merge identified two states")
-    # the OSE order, checked on state_key, not on the key survivors sorts by
-    if new_states != tuple(sorted(new_states, key=state_key)):
+    # the OSE order, checked on state_key, not on the key from_collapse sorts by
+    keys = list(map(state_key, new_states))
+    if any(k >= n for k, n in zip(keys, keys[1:])):
         raise CogrowthError("collapsed states are not in the OSE order")
     new = dict(zip(order, range(len(order))))  # old index -> new index
     gone = {index[q] for q in s.elements}
@@ -271,42 +271,24 @@ def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
     return Automaton(aut.alphabet, new_states, new_rows, initial)
 
 
-def _signature(aut: Automaton, seed: int):
-    """Canonical encoding of the part reachable from state index `seed`,
-    relabeled breadth-first along the global letter order."""
-    ids = {seed: 0}
-    order = [seed]
-    for i in order:
-        for j in aut.rows[i]:
-            if j not in ids:
-                ids[j] = len(ids)
-                order.append(j)
-    return tuple(
-        (
-            tuple((aut.states[j][1], ids[j]) for j in aut.rows[i]),
-            aut.states[i] in aut.initial,
-            aut.states[i] in aut.final,
-        )
-        for i in order
-    )
-
-
 def isomorphic(a1: Automaton, a2: Automaton) -> bool:
     """State bijection preserving transitions, labels, initial and final
-    sets; decided by canonical breadth-first relabeling."""
-    if (
-        a1.alphabet.rank != a2.alphabet.rank
-        or a1.n_states != a2.n_states
-        or len(a1.initial) != len(a2.initial)
-        or sum(map(len, a1.rows)) != sum(map(len, a2.rows))
-    ):
+    sets: a walk from an initial state of each (`core_graph.rooted_map`)
+    that reaches every state and matches initial states to initial ones."""
+    if a1.alphabet.rank != a2.alphabet.rank or a1.n_states != a2.n_states:
         return False
     if not a1.states:
         return True
-    seed = min(a1.initial, key=state_key) if a1.initial else a1.states[0]
-    sig = _signature(a1, a1.index[seed])
-    candidates = a2.initial if a1.initial else a2.states
-    return any(_signature(a2, a2.index[q]) == sig for q in candidates)
+    out1, out2 = ([{aut.states[j][1]: j for j in row} for row in aut.rows] for aut in (a1, a2))
+    seed = a1.index[min(a1.initial, key=state_key)] if a1.initial else 0
+    for q in a2.initial if a1.initial else a2.states:
+        image = rooted_map(seed, out1.__getitem__, a2.index[q], out2.__getitem__)
+        if image is not None and len(image) == a1.n_states and all(
+            (a1.states[i] in a1.initial) == (a2.states[j] in a2.initial)
+            for i, j in image.items()
+        ):
+            return True
+    return False
 
 
 def word_census(aut: Automaton, n_max: int) -> list[int]:

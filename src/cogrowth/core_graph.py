@@ -9,7 +9,7 @@ Vertex ids are assigned by depth-first discovery order from the root
 along the global letter order, which makes the output independent of
 generator order and fold order and reproduces the conventional
 enumeration (root is 1).  Collapsed graphs keep the surviving ids of
-their parent instead of renumbering.
+their parent; `rooted_map` matches graphs whatever their numbering.
 """
 
 from __future__ import annotations
@@ -306,40 +306,52 @@ def label_sets(graph: CoreGraph) -> dict[int, frozenset[Letter]]:
 def collapse_core(graph: CoreGraph, cd: CollapseData) -> CoreGraph:
     """Contract every collapse edge, identifying origins into termini.
 
-    Surviving vertices keep their ids; the merged vertex keeps the
-    terminus id.  Raises FoldingViolationError if the contraction would
-    create a label clash (the trichotomy was not actually satisfied).
+    The other vertices keep their ids and neighbour maps, with the
+    targets renamed; each origin's map, less a, joins its terminus's,
+    less a^-1.  Raises FoldingViolationError if a label is at both ends
+    (the trichotomy was not actually satisfied).
     """
     for o, letter, t in cd.e_o:
         if graph.step(o, letter) != t:
             raise PreconditionError(f"collapse edge ({o},{letter},{t}) not in graph")
     merge = cd.merge_map()
-
-    collapsed_positive = set()
-    for o, letter, t in cd.e_o:
-        collapsed_positive.add((o, letter, t) if letter > 0 else (t, -letter, o))
-    new_edges = []
-    for o, g, t in graph.edges:
-        if (o, g, t) in collapsed_positive:
-            continue
-        new_edges.append((merge.get(o, o), g, merge.get(t, t)))
-    if len(new_edges) != len(set(new_edges)):
-        raise FoldingViolationError("contraction identified two parallel edges")
-
-    result = CoreGraph(graph.alphabet, merge.get(graph.root, graph.root), new_edges)
-    if not (
-        result.n_vertices < graph.n_vertices and result.n_edges < graph.n_edges
-    ):
+    nbr = {v: {l: merge.get(w, w) for l, w in out.items()} for v, out in graph._nbr.items()}
+    for o, a, t in cd.e_o:
+        moved, kept = nbr.pop(o), nbr[t]
+        del moved[a], kept[-a]
+        clash = sorted(moved.keys() & kept.keys(), key=letter_key)
+        if clash:
+            raise FoldingViolationError(
+                f"two edges labeled {graph.alphabet.spell(clash[0])} at vertex {t}"
+            )
+        kept.update(moved)
+        nbr[t] = {l: kept[l] for l in sorted(kept, key=letter_key)}
+    # vertices ascending, labels in letter order: the positive half is sorted
+    edges = tuple((v, l, w) for v, out in nbr.items() for l, w in out.items() if l > 0)
+    result = CoreGraph._from_maps(graph.alphabet, merge.get(graph.root, graph.root), edges, nbr)
+    if not (result.n_vertices < graph.n_vertices and result.n_edges < graph.n_edges):
         raise FoldingViolationError("contraction did not shrink the graph")
     result.validate()
     return result
 
 
-def canonical(graph: CoreGraph):
-    """Depth-first discovery ids from the root, and the edges renumbered
-    by them, sorted: equal forms = rooted isomorphic, and then the ids are
-    the isomorphism onto the form.  `build_core` numbers by the same
-    discovery, so its edges are their own form."""
-    nbr = graph._nbr
-    ids, _ = _discover(graph.root, nbr, dict(zip(nbr, nbr)))  # no fold to resolve
-    return ids, tuple(sorted((ids[o], g, ids[t]) for o, g, t in graph.edges))
+def rooted_map(root1, out1, root2, out2):
+    """Follow two deterministic labelled graphs from their roots along
+    equal labels; `out(node)` is a node's dict label -> target.  Returns
+    the one-to-one map of the nodes reached, or None when two matched
+    nodes have different label sets or the map is not consistent or not
+    one-to-one.  On connected graphs it is the rooted isomorphism."""
+    image = {root1: root2}
+    stack = [root1]
+    while stack:
+        u = stack.pop()
+        here, there = out1(u), out2(image[u])
+        if here.keys() != there.keys():
+            return None
+        for label, v in here.items():
+            if v not in image:
+                image[v] = there[label]
+                stack.append(v)
+            elif image[v] != there[label]:
+                return None
+    return image if len(set(image.values())) == len(image) else None

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .automaton import Automaton, SStateSet, build_automaton, collapse_automaton
-from .core_graph import CollapseData, CoreGraph, build_core, canonical, collapse_core
+from .core_graph import CollapseData, CoreGraph, build_core, collapse_core, rooted_map
 from .errors import CogrowthError, NoCutVertexError, PreconditionError
 from .spectral import (
     AdjacencyMatrix,
@@ -77,7 +77,8 @@ def reduce_step(
     """Run one collapse step on `core`, the folded core of `gens`.
 
     The next core is folded from the images of `gens` and must be the
-    contracted core up to rooted isomorphism; the collapsed automaton,
+    contracted core up to rooted isomorphism (found by one walk from the
+    roots, `core_graph.rooted_map`); the collapsed automaton,
     renamed through that isomorphism, must be the automaton built from
     the next core.  CogrowthError is raised otherwise.
 
@@ -105,9 +106,11 @@ def reduce_step(
     gens_after = tuple(cyclic_reduce(apply_whitehead(phi, w))[0] for w in gens)
     core_after = build_core(list(gens_after), core.alphabet)
     aut_after = build_automaton(core_after)
-    # build_core's numbering is canonical: its edges are their own form
-    core_map, form = canonical(collapse_core(core, cd))
-    if form != core_after.edges:
+    contracted = collapse_core(core, cd)
+    core_map = rooted_map(
+        contracted.root, contracted.neighbours, core_after.root, core_after.neighbours
+    )
+    if core_map is None or len(core_map) != core_after.n_vertices:
         raise CogrowthError("contracted core disagrees with the core of the images")
     _check_collapsed(collapsed, core_map, aut_after)
 

@@ -75,7 +75,7 @@ def make_nse(aut: Automaton, s: SStateSet) -> StateOrdering:
     """NSE: non-collapse states ordered by their post-merge (vertex,
     letter) keys but keeping their original names, then the collapse
     states."""
-    lead = tuple([aut.states[i] for i in s.survivors(aut)])
+    lead = tuple([aut.states[i] for i in s.survivors])
     return StateOrdering(lead + s.elements, boundary=len(lead))
 
 

@@ -15,8 +15,10 @@ The last section holds helpers that only the tests use: membership by
 tracing, an automaton's transition function as a dict, its successors
 and predecessors by state, an automaton built from such a dict, a
 matrix read from a dense array, reading a core back from JSON, the
-Whitehead graph of a word, rooted isomorphism with a fixed and with a
-free root, every small core graph, and an exhaustive Whitehead search.
+Whitehead graph of a word, the conventional numbering of a core by a
+depth-first search of its own (no neighbour maps, no letter-order
+table), rooted isomorphism with a fixed and with a free root, every
+small core graph, and an exhaustive Whitehead search.
 """
 
 import itertools
@@ -27,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from cogrowth.automaton import Automaton, state_key
-from cogrowth.core_graph import CoreGraph, canonical
+from cogrowth.core_graph import CoreGraph
 from cogrowth.errors import NotCyclicallyReducedError, PreconditionError
 from cogrowth.spectral import AdjacencyMatrix, StateOrdering
 from cogrowth.whitehead import WhiteheadGraph
@@ -512,14 +514,37 @@ def whitehead_graph_of_word(word, rank: int) -> WhiteheadGraph:
     return WhiteheadGraph(rank, mult)
 
 
+def canonical_numbering(root, edges):
+    """Ids 1, 2, ... in depth-first preorder from `root`, each vertex's
+    extended edges taken in the order x, X, y, Y, ..., and the edges
+    renumbered by them, sorted.  Two folded connected graphs have equal
+    forms iff they are rooted isomorphic, and then the ids map each onto
+    the form; `build_core` numbers its cores by this preorder."""
+    out = {}
+    for o, g, t in edges:  # x, X, y, Y, ... rank 1, 2, 3, 4, ...
+        out.setdefault(o, []).append((2 * g - 1, t))
+        out.setdefault(t, []).append((2 * g, o))
+    ids = {root: 1}
+    path = [iter(sorted(out.get(root, ())))]
+    while path:
+        for _, w in path[-1]:
+            if w not in ids:
+                ids[w] = len(ids) + 1
+                path.append(iter(sorted(out[w])))
+                break
+        else:
+            path.pop()
+    return ids, tuple(sorted((ids[o], g, ids[t]) for o, g, t in edges))
+
+
 def rooted_isomorphism(g1: CoreGraph, g2: CoreGraph) -> dict[int, int] | None:
     """The vertex map of the rooted isomorphism from `g1` onto `g2`, or
     None when there is none.  A folded connected graph has no nontrivial
     rooted automorphism, so the map is unique when it exists."""
     if g1.alphabet != g2.alphabet:
         return None
-    ids1, form1 = canonical(g1)
-    ids2, form2 = canonical(g2)
+    ids1, form1 = canonical_numbering(g1.root, g1.edges)
+    ids2, form2 = canonical_numbering(g2.root, g2.edges)
     if form1 != form2:
         return None
     vertex = {i: v for v, i in ids2.items()}
@@ -528,12 +553,10 @@ def rooted_isomorphism(g1: CoreGraph, g2: CoreGraph) -> dict[int, int] | None:
 
 def isomorphic_any_root(g1: CoreGraph, g2: CoreGraph) -> bool:
     """Rooted isomorphism after searching g2's root over all candidates."""
-    if rooted_isomorphism(g1, g2) is not None:
-        return True
-    return any(
-        canonical(g1)[1] == canonical(CoreGraph(g2.alphabet, v, g2.edges))[1]
-        for v in g2.vertices
-    )
+    if g1.alphabet != g2.alphabet:
+        return False
+    form = canonical_numbering(g1.root, g1.edges)[1]
+    return any(canonical_numbering(v, g2.edges)[1] == form for v in g2.vertices)
 
 
 def _partial_injections(n: int):

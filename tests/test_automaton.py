@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cogrowth.automaton import (
+    Automaton,
     SStateSet,
     accepts,
     build_automaton,
@@ -242,6 +243,30 @@ def test_isomorphic_rejects_different_sizes(example_aut, example_collapse):
     _, _, s = example_collapse
     collapsed = collapse_automaton(example_aut, s)
     assert not isomorphic(example_aut, collapsed)
+
+
+def test_isomorphic_rejects_equal_sizes(example_aut, example_alphabet):
+    # <x^2, y> and <x, y^2>: 6 states, 4 of them initial, 14 transitions
+    squares = [
+        build_automaton(build_core([parse_word(w, AB2) for w in gens], AB2))
+        for gens in (("xx", "y"), ("x", "yy"))
+    ]
+    sizes = [(a.n_states, len(a.initial), sum(map(len, a.rows))) for a in squares]
+    assert sizes == [(6, 4, 14), (6, 4, 14)]
+    assert not isomorphic(*squares)
+    # the same transitions with the initial set at vertex 2, the other
+    # vertex of degree 3
+    a = example_aut
+    moved = [q for q in a.states if q[0] == 2]
+    assert len(moved) == len(a.initial) == 3
+    assert not isomorphic(a, Automaton(example_alphabet, a.states, a.rows, moved))
+    # swapping the two vertices of this core is an automorphism, so the
+    # walks succeed; none takes the initial states, all at vertex 1, onto
+    # a set split between the two vertices
+    a = build_automaton(CoreGraph(AB2, 1, [(1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 2)]))
+    split = {(1, 1), (1, -1), (2, 2), (2, -2)}
+    assert isomorphic(a, a)
+    assert not isomorphic(a, Automaton(AB2, a.states, a.rows, split))
 
 
 def test_collapse_isomorphic_to_direct_build(example_core, example_aut, example_collapse, example_alphabet):

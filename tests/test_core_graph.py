@@ -7,13 +7,14 @@ from cogrowth.core_graph import (
     CollapseData,
     CoreGraph,
     build_core,
-    canonical,
     collapse_core,
     label_sets,
+    rooted_map,
 )
 from cogrowth.errors import (
     CyclicOrTrivialSubgroupError,
     EmptyGeneratorError,
+    FoldingViolationError,
     NotCyclicallyReducedError,
     PreconditionError,
 )
@@ -119,17 +120,24 @@ def test_membership_agrees_with_naive_fold_oracle():
             assert oracles.membership(g, w) == oracles.naive_membership(root, edges, w)
 
 
+def form(graph):
+    return oracles.canonical_numbering(graph.root, graph.edges)[1]
+
+
 def assert_numbered_canonically(core):
-    # reduce_step compares the contracted core's form with the edges of
-    # the core it folds, so build_core must number by canonical's discovery
+    # the printed numbering is the conventional one: root 1, then
+    # depth-first along x, X, y, Y, ..., as the oracle numbers it
     assert core.root == 1
-    assert canonical(core) == ({v: v for v in core.vertices}, core.edges)
+    assert oracles.canonical_numbering(1, core.edges) == (
+        {v: v for v in core.vertices},
+        core.edges,
+    )
 
 
 def assert_folds_like_naive_fold(gens, alphabet):
     core = build_core(list(gens), alphabet)
     root, edges = oracles.naive_fold(gens, alphabet.rank)
-    assert canonical(core)[1] == canonical(CoreGraph(alphabet, root, edges))[1]
+    assert form(core) == oracles.canonical_numbering(root, edges)[1]
     assert_numbered_canonically(core)
     return core
 
@@ -221,7 +229,7 @@ def test_one_pass_core_equals_the_constructed_core(corpus, ladder, request):
             basis = oracles.spanning_tree_basis(g.root, g.edges)
             if all(is_cyclically_reduced(w) for w in basis):
                 core = build_core(basis, alphabet)
-                assert canonical(core)[1] == canonical(g)[1]
+                assert form(core) == form(g)
                 assert_one_pass_core_is_the_constructed_core(core)
                 small += 1
     # last, as a broken core stops the reductions
@@ -258,7 +266,7 @@ def test_folding_confluence_on_corpus(corpus):
     for inst in corpus[:25]:
         base = build_core(list(inst.gens), inst.alphabet)
         flipped = build_core(list(reversed(inst.gens)), inst.alphabet)
-        assert canonical(base)[1] == canonical(flipped)[1]
+        assert form(base) == form(flipped)
         assert base == flipped  # ids are canonical, so equality is exact
 
 
@@ -280,6 +288,65 @@ def test_collapse_requires_edges(example_core):
     # CollapseData itself rejects an empty collapse
     with pytest.raises(PreconditionError, match="at least one edge"):
         collapse_core(example_core, CollapseData(a=2, e_o=()))
+
+
+# F2 cores: 1 -y-> 3 and 2 -y-> 1 leave the two ends of 1 -x-> 2 by y
+# for distinct vertices; 1 -y-> 2 and 2 -y-> 1 become two loops y at 2
+SHARED_Y = [(1, 1, 2), (1, 2, 3), (2, 2, 1), (3, 1, 3)]
+PARALLEL_Y = [(1, 1, 2), (1, 2, 2), (2, 2, 1)]
+
+
+@pytest.mark.parametrize(
+    "edges, e_o, error, message",
+    [
+        (SHARED_Y, ((1, 1, 2),), FoldingViolationError, "two edges labeled y at vertex 2"),
+        (PARALLEL_Y, ((1, 1, 2),), FoldingViolationError, "two edges labeled y at vertex 2"),
+        (SHARED_Y, ((1, 1, 3),), PreconditionError, "collapse edge (1,1,3) not in graph"),
+    ],
+    ids=["label-at-both-ends", "parallel-edges", "missing-edge"],
+)
+def test_collapse_core_rejects(edges, e_o, error, message):
+    core = CoreGraph(AB2, 1, edges)
+    core.validate()
+    with pytest.raises(error) as excinfo:
+        collapse_core(core, CollapseData(a=1, e_o=e_o))
+    assert str(excinfo.value) == message
+
+
+def test_rooted_map_matches_only_an_isomorphic_graph(example_core):
+    g, ab = example_core, example_core.alphabet
+    assert g.edges == ((1, 1, 2), (1, 2, 2), (2, 3, 3), (4, 2, 3), (4, 3, 5), (5, 4, 1))
+
+    def walk(other, root=1):
+        return rooted_map(g.root, g.neighbours, root, other.neighbours)
+
+    assert walk(g) == {v: v for v in g.vertices}
+    # renumbered: 2 and 4 swap their ids
+    ids = {2: 4, 4: 2}
+    renumbered = CoreGraph(ab, 1, [(ids.get(o, o), l, ids.get(t, t)) for o, l, t in g.edges])
+    assert walk(renumbered) == {1: 1, 2: 4, 3: 3, 4: 2, 5: 5}
+    # a moved root
+    for v in g.vertices[1:]:
+        assert walk(g, root=v) is None
+    # a relabelled edge: 4 -y-> 3 becomes 4 -x-> 3
+    assert walk(CoreGraph(ab, 1, [(4, 1, 3) if e == (4, 2, 3) else e for e in g.edges])) is None
+    # two vertices that swap their edges, the targets kept
+    for u, v in itertools.combinations(g.vertices, 2):
+        swap = {u: v, v: u}
+        out = {x: g.neighbours(swap.get(x, x)) for x in g.vertices}
+        assert rooted_map(g.root, g.neighbours, g.root, out.__getitem__) is None
+    # an extra vertex 6 on the edge 5 -t-> 1
+    assert walk(CoreGraph(ab, 1, [*g.edges[:5], (5, 4, 6), (6, 4, 1)])) is None
+    # a rose and a graph covering it twice: mapping the cover onto the
+    # rose is consistent but not one-to-one, the other way not consistent
+    rose = CoreGraph(AB2, 1, [(1, 1, 1), (1, 2, 1)])
+    cover = CoreGraph(AB2, 1, [(1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 2)])
+    assert rooted_map(1, cover.neighbours, 1, rose.neighbours) is None
+    assert rooted_map(1, rose.neighbours, 1, cover.neighbours) is None
+    # an extra piece the walk does not reach: the step counts the vertices
+    apart = CoreGraph(ab, 1, [*g.edges, (6, 1, 6), (6, 2, 6)])
+    assert walk(apart) == {v: v for v in g.vertices}
+    assert len(walk(apart)) < apart.n_vertices
 
 
 def test_collapse_data_validation():

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cogrowth import automaton, pipeline, spectral
 from cogrowth.automaton import Automaton, accepts, build_automaton, collapse_automaton
-from cogrowth.core_graph import CoreGraph, build_core, label_sets
+from cogrowth.core_graph import CoreGraph, build_core, collapse_core, label_sets, rooted_map
 from cogrowth.errors import CogrowthError, PreconditionError
 from cogrowth.whitehead import random_whitehead
 from cogrowth.words import (
@@ -18,7 +19,7 @@ from cogrowth.words import (
     is_cyclically_reduced,
     parse_word,
 )
-from oracles import membership, transitions
+from oracles import canonical_numbering, membership, rooted_isomorphism, transitions
 
 AB4 = Alphabet(("x", "y", "z", "t"))
 
@@ -139,10 +140,13 @@ def test_step_checks_the_order_of_the_collapsed_states(
 ):
     # the NSE lead block and the collapsed OSE share this order, so the
     # two matrices agree and the renamed automaton matches either way
-    survivors = automaton.SStateSet.survivors
-    monkeypatch.setattr(
-        automaton.SStateSet, "survivors", lambda s, aut: survivors(s, aut)[::-1]
-    )
+    from_collapse = automaton.SStateSet.from_collapse
+
+    def reversed_order(cls, aut, cd):
+        s = from_collapse(aut, cd)
+        return replace(s, survivors=s.survivors[::-1])
+
+    monkeypatch.setattr(automaton.SStateSet, "from_collapse", classmethod(reversed_order))
     with pytest.raises(CogrowthError, match="not in the OSE order"):
         pipeline.reduce_step(example_core, example_gens)
 
@@ -161,6 +165,24 @@ def test_next_automaton_is_the_collapsed_one_renamed(corpus_traces, ladder_trace
             pipeline._check_collapsed(collapsed, step.core_map, step.aut_after)
             checked += 1
     assert checked >= 470
+
+
+def test_core_map_is_the_rooted_isomorphism(corpus_traces, ladder_traces):
+    """The walk from the roots gives the map the oracle finds, and, as
+    `build_core` numbers by the oracle's preorder, the ids that preorder
+    gives the contracted core."""
+    checked = 0
+    for trace in corpus_traces + ladder_traces:
+        for step in trace.steps:
+            contracted = collapse_core(step.core_before, step.collapse)
+            after = step.core_after
+            found = rooted_map(
+                contracted.root, contracted.neighbours, after.root, after.neighbours
+            )
+            assert found == step.core_map == rooted_isomorphism(contracted, after)
+            assert found == canonical_numbering(contracted.root, contracted.edges)[0]
+            checked += 1
+    assert checked == 475
 
 
 def test_next_automaton_check_rejects_a_wrong_vertex_map(example_gens, example_alphabet):

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from cogrowth.automaton import SStateSet, build_automaton, collapse_automaton
-from cogrowth.core_graph import CoreGraph, build_core, canonical, collapse_core, label_sets
+from cogrowth.core_graph import CoreGraph, build_core, collapse_core, label_sets, rooted_map
 from cogrowth.errors import (
     NoCutVertexError,
     NotCyclicallyReducedError,
@@ -21,6 +21,7 @@ from cogrowth.words import Alphabet, is_cyclically_reduced, parse_word, sigma
 from oracles import (
     all_small_cores,
     all_whitehead_automorphisms,
+    canonical_numbering,
     cut_vertices,
     cyclic_length,
     reduce_primitive_word,
@@ -189,8 +190,10 @@ def test_every_cut_vertex_of_every_small_core_collapses(rank, n_vertices, n_core
     (not only the first) of every labelled core with root 1, every
     vertex of degree >= 2 and rank >= 2: 15 + 404 + 15,858 cores on 2-4
     vertices over 2 letters and 222 + 28,046 on 2-3 vertices over 3
-    letters, 44,545 in all.  On each cut the collapsed automaton is
-    also the automaton of the contracted core, initial set included."""
+    letters, 44,545 in all.  On each cut the walk from the roots
+    matches the contracted core with its renumbering by the oracle, and
+    the collapsed automaton is also the automaton of the contracted
+    core, initial set included."""
     alphabet = Alphabet(tuple("xyz"[:rank]))
     count = 0
     for g in all_small_cores(alphabet, n_vertices):
@@ -222,11 +225,16 @@ def test_every_cut_vertex_of_every_small_core_collapses(rank, n_vertices, n_core
                 assert ls[v] & ls[t] <= {a}
             collapsed = collapse_core(g, cd)
             assert collapsed.n_vertices == g.n_vertices - len(cd.s_o)
-            ids, form = canonical(collapsed)
+            ids, form = canonical_numbering(collapsed.root, collapsed.edges)
+            renumbered = CoreGraph(alphabet, 1, form)
+            core_map = rooted_map(
+                collapsed.root, collapsed.neighbours, 1, renumbered.neighbours
+            )
+            assert core_map == ids
             _check_collapsed(
                 collapse_automaton(aut, SStateSet.from_collapse(aut, cd)),
-                ids,
-                build_automaton(CoreGraph(alphabet, 1, form)),
+                core_map,
+                build_automaton(renumbered),
             )
     assert count == n_cores
 
