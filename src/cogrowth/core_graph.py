@@ -24,43 +24,21 @@ from .errors import (
     NotCyclicallyReducedError,
     PreconditionError,
 )
-from .words import Alphabet, Letter, Word, is_cyclically_reduced, letter_key, sigma
+from .words import Alphabet, Letter, Word, is_cyclically_reduced, letter_key
 
 
 class CoreGraph:
     """Folded, connected, rooted labeled graph; immutable after build.
 
-    Each vertex maps its extended edges' labels, in the global letter
-    order, to their endpoints; `edges` is the positive half, sorted.
+    `nbr` maps each vertex, in ascending order, to its extended edges'
+    labels, in the global letter order, and their endpoints; every edge
+    is in the maps of both its ends.  The maps are trusted as given:
+    `build_core` and `collapse_core` make them, `validate` checks the
+    core's shape.
     """
 
-    def __init__(self, alphabet: Alphabet, root: int, edges):
-        edges = tuple(sorted(set(edges)))
-        by_label: dict[int, list] = {g: [] for g in range(1, alphabet.rank + 1)}
-        for o, g, t in edges:
-            if g not in by_label:
-                raise ValueError(f"edge label {g} outside alphabet")
-            by_label[g].append((o, t))
-        nbr = {v: {} for v in sorted({root, *(v for o, _, t in edges for v in (o, t))})}
-        for letter in sigma(alphabet.rank):  # fills each map in the global order
-            for o, t in by_label[abs(letter)]:
-                v, w = (o, t) if letter > 0 else (t, o)
-                if nbr[v].setdefault(letter, w) != w:
-                    raise FoldingViolationError(
-                        f"two edges labeled {alphabet.spell(letter)} at vertex {v}"
-                    )
-        self._assemble(alphabet, root, edges, nbr)
-
-    @classmethod
-    def _from_maps(cls, alphabet, root, edges, nbr) -> "CoreGraph":
-        """A core from trusted parts; each map of `nbr` in letter order."""
-        graph = cls.__new__(cls)
-        graph._assemble(alphabet, root, edges, nbr)
-        return graph
-
-    def _assemble(self, alphabet, root, edges, nbr):
-        """Every core's one assembly: sorted `edges`, `nbr` in vertex order."""
-        self.alphabet, self.root, self.edges, self._nbr = alphabet, root, edges, nbr
+    def __init__(self, alphabet: Alphabet, root: int, nbr: dict[int, dict[Letter, int]]):
+        self.alphabet, self.root, self._nbr = alphabet, root, nbr
         self.vertices = tuple(nbr)
 
     # -- basic queries ------------------------------------------------
@@ -82,8 +60,16 @@ class CoreGraph:
         return len(self.vertices)
 
     @property
+    def edges(self) -> tuple[tuple[int, Letter, int], ...]:
+        """The positive half of the extended edges as (origin, label,
+        terminus): vertices ascending and labels in letter order, so sorted."""
+        return tuple(
+            (v, l, w) for v, out in self._nbr.items() for l, w in out.items() if l > 0
+        )
+
+    @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._nbr.values())) // 2
 
     @property
     def subgroup_rank(self) -> int:
@@ -94,7 +80,7 @@ class CoreGraph:
             isinstance(other, CoreGraph)
             and self.alphabet == other.alphabet
             and self.root == other.root
-            and self.edges == other.edges
+            and self._nbr == other._nbr
         )
 
     def __hash__(self):
@@ -200,13 +186,16 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
     O(n m log n) instead of one rescan of the edge list per merge.
 
     One depth-first pass (`_discover`) then gives the canonical ids and
-    each vertex's letter order, hence the sorted edges and neighbour
-    maps; every representative must be reached, with degree >= 2.
-    `CoreGraph._from_maps` skips the label checks: a fold cannot fail them.
+    each vertex's letter order, hence the neighbour maps of the core;
+    every representative must be reached, with degree >= 2.
     """
     for w in gens:
         if not w:
             raise EmptyGeneratorError("generators must be nonempty")
+        # not implied by the fold being a core: the step cyclically
+        # reduces each image on its own, and on a conjugated free factor
+        # such as zxz, ZXXzyxzxz the contraction then disagrees with the
+        # core of the images
         if not is_cyclically_reduced(w):
             raise NotCyclicallyReducedError(
                 "generators must be cyclically reduced"
@@ -265,18 +254,17 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
     if len(found) != len(nbr) - nbr.count(None):
         raise PreconditionError("graph is not connected")
     adjacency: dict[int, dict[Letter, int]] = {}
-    edges = []
     for v, letters in found:
         out, i = nbr[v], ids[v]
         if len(letters) < 2:
             raise PreconditionError(f"vertex {i} has degree < 2")
-        adjacency[i] = mapped = {l: ids[rep[out[l]]] for l in letters}
-        edges += [(i, l, w) for l, w in mapped.items() if l > 0]
-    if len(edges) - len(found) + 1 < 2:
+        adjacency[i] = {l: ids[rep[out[l]]] for l in letters}
+    core = CoreGraph(alphabet, 1, adjacency)
+    if core.subgroup_rank < 2:
         raise CyclicOrTrivialSubgroupError(
             "subgroup is trivial or cyclic; the core has no branching"
         )
-    return CoreGraph._from_maps(alphabet, 1, tuple(edges), adjacency)
+    return core
 
 
 def _discover(root: int, nbr, rep):
@@ -326,9 +314,7 @@ def collapse_core(graph: CoreGraph, cd: CollapseData) -> CoreGraph:
             )
         kept.update(moved)
         nbr[t] = {l: kept[l] for l in sorted(kept, key=letter_key)}
-    # vertices ascending, labels in letter order: the positive half is sorted
-    edges = tuple((v, l, w) for v, out in nbr.items() for l, w in out.items() if l > 0)
-    result = CoreGraph._from_maps(graph.alphabet, merge.get(graph.root, graph.root), edges, nbr)
+    result = CoreGraph(graph.alphabet, merge.get(graph.root, graph.root), nbr)
     if not (result.n_vertices < graph.n_vertices and result.n_edges < graph.n_edges):
         raise FoldingViolationError("contraction did not shrink the graph")
     result.validate()

@@ -6,36 +6,14 @@ on the per-vertex label sets.  A cut vertex in it drives one reduction
 step: it determines the automorphism (A, a) and, through the per-vertex
 trichotomy, the set of core edges to collapse.
 
-Why the first cut vertex always gives a collapse.  Let the core be
-folded and connected with every vertex, the root included, of degree at
-least 2, so that each label set L_v has at least 2 letters.  Let a be a
-cut vertex: configuration 1 (the component comp(a) misses a^-1) or 2
-(comp(a) contains a^-1 and comp(a) - a has at least 2 pieces).  The
-side set A is the union of the pieces of comp(a) - a that miss a^-1.
-The trichotomy at v reads: (1) L_v misses A, (2) L_v lies in A,
-(3) a is in L_v and L_v lies in A + {a}; the origins S_o are the
-vertices in case 3, and each origin v collapses along its a-edge to its
-terminus t.
-
-- L_v is a clique of the Whitehead graph, so L_v - {a} lies in a single
-  piece of comp(a) - a or outside comp(a).  Checking the four ways of
-  placing it (a in L_v or not; in a piece of A or not) shows that
-  exactly one case holds when |L_v| >= 2.  When L_v = {a}, cases 1 and
-  3 both hold: that is why the root needs degree 2 as well.
-- A is not empty: in configuration 1 no piece holds a^-1 (and there is
-  a piece, as a is not isolated), and in configuration 2 at most one of
-  at least two pieces does.
-- S_o is not empty.  Every piece is joined to a, so some L_v holds a
-  and a letter of a piece of A; L_v - {a} then lies in that piece, and
-  v is in case 3.
-- For v in S_o, a^-1 is not in L_v, since L_v lies in A + {a} and a^-1
-  is not in A.
-- The terminus t carries a^-1, so L_t - {a} lies in the piece of a^-1
-  or outside comp(a); hence L_t misses A, L_v & L_t lies in {a}, and t
-  is not an origin.  Distinct origins have distinct termini (the core is
-  folded), so the contraction merges disjoint pairs {v, t} whose label
-  sets, less the contracted edge, are disjoint: it creates no label
-  clash, keeps every degree at least 2, and removes |S_o| vertices.
+A letter a is a cut vertex in configuration 1 (its component comp(a)
+misses a^-1) or 2 (comp(a) contains a^-1 and comp(a) - a has at least 2
+pieces).  The first cut vertex always gives a collapse when every
+vertex of the core, the root included, has degree at least 2: exactly
+one case of the trichotomy holds at each vertex, some vertex is an
+origin, and merging the origins into their termini makes no label
+clash, keeps every degree at least 2 and shrinks the core.  The proof
+is in README.md, "Why the first cut vertex always collapses".
 
 So `reduce` decides free factors: a single-vertex core is a wedge of
 basis loops, and a core with several vertices whose Whitehead graph has
@@ -214,8 +192,9 @@ def choose_automorphism(
     graph: CoreGraph,
 ) -> tuple[WhiteheadAutomorphism, CollapseData]:
     """The collapse of the first cut vertex in the global letter order;
-    the module docstring proves that it always succeeds.  The search
-    stops at that vertex: the letters after it are not examined.
+    README.md, "Why the first cut vertex always collapses", proves that
+    it always succeeds.  The search stops at that vertex: the letters
+    after it are not examined.
 
     Raises NoCutVertexError when the Whitehead graph has no cut vertex,
     which certifies the subgroup is not a free factor.

@@ -203,9 +203,6 @@ class WhiteheadAutomorphism:
         if 0 in self.members:
             raise ValueError("letters are nonzero integers")
 
-    def inverse(self) -> "WhiteheadAutomorphism":
-        return WhiteheadAutomorphism(-self.a, self.members)
-
     def letter_image(self, letter: Letter) -> Word:
         if abs(letter) == abs(self.a):
             return (letter,)

@@ -14,8 +14,9 @@ Whitehead descent (no Whitehead graph).
 The last section holds helpers that only the tests use: membership by
 tracing, an automaton's transition function as a dict, its successors
 and predecessors by state, an automaton built from such a dict, a
-matrix read from a dense array, reading a core back from JSON, the
-Whitehead graph of a word, the conventional numbering of a core by a
+matrix read from a dense array, a core built from its edge list (the
+input checked, the maps filled by a pass of its own) and read back from
+JSON, the Whitehead graph of a word, the conventional numbering of a core by a
 depth-first search of its own (no neighbour maps, no letter-order
 table), rooted isomorphism with a fixed and with a free root, every
 small core graph, and an exhaustive Whitehead search.
@@ -30,7 +31,7 @@ import numpy as np
 
 from cogrowth.automaton import Automaton, state_key
 from cogrowth.core_graph import CoreGraph
-from cogrowth.errors import NotCyclicallyReducedError, PreconditionError
+from cogrowth.errors import FoldingViolationError, NotCyclicallyReducedError, PreconditionError
 from cogrowth.spectral import AdjacencyMatrix, StateOrdering
 from cogrowth.whitehead import WhiteheadGraph
 from cogrowth.words import (
@@ -491,12 +492,34 @@ def from_array(array, ordering: StateOrdering) -> AdjacencyMatrix:
     return AdjacencyMatrix(rows, ordering)
 
 
+def core_from_edges(alphabet: Alphabet, root: int, edges) -> CoreGraph:
+    """The graph of the positive edges (origin, label, terminus) rooted
+    at `root`, its neighbour maps filled one letter at a time in the
+    global order.  Raises ValueError for a label outside the alphabet
+    and FoldingViolationError for two edges with one label at a vertex."""
+    edges = sorted(set(edges))
+    by_label: dict[int, list] = {g: [] for g in range(1, alphabet.rank + 1)}
+    for o, g, t in edges:
+        if g not in by_label:
+            raise ValueError(f"edge label {g} outside alphabet")
+        by_label[g].append((o, t))
+    nbr = {v: {} for v in sorted({root, *(v for o, _, t in edges for v in (o, t))})}
+    for letter in sigma(alphabet.rank):
+        for o, t in by_label[abs(letter)]:
+            v, w = (o, t) if letter > 0 else (t, o)
+            if nbr[v].setdefault(letter, w) != w:
+                raise FoldingViolationError(
+                    f"two edges labeled {alphabet.spell(letter)} at vertex {v}"
+                )
+    return CoreGraph(alphabet, root, nbr)
+
+
 def core_from_json(text: str) -> CoreGraph:
     """Inverse of `CoreGraph.to_json`."""
     data = json.loads(text)
     alphabet = Alphabet(tuple(data["alphabet"]))
     edges = [(e["o"], alphabet.index(e["label"]), e["t"]) for e in data["edges"]]
-    return CoreGraph(alphabet, data["root"], edges)
+    return core_from_edges(alphabet, data["root"], edges)
 
 
 def whitehead_graph_of_word(word, rank: int) -> WhiteheadGraph:
@@ -597,7 +620,7 @@ def all_small_cores(alphabet: Alphabet, n_vertices: int):
                 seen.add(t)
                 stack.append(t)
         if len(seen) == n_vertices:
-            yield CoreGraph(alphabet, 1, edges)
+            yield core_from_edges(alphabet, 1, edges)
 
 
 def cyclic_length(word) -> int:

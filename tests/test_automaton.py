@@ -15,7 +15,7 @@ from cogrowth.automaton import (
     sample_accepted_word,
     word_census,
 )
-from cogrowth.core_graph import CollapseData, CoreGraph, build_core, collapse_core
+from cogrowth.core_graph import CollapseData, build_core, collapse_core
 from cogrowth.errors import CogrowthError, DeterminismViolationError, PreconditionError
 from cogrowth.spectral import adjacency, ose
 from cogrowth.whitehead import choose_automorphism
@@ -174,7 +174,7 @@ DETERMINISM_WITNESSES = [
 
 @pytest.mark.parametrize("edges, cd, message", DETERMINISM_WITNESSES)
 def test_collapse_rejects_a_collapse_that_breaks_determinism(edges, cd, message):
-    aut = build_automaton(CoreGraph(AB2, 1, edges))
+    aut = build_automaton(oracles.core_from_edges(AB2, 1, edges))
     with pytest.raises(DeterminismViolationError) as excinfo:
         collapse_automaton(aut, SStateSet.from_collapse(aut, cd))
     assert str(excinfo.value) == message
@@ -263,7 +263,8 @@ def test_isomorphic_rejects_equal_sizes(example_aut, example_alphabet):
     # swapping the two vertices of this core is an automorphism, so the
     # walks succeed; none takes the initial states, all at vertex 1, onto
     # a set split between the two vertices
-    a = build_automaton(CoreGraph(AB2, 1, [(1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 2)]))
+    double = [(1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 2)]
+    a = build_automaton(oracles.core_from_edges(AB2, 1, double))
     split = {(1, 1), (1, -1), (2, 2), (2, -2)}
     assert isomorphic(a, a)
     assert not isomorphic(a, Automaton(AB2, a.states, a.rows, split))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cogrowth import automaton, pipeline, spectral
 from cogrowth.automaton import Automaton, accepts, build_automaton, collapse_automaton
-from cogrowth.core_graph import CoreGraph, build_core, collapse_core, label_sets, rooted_map
+from cogrowth.core_graph import build_core, collapse_core, label_sets, rooted_map
 from cogrowth.errors import CogrowthError, PreconditionError
 from cogrowth.whitehead import random_whitehead
 from cogrowth.words import (
@@ -19,7 +19,13 @@ from cogrowth.words import (
     is_cyclically_reduced,
     parse_word,
 )
-from oracles import canonical_numbering, membership, rooted_isomorphism, transitions
+from oracles import (
+    canonical_numbering,
+    core_from_edges,
+    membership,
+    rooted_isomorphism,
+    transitions,
+)
 
 AB4 = Alphabet(("x", "y", "z", "t"))
 
@@ -197,7 +203,8 @@ def test_next_automaton_check_rejects_a_wrong_vertex_map(example_gens, example_a
     # swapping the two vertices of this core preserves every labelled
     # edge but moves the root: only the initial set tells the maps apart
     ab = Alphabet(("x", "y"))
-    symmetric = build_automaton(CoreGraph(ab, 1, [(1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 2)]))
+    double = [(1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 2)]
+    symmetric = build_automaton(core_from_edges(ab, 1, double))
     pipeline._check_collapsed(symmetric, {1: 1, 2: 2}, symmetric)
     with pytest.raises(CogrowthError, match="collapsed automaton"):
         pipeline._check_collapsed(symmetric, {1: 2, 2: 1}, symmetric)

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from cogrowth.automaton import SStateSet, build_automaton, collapse_automaton
-from cogrowth.core_graph import CoreGraph, build_core, collapse_core, label_sets, rooted_map
+from cogrowth.core_graph import build_core, collapse_core, label_sets, rooted_map
 from cogrowth.errors import (
     NoCutVertexError,
     NotCyclicallyReducedError,
@@ -22,6 +22,7 @@ from oracles import (
     all_small_cores,
     all_whitehead_automorphisms,
     canonical_numbering,
+    core_from_edges,
     cut_vertices,
     cyclic_length,
     reduce_primitive_word,
@@ -226,7 +227,7 @@ def test_every_cut_vertex_of_every_small_core_collapses(rank, n_vertices, n_core
             collapsed = collapse_core(g, cd)
             assert collapsed.n_vertices == g.n_vertices - len(cd.s_o)
             ids, form = canonical_numbering(collapsed.root, collapsed.edges)
-            renumbered = CoreGraph(alphabet, 1, form)
+            renumbered = core_from_edges(alphabet, 1, form)
             core_map = rooted_map(
                 collapsed.root, collapsed.neighbours, 1, renumbered.neighbours
             )
