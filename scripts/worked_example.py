@@ -14,10 +14,10 @@ from cogrowth import (
     certify_inequality,
     format_word,
     label_sets,
-    ose,
     parse_word,
     reduce_full,
 )
+from cogrowth.cli import automaton_dot, core_dot, matrix_text, state_names, whitehead_dot
 from cogrowth.whitehead import find_cut_vertices, whitehead_graph_of_core
 from cogrowth.words import letter_key
 
@@ -49,12 +49,12 @@ def main():
 
     print("\nchosen automorphism:", step.phi.format(ab))
     print("collapse origin/terminus sets:", step.collapse.s_o, step.collapse.s_t)
-    print("OSE:", ", ".join(ose(step.aut_before).render(ab)))
-    print("NSE:", ", ".join(step.m.ordering.render(ab)))
+    print("OSE:", ", ".join(state_names(step.aut_before.states, ab)))
+    print("NSE:", ", ".join(state_names(step.m.ordering.states, ab)))
     print("\ntransition matrix under the NSE:")
-    print(step.m.to_text(ab))
+    print(matrix_text(step.m, ab))
     print("collapsed matrix (OSE of the image automaton):")
-    print(step.m1.to_text(ab))
+    print(matrix_text(step.m1, ab))
     print(f"lambda  = {step.pf.eigenvalue:.6f}")
     print(f"lambda1 = {step.pf1.eigenvalue:.6f}")
     vec = [x / step.pf1.eigenvector[5] for x in step.pf1.eigenvector]
@@ -79,9 +79,9 @@ def main():
         os.makedirs(args.dot_dir, exist_ok=True)
         dashed = set(step.s_states.elements)
         for name, text in [
-            ("core.dot", core.to_dot(extended=True)),
-            ("whitehead.dot", wg.to_dot(ab)),
-            ("automaton.dot", step.aut_before.to_dot(dashed_into=dashed)),
+            ("core.dot", core_dot(core, extended=True)),
+            ("whitehead.dot", whitehead_dot(wg, ab)),
+            ("automaton.dot", automaton_dot(step.aut_before, dashed_into=dashed)),
         ]:
             path = os.path.join(args.dot_dir, name)
             with open(path, "w") as fh:

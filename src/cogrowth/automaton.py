@@ -9,7 +9,6 @@ accepted nonempty word has exactly |I| - 1 accepting paths.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .core_graph import CollapseData, CoreGraph, rooted_map
@@ -19,17 +18,13 @@ from .errors import (
     NonIntegerCensusError,
     PreconditionError,
 )
-from .words import Alphabet, Letter, Word, letter_key
+from .words import Letter, Word, letter_key
 
 State = tuple[int, Letter]
 
 
 def state_key(state: State):
     return (state[0], letter_key(state[1]))
-
-
-def format_state(state: State, alphabet: Alphabet) -> str:
-    return f"({state[0]},{alphabet.spell_caret(state[1])})"
 
 
 class Automaton:
@@ -69,41 +64,6 @@ class Automaton:
                     )
         if not strongly_connected(self.rows):
             raise PreconditionError("transition diagram is not strongly connected")
-
-    def to_json(self) -> str:
-        names = [format_state(q, self.alphabet) for q in self.states]
-        data = {
-            "states": names,
-            "transitions": [
-                {
-                    "from": names[i],
-                    "label": self.alphabet.spell_caret(self.states[j][1]),
-                    "to": names[j],
-                }
-                for i, row in enumerate(self.rows)
-                for j in row
-            ],
-            "initial": sorted(format_state(q, self.alphabet) for q in self.initial),
-            "final": sorted(format_state(q, self.alphabet) for q in self.final),
-        }
-        return json.dumps(data, indent=2)
-
-    def to_dot(self, dashed_into=frozenset()) -> str:
-        """DOT rendering; transitions into `dashed_into` states are dashed
-        (the edges a collapse would remove)."""
-        names = [format_state(q, self.alphabet) for q in self.states]
-        lines = ["digraph automaton {", "  rankdir=LR;"]
-        for q, name in zip(self.states, names):
-            shape = "doublecircle" if q in self.initial else "circle"
-            lines.append(f'  "{name}" [shape={shape}];')
-        for i, row in enumerate(self.rows):
-            for j in row:
-                t = self.states[j]
-                style = ", style=dashed" if t in dashed_into else ""
-                label = self.alphabet.spell(t[1])
-                lines.append(f'  "{names[i]}" -> "{names[j]}" [label="{label}"{style}];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def strongly_connected(rows) -> bool:

@@ -1,9 +1,13 @@
-"""Command-line front end.
+"""Command-line front end, and every output format of the package.
 
 Subcommands expose each pipeline stage separately: core, whitehead,
 automaton, matrix, eigen, reduce-step, reduce, census, verify.  Output
 is deterministic (identical inputs give byte-identical output); floats
-are printed to 6 significant digits.
+are printed to 6 significant digits.  The library returns data; the
+text, JSON, DOT and CSV layouts of its objects are all here (`core_json`,
+`core_dot`, `automaton_json`, `automaton_dot`, `whitehead_dot`,
+`matrix_csv`, `matrix_text`, ...), and no other module of the package
+imports json or csv.
 
 Every subcommand is a `cmd_*(alphabet, gens, args)` that returns its
 text (`reduce` and `verify` also return their exit code); `main` parses
@@ -25,6 +29,8 @@ gave a collapse, which cannot happen (see the whitehead module).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -36,7 +42,6 @@ from .automaton import (
     SStateSet,
     accepts,
     build_automaton,
-    format_state,
     sample_accepted_word,
     state_key,
     word_census,
@@ -83,12 +88,134 @@ def _text(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_state(state, alphabet) -> str:
+    """A state (vertex, entry letter) as "(v,letter)"."""
+    return f"({state[0]},{alphabet.spell_caret(state[1])})"
+
+
+def state_names(states, alphabet) -> list[str]:
+    return [format_state(q, alphabet) for q in states]
+
+
+def core_json(graph) -> str:
+    names = graph.alphabet.names
+    return _json({
+        "alphabet": list(names),
+        "root": graph.root,
+        "vertices": list(graph.vertices),
+        "edges": [{"o": o, "label": names[g - 1], "t": t} for o, g, t in graph.edges],
+    })
+
+
+def core_dot(graph, extended: bool = False) -> str:
+    """DOT rendering; `extended` adds each edge's reverse, dashed."""
+    spell = graph.alphabet.spell
+    lines = ["digraph core {", "  rankdir=LR;"]
+    for v in graph.vertices:
+        shape = "doublecircle" if v == graph.root else "circle"
+        lines.append(f'  v{v} [shape={shape}, label="{v}"];')
+    for o, g, t in graph.edges:
+        lines.append(f'  v{o} -> v{t} [label="{spell(g)}"];')
+        if extended:
+            lines.append(f'  v{t} -> v{o} [label="{spell(-g)}", style=dashed];')
+    return _text(lines + ["}"])
+
+
+def automaton_json(aut) -> str:
+    ab = aut.alphabet
+    names = state_names(aut.states, ab)
+    return _json({
+        "states": names,
+        "transitions": [
+            {"from": names[i], "label": ab.spell_caret(aut.states[j][1]), "to": names[j]}
+            for i, row in enumerate(aut.rows)
+            for j in row
+        ],
+        "initial": sorted(state_names(aut.initial, ab)),
+        "final": sorted(state_names(aut.final, ab)),
+    })
+
+
+def automaton_dot(aut, dashed_into=frozenset()) -> str:
+    """DOT rendering; transitions into `dashed_into` states are dashed
+    (the edges a collapse would remove)."""
+    names = state_names(aut.states, aut.alphabet)
+    lines = ["digraph automaton {", "  rankdir=LR;"]
+    for q, name in zip(aut.states, names):
+        shape = "doublecircle" if q in aut.initial else "circle"
+        lines.append(f'  "{name}" [shape={shape}];')
+    for i, row in enumerate(aut.rows):
+        for j in row:
+            t = aut.states[j]
+            style = ", style=dashed" if t in dashed_into else ""
+            label = aut.alphabet.spell(t[1])
+            lines.append(f'  "{names[i]}" -> "{names[j]}" [label="{label}"{style}];')
+    return _text(lines + ["}"])
+
+
+def whitehead_dot(wg, alphabet) -> str:
+    spell = alphabet.spell_caret
+    lines = ["graph whitehead {"]
+    lines += [f'  "{spell(v)}";' for v in wg.vertices]
+    for u, v, mult in wg.sorted_edges():
+        attr = f' [label="{mult}"]' if mult > 1 else ""
+        lines.append(f'  "{spell(u)}" -- "{spell(v)}"{attr};')
+    return _text(lines + ["}"])
+
+
+def cut_vertex_dict(report, alphabet) -> dict:
+    """A cut vertex as the JSON object `cogrowth whitehead` prints."""
+    spell = alphabet.spell_caret
+    return {
+        "letter": spell(report.letter),
+        "configuration": report.configuration,
+        "witness": [[spell(l) for l in comp] for comp in report.witness],
+    }
+
+
+def matrix_csv(mat, alphabet) -> str:
+    names = state_names(mat.ordering.states, alphabet)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([""] + names)
+    for name, row in zip(names, mat.matrix):
+        writer.writerow([name] + row)
+    return buf.getvalue()
+
+
+def matrix_text(mat, alphabet) -> str:
+    """Aligned layout with a vertical separator before the collapse
+    block and a rule above the collapse rows (NSE only)."""
+    names = state_names(mat.ordering.states, alphabet)
+    width = max(len(n) for n in names)
+    # one blank at least between neighbouring columns, at every order
+    field = max(3, len(str(mat.size)) + 1)
+    boundary = mat.ordering.boundary
+    lines = ["# rows/columns: " + " ".join(f"{i + 1}={n}" for i, n in enumerate(names))]
+    header = " " * (width + 1)
+    for j in range(mat.size):
+        if boundary is not None and j == boundary:
+            header += " |"
+        header += f"{j + 1:>{field}d}"
+    lines.append(header)
+    for i, (name, row) in enumerate(zip(names, mat.matrix)):
+        if boundary is not None and i == boundary:
+            lines.append("-" * len(header))
+        text = f"{name:>{width}} "
+        for j, x in enumerate(row):
+            if boundary is not None and j == boundary:
+                text += " |"
+            text += f"{x:>{field}d}"
+        lines.append(text)
+    return _text(lines)
+
+
 def cmd_core(alphabet, gens, args) -> str:
     graph = build_core(gens, alphabet)
     if args.format == "dot":
-        return graph.to_dot(extended=args.extended)
+        return core_dot(graph, extended=args.extended)
     if args.format == "json":
-        return graph.to_json() + "\n"
+        return core_json(graph)
     ls = label_sets(graph)
     lines = [
         f"core: {graph.n_vertices} vertices, {graph.n_edges} edges, "
@@ -109,9 +236,10 @@ def cmd_whitehead(alphabet, gens, args) -> str:
     spell = alphabet.spell_caret
     edges = [[spell(u), spell(v), mult] for u, v, mult in wg.sorted_edges()]
     if args.format == "dot":
-        return wg.to_dot(alphabet)
+        return whitehead_dot(wg, alphabet)
     if args.format == "json":
-        return _json({"edges": edges, "cut_vertices": [r.to_dict(alphabet) for r in cuts]})
+        cut_vertices = [cut_vertex_dict(r, alphabet) for r in cuts]
+        return _json({"edges": edges, "cut_vertices": cut_vertices})
     lines = [f"whitehead graph: {wg.n_edges_simple} edges "
              f"({wg.n_edges_multiset} with multiplicity)"]
     for u, v, mult in edges:
@@ -130,15 +258,15 @@ def cmd_whitehead(alphabet, gens, args) -> str:
 def cmd_automaton(alphabet, gens, args) -> str:
     aut = build_automaton(build_core(gens, alphabet))
     if args.format == "dot":
-        return aut.to_dot()
+        return automaton_dot(aut)
     if args.format == "json":
-        return aut.to_json() + "\n"
+        return automaton_json(aut)
     initial = sorted(aut.initial, key=state_key)
     return _text([
         f"automaton: {aut.n_states} states, {sum(map(len, aut.rows))} transitions, "
         f"ambiguity {aut.ambiguity}",
-        "OSE: " + ", ".join(format_state(q, alphabet) for q in aut.states),
-        "initial = final: " + ", ".join(format_state(q, alphabet) for q in initial),
+        "OSE: " + ", ".join(state_names(aut.states, alphabet)),
+        "initial = final: " + ", ".join(state_names(initial, alphabet)),
     ])
 
 
@@ -150,14 +278,14 @@ def cmd_matrix(alphabet, gens, args) -> str:
     ordering = ose(aut) if cd is None else make_nse(aut, SStateSet.from_collapse(aut, cd))
     mat = adjacency(aut, ordering)
     if args.format == "csv":
-        return mat.to_csv(alphabet)
+        return matrix_csv(mat, alphabet)
     if args.format == "json":
         return _json({
-            "ordering": mat.ordering.render(alphabet),
-            "kind": mat.ordering.kind,
+            "ordering": state_names(ordering.states, alphabet),
+            "kind": args.ordering.upper(),
             "matrix": mat.matrix,
         })
-    return mat.to_text(alphabet)
+    return matrix_text(mat, alphabet)
 
 
 def cmd_eigen(alphabet, gens, args) -> str:
@@ -165,7 +293,13 @@ def cmd_eigen(alphabet, gens, args) -> str:
     mat = adjacency(aut, ose(aut))
     pf = pf_eigen(mat, tol=args.tol)
     if args.format == "json":
-        return pf.to_json(states=mat.ordering.states, alphabet=alphabet) + "\n"
+        return _json({
+            "eigenvalue": pf.eigenvalue,
+            "eigenvector": pf.eigenvector,
+            "iterations": pf.iterations,
+            "residual": pf.residual,
+            "states": state_names(aut.states, alphabet),
+        })
     vec = ", ".join(_f(x) for x in pf.eigenvector)
     return (
         f"eigenvalue = {_f(pf.eigenvalue)}  (bracket {_f(pf.residual)}, "
@@ -177,6 +311,7 @@ def cmd_eigen(alphabet, gens, args) -> str:
 
 def _step_json(step: pipeline.StepReport) -> dict:
     ab = step.core_before.alphabet
+    cert, nse = step.certificate, state_names(step.m.ordering.states, ab)
     return {
         "phi": step.phi.format(ab),
         "collapse": {
@@ -193,15 +328,25 @@ def _step_json(step: pipeline.StepReport) -> dict:
         },
         "states_before": step.aut_before.n_states,
         "states_after": step.aut_after.n_states,
-        "ose": [format_state(q, ab) for q in step.aut_before.states],
-        "nse": step.m.ordering.render(ab),
-        "ose_after": step.m1.ordering.render(ab),
+        "ose": state_names(step.aut_before.states, ab),
+        "nse": nse,
+        "ose_after": state_names(step.m1.ordering.states, ab),
         "matrix": step.m.matrix,
         "matrix_1": step.m1.matrix,
         "lambda": step.pf.eigenvalue,
         "lambda_1": step.pf1.eigenvalue,
         "eigenvector_1": step.pf1.eigenvector,
-        "certificate": step.certificate.to_dict(step.m.ordering, ab),
+        "certificate": {
+            "lambda_1": cert.lam1,
+            "u": cert.u,
+            "rows": nse,
+            "strict_rows": list(cert.strict_rows),
+            "choice": cert.u_choice,
+            "s_entries": {
+                format_state(q, ab): {"value": val, "lower": lo, "upper": hi}
+                for q, (val, lo, hi) in cert.s_values.items()
+            },
+        },
         "gens_before": [format_word(w, ab) for w in step.gens_before],
         "gens_after": [format_word(w, ab) for w in step.gens_after],
     }
@@ -219,9 +364,9 @@ def _step_text(step: pipeline.StepReport, tol: float) -> list[str]:
         f"core: {step.core_before.n_vertices} vertices, {step.core_before.n_edges} edges"
         f" -> {step.core_after.n_vertices} vertices, {step.core_after.n_edges} edges",
         f"automaton: {step.aut_before.n_states} states -> {step.aut_after.n_states} states",
-        "OSE: " + ", ".join(format_state(q, ab) for q in step.aut_before.states),
-        "NSE: " + ", ".join(step.m.ordering.render(ab)),
-        "OSE after collapse: " + ", ".join(step.m1.ordering.render(ab)),
+        "OSE: " + ", ".join(state_names(step.aut_before.states, ab)),
+        "NSE: " + ", ".join(state_names(step.m.ordering.states, ab)),
+        "OSE after collapse: " + ", ".join(state_names(step.m1.ordering.states, ab)),
         f"lambda  = {_f(step.pf.eigenvalue)}  (tol {_f(tol)})",
         f"lambda1 = {_f(step.pf1.eigenvalue)}",
         "certificate: strict slack at NSE rows "
@@ -354,6 +499,8 @@ def cmd_verify(alphabet, gens, args) -> tuple[str, int | CogrowthError]:
 
 
 def _out_path(path: str) -> str:
+    if not path:
+        raise argparse.ArgumentTypeError("empty path")
     folder = os.path.dirname(path)
     if folder and not os.path.isdir(folder):
         raise argparse.ArgumentTypeError(f"no such directory: {folder}")

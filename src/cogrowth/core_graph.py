@@ -14,7 +14,6 @@ their parent; `rooted_map` matches graphs whatever their numbering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import (
@@ -83,9 +82,6 @@ class CoreGraph:
             and self._nbr == other._nbr
         )
 
-    def __hash__(self):
-        return hash((self.alphabet, self.root, self.edges))
-
     def __repr__(self):
         return f"CoreGraph(root={self.root}, vertices={self.n_vertices}, edges={self.n_edges})"
 
@@ -106,34 +102,6 @@ class CoreGraph:
         for v in self.vertices:
             if self.degree(v) < 2:
                 raise PreconditionError(f"vertex {v} has degree < 2")
-
-    # -- serialization ------------------------------------------------
-
-    def to_json(self) -> str:
-        data = {
-            "alphabet": list(self.alphabet.names),
-            "root": self.root,
-            "vertices": list(self.vertices),
-            "edges": [
-                {"o": o, "label": self.alphabet.names[g - 1], "t": t}
-                for o, g, t in self.edges
-            ],
-        }
-        return json.dumps(data, indent=2)
-
-    def to_dot(self, extended: bool = False) -> str:
-        lines = ["digraph core {", "  rankdir=LR;"]
-        for v in self.vertices:
-            shape = "doublecircle" if v == self.root else "circle"
-            lines.append(f'  v{v} [shape={shape}, label="{v}"];')
-        for o, g, t in self.edges:
-            lines.append(f'  v{o} -> v{t} [label="{self.alphabet.spell(g)}"];')
-            if extended:
-                lines.append(
-                    f'  v{t} -> v{o} [label="{self.alphabet.spell(-g)}", style=dashed];'
-                )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

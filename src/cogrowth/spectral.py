@@ -35,13 +35,10 @@ and `certify_inequality` reads the feeder rows off the same rows.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
-from .automaton import Automaton, SStateSet, State, format_state
+from .automaton import Automaton, SStateSet, State
 from .errors import (
     CertificateFailureError,
     ConvergenceFailureError,
@@ -58,13 +55,6 @@ class StateOrdering:
 
     states: tuple[State, ...]
     boundary: int | None = None
-
-    @property
-    def kind(self) -> str:
-        return "OSE" if self.boundary is None else "NSE"
-
-    def render(self, alphabet) -> list[str]:
-        return [format_state(q, alphabet) for q in self.states]
 
 
 def ose(aut: Automaton) -> StateOrdering:
@@ -104,44 +94,6 @@ class AdjacencyMatrix:
             for j in row:
                 line[j] += 1
         return dense
-
-    def to_csv(self, alphabet) -> str:
-        names = self.ordering.render(alphabet)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([""] + names)
-        for name, row in zip(names, self.matrix):
-            writer.writerow([name] + row)
-        return buf.getvalue()
-
-    def to_text(self, alphabet) -> str:
-        """Aligned layout with a vertical separator before the collapse
-        block and a rule above the collapse rows (NSE only)."""
-        names = self.ordering.render(alphabet)
-        width = max(len(n) for n in names)
-        # one blank at least between neighbouring columns, at every order
-        field = max(3, len(str(self.size)) + 1)
-        boundary = self.ordering.boundary
-        lines = [
-            "# rows/columns: "
-            + " ".join(f"{i + 1}={n}" for i, n in enumerate(names))
-        ]
-        header = " " * (width + 1)
-        for j in range(self.size):
-            if boundary is not None and j == boundary:
-                header += " |"
-            header += f"{j + 1:>{field}d}"
-        lines.append(header)
-        for i, (name, row) in enumerate(zip(names, self.matrix)):
-            if boundary is not None and i == boundary:
-                lines.append("-" * len(header))
-            text = f"{name:>{width}} "
-            for j, x in enumerate(row):
-                if boundary is not None and j == boundary:
-                    text += " |"
-                text += f"{x:>{field}d}"
-            lines.append(text)
-        return "\n".join(lines) + "\n"
 
 
 def adjacency(aut: Automaton, ordering: StateOrdering) -> AdjacencyMatrix:
@@ -216,18 +168,6 @@ class PFResult:
     eigenvector: list[float]
     iterations: int
     residual: float
-
-    def to_json(self, states, alphabet) -> str:
-        return json.dumps(
-            {
-                "eigenvalue": self.eigenvalue,
-                "eigenvector": self.eigenvector,
-                "iterations": self.iterations,
-                "residual": self.residual,
-                "states": [format_state(q, alphabet) for q in states],
-            },
-            indent=2,
-        )
 
 
 # only a bound: the stall check ends a solve that stops narrowing long before
@@ -411,25 +351,6 @@ class InequalityCertificate:
     strict_rows: tuple[int, ...]
     s_values: dict[State, tuple[float, float, float]]
     u_choice: int | None
-
-    def to_dict(self, ordering: StateOrdering, alphabet) -> dict:
-        """The certificate as the JSON object `reduce-step` prints, its
-        rows named by `ordering`, the NSE."""
-        return {
-            "lambda_1": self.lam1,
-            "u": self.u,
-            "rows": ordering.render(alphabet),
-            "strict_rows": list(self.strict_rows),
-            "choice": self.u_choice,
-            "s_entries": {
-                format_state(q, alphabet): {
-                    "value": val,
-                    "lower": lo,
-                    "upper": hi,
-                }
-                for q, (val, lo, hi) in self.s_values.items()
-            },
-        }
 
 
 def certify_inequality(

@@ -102,18 +102,6 @@ class WhiteheadGraph:
             out.append(comp)
         return sorted(out, key=lambda comp: min(map(letter_key, comp)))
 
-    def to_dot(self, alphabet: Alphabet) -> str:
-        lines = ["graph whitehead {"]
-        for v in self.vertices:
-            lines.append(f'  "{alphabet.spell_caret(v)}";')
-        for u, v, mult in self.sorted_edges():
-            attr = f' [label="{mult}"]' if mult > 1 else ""
-            lines.append(
-                f'  "{alphabet.spell_caret(u)}" -- "{alphabet.spell_caret(v)}"{attr};'
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def whitehead_graph_of_core(ls: dict[int, frozenset], rank: int) -> WhiteheadGraph:
     """Union of complete graphs on each label set.
@@ -140,16 +128,6 @@ class CutVertexReport:
     letter: Letter
     configuration: int
     witness: tuple[tuple[Letter, ...], ...]
-
-    def to_dict(self, alphabet: Alphabet) -> dict:
-        """The report as the JSON object `cogrowth whitehead` prints."""
-        return {
-            "letter": alphabet.spell_caret(self.letter),
-            "configuration": self.configuration,
-            "witness": [
-                [alphabet.spell_caret(l) for l in comp] for comp in self.witness
-            ],
-        }
 
 
 def find_cut_vertices(wg: WhiteheadGraph) -> list[CutVertexReport]:
@@ -217,16 +195,16 @@ def random_whitehead(rng, rank: int) -> WhiteheadAutomorphism:
     return WhiteheadAutomorphism(a, frozenset(l for l in rest if rng.random() < 0.5))
 
 
-def random_free_factor(rng, rank: int, max_len: int = 12) -> tuple[Word, ...]:
+def random_free_factor(rng, rank: int) -> tuple[Word, ...]:
     """Image of a proper partial basis of F_rank (alphabet "xyzt"[:rank])
     under a random chain of Whitehead moves; the tests, the sweep script
     and the benchmark draw their corpora from it.
 
     Resampled until every image is cyclically reduced as produced (so the
-    tuple is an exact automorphic image, hence a genuine free factor) and
-    the core has several vertices.  Needs rank >= 3: the only non-cyclic
-    free factor of a rank-2 group is the whole group, whose core is a
-    single vertex.
+    tuple is an exact automorphic image, hence a genuine free factor), no
+    image is longer than 12 letters, and the core has several vertices.
+    Needs rank >= 3: the only non-cyclic free factor of a rank-2 group is
+    the whole group, whose core is a single vertex.
     """
     alphabet = Alphabet(tuple("xyzt"[:rank]))
     while True:
@@ -237,7 +215,7 @@ def random_free_factor(rng, rank: int, max_len: int = 12) -> tuple[Word, ...]:
             words = [apply_whitehead(phi, w) for w in words]
         if not all(w and is_cyclically_reduced(w) for w in words):
             continue
-        if max(len(w) for w in words) > max_len:
+        if max(len(w) for w in words) > 12:
             continue
         try:
             graph = build_core(list(words), alphabet)

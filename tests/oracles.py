@@ -515,7 +515,7 @@ def core_from_edges(alphabet: Alphabet, root: int, edges) -> CoreGraph:
 
 
 def core_from_json(text: str) -> CoreGraph:
-    """Inverse of `CoreGraph.to_json`."""
+    """Inverse of `cli.core_json`."""
     data = json.loads(text)
     alphabet = Alphabet(tuple(data["alphabet"]))
     edges = [(e["o"], alphabet.index(e["label"]), e["t"]) for e in data["edges"]]

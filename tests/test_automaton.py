@@ -15,6 +15,7 @@ from cogrowth.automaton import (
     sample_accepted_word,
     word_census,
 )
+from cogrowth.cli import automaton_dot, automaton_json
 from cogrowth.core_graph import CollapseData, build_core, collapse_core
 from cogrowth.errors import CogrowthError, DeterminismViolationError, PreconditionError
 from cogrowth.spectral import adjacency, ose
@@ -303,10 +304,10 @@ def test_validate_passes_on_corpus(corpus):
 def test_json_and_dot(example_aut, example_collapse):
     import json
 
-    data = json.loads(example_aut.to_json())
+    data = json.loads(automaton_json(example_aut))
     assert len(data["states"]) == 12
     assert data["initial"] == data["final"]
     _, _, s = example_collapse
-    dot = example_aut.to_dot(dashed_into=set(s.elements))
+    dot = automaton_dot(example_aut, dashed_into=set(s.elements))
     assert "style=dashed" in dot
     assert "doublecircle" in dot

@@ -6,13 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from cogrowth.cli import main
+from cogrowth.cli import core_json, main
 from cogrowth.words import format_word
 from conftest import build_corpus
+from golden_table import EXAMPLE, GOLDEN, GOLDEN_COMMANDS
 from oracles import core_from_json
 
-EXAMPLE = ["--gens", "yX,yzYzt", "--alphabet", "xyzt"]
-GOLDEN = Path(__file__).parent / "golden"
+# the golden files that test_text_output_matches_golden_file checks
+TEXT_GOLDEN = ("reduce", "reduce-step", "verify")
+# the `cogrowth` lines of the golden table, each without the program name
+CLI_GOLDEN = {
+    name: argv for name, (program, *argv) in GOLDEN_COMMANDS.items() if program == "cogrowth"
+}
 
 
 def run(capsys, *argv):
@@ -41,7 +46,7 @@ def test_core_json_roundtrip(capsys):
     assert code == 0
     graph = core_from_json(out)
     assert graph.n_vertices == 5
-    assert graph.to_json() + "\n" == out
+    assert core_json(graph) == out
 
 
 def test_outputs_are_deterministic(capsys):
@@ -91,6 +96,16 @@ def test_out_onto_a_directory_fails_at_parsing(capsys, tmp_path):
         main(["core", *EXAMPLE, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "is a directory" in capsys.readouterr().err
+
+
+def test_empty_out_path_fails_at_parsing(capsys):
+    # not "no --out": nothing is written to stdout
+    with pytest.raises(SystemExit) as exc:
+        main(["core", *EXAMPLE, "--out", ""])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "empty path" in captured.err
+    assert not captured.out
 
 
 def test_precondition_exit_code(capsys):
@@ -262,6 +277,17 @@ def test_matrix_ose_ordering(capsys):
     assert data["ordering"][0] == "(1,x^-1)"
 
 
+def test_matrix_on_a_single_vertex_core_needs_the_ose(capsys):
+    # the NSE needs a collapse step, which a single-vertex core has not
+    rose = ["--gens", "x,y", "--alphabet", "xyz"]
+    code, out, err = run(capsys, "matrix", *rose)
+    assert (code, out) == (3, "")
+    assert err == "precondition violation: core already has a single vertex\n"
+    code, out, err = run(capsys, "matrix", *rose, "--ordering", "ose", "--format", "json")
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["matrix"]) == 4
+
+
 def test_verify_battery(capsys):
     code, out, _ = run(capsys, "verify", *EXAMPLE)
     assert code == 0
@@ -381,45 +407,25 @@ def test_whitehead_calls_a_rose_a_free_factor(capsys):
     assert "cut vertices: none (the core is a rose: a free factor)" in out
 
 
-@pytest.mark.parametrize("command", ["reduce", "reduce-step", "verify"])
+@pytest.mark.parametrize("command", TEXT_GOLDEN)
 def test_text_output_matches_golden_file(capsys, command):
-    code, out, err = run(capsys, command, *EXAMPLE)
+    code, out, err = run(capsys, *CLI_GOLDEN[f"{command}.txt"])
     assert code == 0
     assert not err
     assert out.encode() == (GOLDEN / f"{command}.txt").read_bytes()
 
 
-# golden file -> the command line that prints it, for every subcommand
-# and format not pinned above; all exit 0
-GOLDEN_COMMANDS = {
-    "core.txt": ["core", *EXAMPLE],
-    "core.json": ["core", *EXAMPLE, "--format", "json"],
-    "core.dot": ["core", *EXAMPLE, "--format", "dot"],
-    "whitehead.txt": ["whitehead", *EXAMPLE],
-    "whitehead.json": ["whitehead", *EXAMPLE, "--format", "json"],
-    "whitehead.dot": ["whitehead", *EXAMPLE, "--format", "dot"],
-    "whitehead-rose.txt": ["whitehead", "--gens", "x,y", "--alphabet", "xyz"],
-    "automaton.txt": ["automaton", *EXAMPLE],
-    "automaton.json": ["automaton", *EXAMPLE, "--format", "json"],
-    "automaton.dot": ["automaton", *EXAMPLE, "--format", "dot"],
-    "matrix-nse.txt": ["matrix", *EXAMPLE],
-    "matrix-nse.csv": ["matrix", *EXAMPLE, "--format", "csv"],
-    "matrix-nse.json": ["matrix", *EXAMPLE, "--format", "json"],
-    "matrix-ose.txt": ["matrix", *EXAMPLE, "--ordering", "ose"],
-    "matrix-ose.csv": ["matrix", *EXAMPLE, "--ordering", "ose", "--format", "csv"],
-    "matrix-ose.json": ["matrix", *EXAMPLE, "--ordering", "ose", "--format", "json"],
-    "eigen.txt": ["eigen", *EXAMPLE],
-    "eigen.json": ["eigen", *EXAMPLE, "--format", "json"],
-    "census.txt": ["census", *EXAMPLE],
-    "census.csv": ["census", *EXAMPLE, "--format", "csv"],
-}
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+@pytest.mark.parametrize("name", sorted(set(CLI_GOLDEN) - {f"{c}.txt" for c in TEXT_GOLDEN}))
 def test_output_matches_golden_file(capsys, name):
-    code, out, _ = run(capsys, *GOLDEN_COMMANDS[name])
+    code, out, _ = run(capsys, *CLI_GOLDEN[name])
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_golden_table_covers_every_golden_file():
+    # corpus-reduce.txt is checked below, and by the tests only
+    names = {p.name for p in GOLDEN.iterdir()}
+    assert names == set(GOLDEN_COMMANDS) | {"corpus-reduce.txt"}
 
 
 def corpus_reduce_text(capsys):
@@ -461,11 +467,9 @@ print(json.dumps(seen))
 
 
 def test_no_subcommand_imports_numpy():
-    commands = list(GOLDEN_COMMANDS.values()) + [
-        [command, *EXAMPLE, *fmt]
-        for command in ("reduce", "reduce-step")
-        for fmt in ([], ["--format", "json"])
-    ] + [["verify", *EXAMPLE]]
+    commands = list(CLI_GOLDEN.values()) + [
+        [command, *EXAMPLE, "--format", "json"] for command in ("reduce", "reduce-step")
+    ]
     src = Path(__file__).parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, json.dumps(commands)],
                           capture_output=True, text=True,
@@ -476,3 +480,12 @@ def test_no_subcommand_imports_numpy():
         "unresolved": [],
         "no_such_name": "AttributeError",
     }
+
+
+def test_importing_the_library_loads_no_output_format():
+    # every output format is the CLI's: json and csv come in with cogrowth.cli
+    src = Path(__file__).parents[1] / "src"
+    probe = "import sys, cogrowth; print(sorted({'json', 'csv'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert proc.stdout == "[]\n"

@@ -18,6 +18,7 @@ from cogrowth.errors import (
     PreconditionError,
 )
 from cogrowth.automaton import build_automaton
+from cogrowth.cli import core_dot, core_json
 from cogrowth.whitehead import choose_automorphism, random_whitehead
 from cogrowth.words import (
     Alphabet,
@@ -403,17 +404,17 @@ def test_collapse_shrinks_and_respects_label_overlap_bound(corpus):
 
 
 def test_json_roundtrip(example_core):
-    text = example_core.to_json()
+    text = core_json(example_core)
     again = oracles.core_from_json(text)
     assert again == example_core
-    assert again.to_json() == text
+    assert core_json(again) == text
 
 
 def test_dot_marks_root(example_core):
-    dot = example_core.to_dot()
+    dot = core_dot(example_core)
     assert "doublecircle" in dot
     assert dot.count("->") == example_core.n_edges
-    extended = example_core.to_dot(extended=True)
+    extended = core_dot(example_core, extended=True)
     assert extended.count("->") == 2 * example_core.n_edges
 
 

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from cogrowth.automaton import SStateSet, build_automaton, collapse_automaton
+from cogrowth.cli import cut_vertex_dict, whitehead_dot
 from cogrowth.core_graph import build_core, collapse_core, label_sets, rooted_map
 from cogrowth.errors import (
     NoCutVertexError,
@@ -314,7 +315,7 @@ def test_cut_vertex_json(example_core, example_alphabet):
 
     wg = whitehead_graph_of_core(label_sets(example_core), 4)
     report = find_cut_vertices(wg)[0]
-    data = report.to_dict(example_alphabet)
+    data = cut_vertex_dict(report, example_alphabet)
     json.dumps(data)
     assert data["configuration"] in (1, 2)
     assert isinstance(data["witness"], list)
@@ -322,6 +323,6 @@ def test_cut_vertex_json(example_core, example_alphabet):
 
 def test_whitehead_graph_dot(example_core, example_alphabet):
     wg = whitehead_graph_of_core(label_sets(example_core), 4)
-    dot = wg.to_dot(example_alphabet)
+    dot = whitehead_dot(wg, example_alphabet)
     assert dot.startswith("graph whitehead")
     assert '"y" -- ' in dot or ' -- "y"' in dot
