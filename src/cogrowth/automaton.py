@@ -10,6 +10,7 @@ accepted nonempty word has exactly |I| - 1 accepting paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 
 from .core_graph import CollapseData, CoreGraph, rooted_map
 from .errors import (
@@ -207,7 +208,7 @@ def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
         raise DeterminismViolationError("vertex merge identified two states")
     # the OSE order, checked on state_key, not on the key from_collapse sorts by
     keys = list(map(state_key, new_states))
-    if any(k >= n for k, n in zip(keys, keys[1:])):
+    if any(map(ge, keys, keys[1:])):
         raise CogrowthError("collapsed states are not in the OSE order")
     new = dict(zip(order, range(len(order))))  # old index -> new index
     gone = {index[q] for q in s.elements}

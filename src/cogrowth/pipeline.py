@@ -154,14 +154,13 @@ def _check_collapsed(collapsed: Automaton, core_map: dict[int, int], aut: Automa
     those of `aut`; raises CogrowthError otherwise.  Renaming keeps the
     letters, so each row carried over must be `aut`'s row exactly."""
     position = [aut.index.get((core_map[v], l)) for v, l in collapsed.states]
+    rename = position.__getitem__
     if (
         collapsed.alphabet != aut.alphabet
         or None in position
         or sorted(position) != list(range(aut.n_states))
-        or any(
-            tuple([position[j] for j in row]) != aut.rows[p]
-            for row, p in zip(collapsed.rows, position)
-        )
+        or [tuple(map(rename, row)) for row in collapsed.rows]
+        != list(map(aut.rows.__getitem__, position))
         or {(core_map[v], letter) for v, letter in collapsed.initial} != aut.initial
     ):
         raise CogrowthError(

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import eq, lt, truediv
 
 from .automaton import Automaton, SStateSet, State
 from .errors import (
@@ -145,7 +147,7 @@ def derive_m1(m: AdjacencyMatrix, s: SStateSet) -> AdjacencyMatrix:
         if row and row[-1] >= b:
             row = tuple(sorted(row[:-1] + m.rows[row[-1]]))
         # an entry above 1 is a column repeated in the sorted row
-        if any(x == y for x, y in zip(row, row[1:])):
+        if any(map(eq, row, row[1:])):
             raise EntryOverflowError("row transformation produced an entry above 1")
         rows.append(row)
     lead = s.rename(m.ordering.states[:b])
@@ -188,6 +190,8 @@ def _forced_chains(rows) -> tuple[list[int], list[int], list[int]]:
     end, depth = list(range(n)), [0] * n
     seen = [0] * n  # 0 unseen, 1 on the current walk, 2 resolved
     for start in range(n):
+        if seen[start] or succ[start] == start:  # resolved, or a kernel state
+            continue
         walk, q = [], start
         while not seen[q] and succ[q] != q:
             seen[q] = 1
@@ -210,7 +214,8 @@ def _solve(a: list[list[float]], b: list[float]) -> list[float]:
     singular."""
     n = len(b)
     for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
+        column = [abs(row[col]) for row in a[col:]]
+        pivot = col + column.index(max(column))
         head = a[pivot]
         if not head[col]:
             raise ConvergenceFailureError(
@@ -262,31 +267,55 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     the solve; rounding can only end the narrowing, which the stall
     check reports.
 
+    What depends only on the matrix is built once, before the first
+    iteration: the rows with a single entry as two index lists (row and
+    column), the forced states in depth order with their successors, and
+    each kernel-row entry with its state, that state's depth and its
+    kernel column.  Each iteration then reads those lists: the ratios of
+    the single-entry rows are quotients of two iterate entries, the
+    factors c form one list hi^-d by depth d (each the previous divided
+    by hi), and a and w are filled along the forced states in depth
+    order.
+
     Irreducibility is not checked here.  Without it the result is still
     sound: for any nonnegative M and positive v the bracket contains the
     spectral radius, and with hi above it (hi I - M)^-1 is nonnegative,
     so a reducible input returns a bracket at most `tol` wide around the
     spectral radius or ends in ConvergenceFailureError (a stall, a
-    singular solve or a lost positivity).
+    singular solve or a lost positivity).  A matrix with no states has no
+    eigenpair and raises PreconditionError.
     """
     n = m.size
-    succ, end, depth = _forced_chains(m.rows)
+    if not n:
+        raise PreconditionError("the matrix has no states")
+    rows = m.rows
+    succ, end, depth = _forced_chains(rows)
     kernel = [q for q in range(n) if not depth[q]]
-    # each forced state after its successor
+    # (forced state, its successor) in depth order: a forced successor's
+    # pair comes first
     forced = sorted((q for q in range(n) if depth[q]), key=depth.__getitem__)
+    chains = [(q, succ[q]) for q in forced]
     k = len(kernel)
     slot = {q: i for i, q in enumerate(kernel)}
-    # each entry of a kernel row: its row, its state, and its column in
-    # the kernel system, that of the end of its chain
+    # each entry of a kernel row: its row, its state, the depth of its
+    # state, and its column in the kernel system, that of the end of its
+    # chain
     k_entries = [
-        (i, j, slot[end[j]]) for i, q in enumerate(kernel) for j in m.rows[q]
+        (i, j, depth[j], slot[end[j]]) for i, q in enumerate(kernel) for j in rows[q]
     ]
+    top_depth = max(depth)
+    # the rows with one entry, then the others: the ratios of the former
+    # are quotients of two entries of the iterate
+    single = [q for q, row in enumerate(rows) if len(row) == 1]
+    single_to = [rows[q][0] for q in single]
+    other = [(q, row) for q, row in enumerate(rows) if len(row) != 1]
 
     v = [1.0] * n
     previous = math.inf
     for iteration in range(1, MAX_ITER + 1):
         get = v.__getitem__
-        ratios = [sum(map(get, row)) / x for row, x in zip(m.rows, v)]
+        ratios = list(map(truediv, map(get, single_to), map(get, single)))
+        ratios += [sum(map(get, row)) / get(q) for q, row in other]
         lo, hi = min(ratios), max(ratios)
         width = hi - lo
         if width <= tol:
@@ -299,16 +328,17 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
             )
         previous = width
         # a forced state has a positive ratio, so hi > 0 where one is
-        # divided
-        a, c = [0.0] * n, [1.0] * n
-        for q in forced:
-            a[q] = (v[q] + a[succ[q]]) / hi
-            c[q] = c[succ[q]] / hi
+        # divided; c[d] is hi^-d, by as many divisions
+        a, c = [0.0] * n, [1.0]
+        for _ in range(top_depth):
+            c.append(c[-1] / hi)
+        for q, p in chains:
+            a[q] = (v[q] + a[p]) / hi
         shifted, rhs = [[0.0] * k for _ in kernel], [v[q] for q in kernel]
         for i, row in enumerate(shifted):
             row[i] = hi
-        for i, j, col in k_entries:
-            shifted[i][col] -= c[j]
+        for i, j, d, col in k_entries:
+            shifted[i][col] -= c[d]
             rhs[i] += a[j]
         try:
             w_kernel = _solve(shifted, rhs)
@@ -320,12 +350,12 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
         w = [0.0] * n
         for q, x in zip(kernel, w_kernel):
             w[q] = x
-        for q in forced:
-            w[q] = (v[q] + w[succ[q]]) / hi
+        for q, p in chains:
+            w[q] = (v[q] + w[p]) / hi
         top = max(w)
         # min(w) / top is the least entry of the next iterate, which must
         # not underflow to zero either
-        if not (all(x > 0 for x in w) and min(w) / top > 0):
+        if not (all(map(lt, repeat(0.0), w)) and min(w) / top > 0):
             raise ConvergenceFailureError(
                 f"Noda iteration stalled at bracket width {width:.3g} after "
                 f"{iteration} iterations: rounding broke the iterate's positivity"
@@ -385,7 +415,9 @@ def certify_inequality(
     the vector's largest entry: for `pf1`'s eigenvector v of max entry 1,
     max|M1 v - lam1 v| is at most half its bracket width, itself at most
     tol, plus the rounding of the ratios M1 v / v (see `PFResult`), and
-    the bound rescales with the vector.
+    the bound rescales with the vector.  An eigenvalue, or an eigenvector
+    entry, that is not positive and finite raises PreconditionError:
+    neither belongs to a Perron eigenpair.
     """
     b = m.ordering.boundary
     if b is None:
@@ -398,8 +430,12 @@ def certify_inequality(
         raise PreconditionError("eigenpair does not belong to the collapsed matrix")
 
     lam1 = pf1.eigenvalue
-    n = m.size
+    if not (lam1 > 0 and math.isfinite(lam1)):
+        raise PreconditionError(f"collapsed eigenvalue {lam1!r} is not positive and finite")
     low = min(pf1.eigenvector)
+    if not (low > 0 and all(map(math.isfinite, pf1.eigenvector))):
+        raise PreconditionError("collapsed eigenvector is not positive and finite")
+    n = m.size
     u = [x / low for x in pf1.eigenvector] + [0.0] * (n - b)
 
     expected_strict: set[int] = set()
@@ -412,9 +448,10 @@ def certify_inequality(
             )
         if u_choice in (2, 3):
             expected_strict.update(range(b, n))
+    get = u.__getitem__
     s_values: dict[State, tuple[float, float, float]] = {}
     for row, state in enumerate(m.ordering.states[b:], start=b):
-        bound = sum(u[j] for j in m.rows[row])  # O is zero: lead columns only
+        bound = sum(map(get, m.rows[row]))  # O is zero: lead columns only
         lower, upper = bound / lam1, bound
         if u_override is not None:
             value = float(u_override)
@@ -427,12 +464,12 @@ def certify_inequality(
         u[row] = value
         s_values[state] = (value, lower, upper)
 
-    if not all(x > 0 for x in u):
+    if not all(map(lt, repeat(0.0), u)):
         raise CertificateFailureError("comparison vector is not strictly positive")
     row_tol = 10 * tol * max(u)
     strict = []
     for j, (row, x) in enumerate(zip(m.rows, u)):
-        mu, y = sum(u[i] for i in row), lam1 * x
+        mu, y = sum(map(get, row)), lam1 * x
         if mu > y + row_tol:
             raise CertificateFailureError(f"(Mu) exceeds lam1*u at NSE row {j + 1}")
         if mu < y - row_tol:

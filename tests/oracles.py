@@ -6,7 +6,8 @@ enumerating every reduced word and tracing it through the graph (no
 automaton path counting), the automaton by its definition on the edge
 list (no neighbour maps, no successor rows), the top eigenvalue by exact
 characteristic-polynomial bisection (no power iteration) or by the
-Ihara-Bass pencil of the core (no transition matrix), the row transform
+Ihara-Bass pencil of the core (no transition matrix), Noda's iteration
+state by state (no index arrays, no shared solver), the row transform
 on dense arrays (no successor lists), cut vertices by one search per
 letter (no shared piece search), and the free-factor verdict by greedy
 Whitehead descent (no Whitehead graph).
@@ -24,6 +25,7 @@ small core graph, and an exhaustive Whitehead search.
 
 import itertools
 import json
+import math
 import numbers
 from fractions import Fraction
 
@@ -31,8 +33,13 @@ import numpy as np
 
 from cogrowth.automaton import Automaton, state_key
 from cogrowth.core_graph import CoreGraph
-from cogrowth.errors import FoldingViolationError, NotCyclicallyReducedError, PreconditionError
-from cogrowth.spectral import AdjacencyMatrix, StateOrdering
+from cogrowth.errors import (
+    ConvergenceFailureError,
+    FoldingViolationError,
+    NotCyclicallyReducedError,
+    PreconditionError,
+)
+from cogrowth.spectral import AdjacencyMatrix, PFResult, StateOrdering
 from cogrowth.whitehead import WhiteheadGraph
 from cogrowth.words import (
     Alphabet,
@@ -317,6 +324,110 @@ def ihara_bass_pf(core: CoreGraph, precision: float = 1e-14) -> float:
         except np.linalg.LinAlgError:
             hi = u
     return 2 / (lo + hi)
+
+
+def noda_reference(m: AdjacencyMatrix, tol: float) -> PFResult:
+    """`spectral.pf_eigen` written out state by state, for comparing bit
+    for bit: the same Noda iteration with the same floating-point
+    operations in the same order, but with per-state loops, the
+    chain-ending factor c kept per state, and a Gaussian elimination of
+    its own that updates every column.
+
+    Raises ConvergenceFailureError where the iteration stalls, meets a
+    zero pivot or loses positivity; the messages are not those of
+    `pf_eigen`.
+    """
+    rows = m.rows
+    n = len(rows)
+    # the forced chains: a state whose row is one entry other than itself
+    # is forced; walks from each state in turn, and a walk that closes a
+    # cycle of forced states leaves its last state in the kernel
+    succ = []
+    for q in range(n):
+        if len(rows[q]) == 1 and rows[q][0] != q:
+            succ.append(rows[q][0])
+        else:
+            succ.append(q)
+    end, depth, state = list(range(n)), [0] * n, ["unseen"] * n
+    for start in range(n):
+        walk, q = [], start
+        while state[q] == "unseen" and succ[q] != q:
+            state[q] = "walking"
+            walk.append(q)
+            q = succ[q]
+        if state[q] == "walking":
+            succ[q] = q
+        for p in reversed(walk):
+            if succ[p] != p:
+                end[p] = end[succ[p]]
+                depth[p] = depth[succ[p]] + 1
+            state[p] = "done"
+    kernel = [q for q in range(n) if depth[q] == 0]
+    forced = sorted([q for q in range(n) if depth[q] > 0], key=lambda q: depth[q])
+    k = len(kernel)
+    slot = {q: i for i, q in enumerate(kernel)}
+
+    v = [1.0] * n
+    previous = math.inf
+    iteration = 0
+    while True:
+        iteration += 1
+        ratios = []
+        for q in range(n):
+            ratios.append(sum(v[j] for j in rows[q]) / v[q])
+        lo, hi = min(ratios), max(ratios)
+        width = hi - lo
+        if width <= tol:
+            return PFResult((lo + hi) / 2, v, iteration, width)
+        if not width < previous:
+            raise ConvergenceFailureError("stalled")
+        previous = width
+        a, c = [0.0] * n, [1.0] * n
+        for q in forced:
+            a[q] = (v[q] + a[succ[q]]) / hi
+            c[q] = c[succ[q]] / hi
+        system = [[0.0] * k for _ in range(k)]
+        rhs = [v[q] for q in kernel]
+        for i, q in enumerate(kernel):
+            system[i][i] = hi
+            for j in rows[q]:
+                system[i][slot[end[j]]] -= c[j]
+                rhs[i] += a[j]
+        # elimination with partial pivoting, the first largest pivot
+        for col in range(k):
+            pivot = col
+            for r in range(col + 1, k):
+                if abs(system[r][col]) > abs(system[pivot][col]):
+                    pivot = r
+            if system[pivot][col] == 0:
+                raise ConvergenceFailureError("singular")
+            system[col], system[pivot] = system[pivot], system[col]
+            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+            for r in range(col + 1, k):
+                f = system[r][col] / system[col][col]
+                if f != 0:
+                    for j in range(col + 1, k):
+                        system[r][j] -= f * system[col][j]
+                    rhs[r] -= f * rhs[col]
+        # back substitution by columns
+        for j in reversed(range(k)):
+            rhs[j] /= system[j][j]
+            for i in range(j):
+                rhs[i] -= rhs[j] * system[i][j]
+        w = [0.0] * n
+        for i, q in enumerate(kernel):
+            w[q] = rhs[i]
+        for q in forced:
+            w[q] = (v[q] + w[succ[q]]) / hi
+        top = max(w)
+        for x in w:
+            if not x > 0:
+                raise ConvergenceFailureError("lost positivity")
+        if not min(w) / top > 0:
+            raise ConvergenceFailureError("lost positivity")
+        v = []
+        for x in w:
+            v.append(x / top)
 
 
 # -- the row transform on dense arrays -------------------------------------

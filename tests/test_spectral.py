@@ -1,4 +1,6 @@
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -425,6 +427,19 @@ def test_forced_states_meet_the_eigen_equation(corpus_steps, ladder_steps):
             assert abs(v[j] / v[i] - pf1.eigenvalue) <= pf1.residual
 
 
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+def test_pf_eigen_matches_the_state_by_state_reference(corpus_steps, ladder_steps, tol):
+    # the same arithmetic in the same order: equal floats, not close ones
+    for step in corpus_steps + ladder_steps:
+        for m in (step.m, step.m1):
+            assert pf_eigen(m, tol) == oracles.noda_reference(m, tol)
+
+
+def test_pf_eigen_rejects_an_empty_matrix():
+    with pytest.raises(PreconditionError):
+        pf_eigen(spectral.AdjacencyMatrix((), StateOrdering(())))
+
+
 def test_pf_eigen_reports_a_singular_solve_as_a_convergence_failure(
     example_spectral, monkeypatch
 ):
@@ -520,6 +535,26 @@ def test_certificate_rejects_an_eigenpair_of_another_matrix(example_spectral):
     _, _, s, m, m1 = example_spectral
     with pytest.raises(PreconditionError):
         certify_inequality(m, m1, s, pf_eigen(m))
+
+
+@pytest.mark.parametrize("entry", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+def test_certificate_rejects_an_eigenvector_entry_that_is_not_positive_and_finite(
+    example_spectral, entry
+):
+    _, _, s, m, m1 = example_spectral
+    pf1 = pf_eigen(m1)
+    vector = pf1.eigenvector[:3] + [entry] + pf1.eigenvector[4:]
+    with pytest.raises(PreconditionError):
+        certify_inequality(m, m1, s, replace(pf1, eigenvector=vector))
+
+
+@pytest.mark.parametrize("lam1", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
+def test_certificate_rejects_an_eigenvalue_that_is_not_positive_and_finite(
+    example_spectral, lam1
+):
+    _, _, s, m, m1 = example_spectral
+    with pytest.raises(PreconditionError):
+        certify_inequality(m, m1, s, replace(pf_eigen(m1), eigenvalue=lam1))
 
 
 def test_census_growth_tracks_cogrowth(example_core, example_spectral):
