@@ -9,7 +9,7 @@ accepted nonempty word has exactly |I| - 1 accepting paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import ge
 
 from .core_graph import CollapseData, CoreGraph, rooted_map
@@ -143,8 +143,7 @@ def accepts(aut: Automaton, word: Word) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class SStateSet:
+class SStateSet(namedtuple("SStateSet", "elements merge survivors")):
     """States removed by one collapse step, and the vertex merge.
 
     ``elements`` fixes the order the matrix work uses: per collapse edge
@@ -156,9 +155,7 @@ class SStateSet:
     (`collapse_automaton`) or off the NSE matrix (`spectral.derive_m1`).
     """
 
-    elements: tuple[State, ...]
-    merge: dict[int, int]
-    survivors: tuple[int, ...]
+    __slots__ = ()
 
     @classmethod
     def from_collapse(cls, aut: Automaton, cd: CollapseData) -> "SStateSet":
@@ -181,7 +178,8 @@ class SStateSet:
 
     def rename(self, states) -> tuple[State, ...]:
         """The states with their vertices merged, in the same order."""
-        return tuple([(self.merge.get(v, v), letter) for v, letter in states])
+        get = self.merge.get
+        return tuple([(get(v, v), letter) for v, letter in states])
 
 
 def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:

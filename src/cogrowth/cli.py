@@ -9,6 +9,15 @@ text, JSON, DOT and CSV layouts of its objects are all here (`core_json`,
 `matrix_csv`, `matrix_text`, ...), and no other module of the package
 imports json or csv.
 
+Importing this module loads only `errors` and `words` of the package.
+Each subcommand imports the library modules it runs when it runs, and
+each format imports json or csv when it writes: `core` loads
+`core_graph`, `whitehead` adds `whitehead`, `automaton` adds `automaton`;
+`eigen` and `census` load `core_graph`, `automaton` and `spectral`
+(`census --format csv` solves no eigenpair and leaves `spectral` out),
+and `matrix` adds `whitehead` to those three.  Only `reduce-step`,
+`reduce` and `verify` load `pipeline`, and with it every module.
+
 Every subcommand is a `cmd_*(alphabet, gens, args)` that returns its
 text (`reduce` and `verify` also return their exit code); `main` parses
 the input, writes the text and maps errors to exit codes.  Each
@@ -29,24 +38,10 @@ gave a collapse, which cannot happen (see the whitehead module).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import os
-import random
 import sys
 
-from . import pipeline
-from .automaton import (
-    SStateSet,
-    accepts,
-    build_automaton,
-    sample_accepted_word,
-    state_key,
-    word_census,
-)
-from .core_graph import build_core, label_sets
 from .errors import (
     CogrowthError,
     NoCutVertexError,
@@ -54,8 +49,6 @@ from .errors import (
     PreconditionError,
     WordParseError,
 )
-from .spectral import adjacency, certify_inequality, make_nse, ose, pf_eigen
-from .whitehead import choose_automorphism, find_cut_vertices, whitehead_graph_of_core
 from .words import Alphabet, format_word, letter_key, parse_word
 
 EXIT_OK = 0
@@ -81,6 +74,8 @@ def _f(x: float) -> str:
 
 
 def _json(data) -> str:
+    import json
+
     return json.dumps(data, indent=2) + "\n"
 
 
@@ -174,6 +169,9 @@ def cut_vertex_dict(report, alphabet) -> dict:
 
 
 def matrix_csv(mat, alphabet) -> str:
+    import csv
+    import io
+
     names = state_names(mat.ordering.states, alphabet)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -211,6 +209,8 @@ def matrix_text(mat, alphabet) -> str:
 
 
 def cmd_core(alphabet, gens, args) -> str:
+    from .core_graph import build_core, label_sets
+
     graph = build_core(gens, alphabet)
     if args.format == "dot":
         return core_dot(graph, extended=args.extended)
@@ -230,6 +230,9 @@ def cmd_core(alphabet, gens, args) -> str:
 
 
 def cmd_whitehead(alphabet, gens, args) -> str:
+    from .core_graph import build_core, label_sets
+    from .whitehead import find_cut_vertices, whitehead_graph_of_core
+
     graph = build_core(gens, alphabet)
     wg = whitehead_graph_of_core(label_sets(graph), alphabet.rank)
     cuts = find_cut_vertices(wg)
@@ -256,6 +259,9 @@ def cmd_whitehead(alphabet, gens, args) -> str:
 
 
 def cmd_automaton(alphabet, gens, args) -> str:
+    from .automaton import build_automaton, state_key
+    from .core_graph import build_core
+
     aut = build_automaton(build_core(gens, alphabet))
     if args.format == "dot":
         return automaton_dot(aut)
@@ -271,6 +277,11 @@ def cmd_automaton(alphabet, gens, args) -> str:
 
 
 def cmd_matrix(alphabet, gens, args) -> str:
+    from .automaton import SStateSet, build_automaton
+    from .core_graph import build_core
+    from .spectral import adjacency, make_nse, ose
+    from .whitehead import choose_automorphism
+
     graph = build_core(gens, alphabet)
     # a core with no cut vertex raises before its automaton is built
     cd = choose_automorphism(graph)[1] if args.ordering == "nse" else None
@@ -289,6 +300,10 @@ def cmd_matrix(alphabet, gens, args) -> str:
 
 
 def cmd_eigen(alphabet, gens, args) -> str:
+    from .automaton import build_automaton
+    from .core_graph import build_core
+    from .spectral import adjacency, ose, pf_eigen
+
     aut = build_automaton(build_core(gens, alphabet))
     mat = adjacency(aut, ose(aut))
     pf = pf_eigen(mat, tol=args.tol)
@@ -309,7 +324,9 @@ def cmd_eigen(alphabet, gens, args) -> str:
     )
 
 
-def _step_json(step: pipeline.StepReport) -> dict:
+def _step_json(step) -> dict:
+    """A `pipeline.StepReport` as the JSON object `reduce-step` and
+    `reduce` print."""
     ab = step.core_before.alphabet
     cert, nse = step.certificate, state_names(step.m.ordering.states, ab)
     return {
@@ -352,7 +369,8 @@ def _step_json(step: pipeline.StepReport) -> dict:
     }
 
 
-def _step_text(step: pipeline.StepReport, tol: float) -> list[str]:
+def _step_text(step, tol: float) -> list[str]:
+    """A `pipeline.StepReport` as the lines `reduce-step` prints."""
     ab = step.core_before.alphabet
     cert = step.certificate
     return [
@@ -376,13 +394,16 @@ def _step_text(step: pipeline.StepReport, tol: float) -> list[str]:
 
 
 def cmd_reduce_step(alphabet, gens, args) -> str:
+    from .core_graph import build_core
+    from .pipeline import reduce_step
+
     graph = build_core(gens, alphabet)
     if graph.n_vertices == 1:
         if args.format == "json":
             # the status word `reduce` ends with on the same input
             return _json({"status": "single_vertex_core"})
         return f"{ALREADY_REDUCED}\n"
-    step = pipeline.reduce_step(graph, gens, u_choice=args.u_choice, tol=args.tol)
+    step = reduce_step(graph, gens, u_choice=args.u_choice, tol=args.tol)
     if args.format == "json":
         return _json(_step_json(step))
     return _text(_step_text(step, args.tol))
@@ -391,7 +412,9 @@ def cmd_reduce_step(alphabet, gens, args) -> str:
 def cmd_reduce(ab, gens, args) -> tuple[str, int]:
     """`reduce` prints its trace whatever the terminal status, and exits 4
     on `no_cut_vertex` however many steps ran first."""
-    trace = pipeline.reduce_full(gens, ab, u_choice=args.u_choice, tol=args.tol)
+    from .pipeline import reduce_full
+
+    trace = reduce_full(gens, ab, u_choice=args.u_choice, tol=args.tol)
     code = EXIT_NO_CUT_VERTEX if trace.status == "no_cut_vertex" else EXIT_OK
     final_gens = [format_word(w, ab) for w in trace.final_gens]
     if args.format == "json":
@@ -415,6 +438,9 @@ def cmd_reduce(ab, gens, args) -> tuple[str, int]:
 
 
 def cmd_census(alphabet, gens, args) -> str:
+    from .automaton import build_automaton, word_census
+    from .core_graph import build_core
+
     aut = build_automaton(build_core(gens, alphabet))
     counts = word_census(aut, args.n_max)
     # math.log takes an int of any size exactly; a ** (1 / n) overflows
@@ -425,6 +451,8 @@ def cmd_census(alphabet, gens, args) -> str:
     ]
     if args.format == "csv":
         return _text(["n,a_n,a_n^(1/n)"] + [f"{n},{a},{_f(est)}" for n, a, est in rows])
+    from .spectral import adjacency, ose, pf_eigen
+
     alpha = pf_eigen(adjacency(aut, ose(aut)), tol=args.tol).eigenvalue
     lines = [f"{'n':>4} {'a_n':>12} {'a_n^(1/n)':>10}"]
     lines += [f"{n:>4} {a:>12} {_f(est):>10}" for n, a, est in rows]
@@ -436,11 +464,18 @@ def cmd_verify(alphabet, gens, args) -> tuple[str, int | CogrowthError]:
     """Every check of the battery, certificate choices 1, 2 and 3
     included; exits 1 when one fails.  A core with no cut vertex ends the
     battery early: its lines are written, then the error is reported."""
+    import random
+
+    from .automaton import accepts, build_automaton, sample_accepted_word
+    from .core_graph import build_core
+    from .pipeline import reduce_step
+    from .spectral import certify_inequality
+
     graph = build_core(gens, alphabet)
     step = stop = None
     if graph.n_vertices > 1:
         try:
-            step = pipeline.reduce_step(graph, gens, tol=args.tol)
+            step = reduce_step(graph, gens, tol=args.tol)
         except NoCutVertexError as exc:
             stop = exc
     aut = step.aut_before if step else build_automaton(graph)

@@ -14,7 +14,7 @@ their parent; `rooted_map` matches graphs whatever their numbering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     CyclicOrTrivialSubgroupError,
@@ -104,8 +104,7 @@ class CoreGraph:
                 raise PreconditionError(f"vertex {v} has degree < 2")
 
 
-@dataclass(frozen=True)
-class CollapseData:
+class CollapseData(namedtuple("CollapseData", "a e_o")):
     """Edges to contract for one Whitehead reduction step.
 
     ``e_o`` are the extended edges (origin, a, terminus), at least one
@@ -113,16 +112,17 @@ class CollapseData:
     are read off them, and must be disjoint.
     """
 
-    a: Letter
-    e_o: tuple[tuple[int, Letter, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.e_o:
+    def __new__(cls, a: Letter, e_o: tuple[tuple[int, Letter, int], ...]):
+        self = super().__new__(cls, a, e_o)
+        if not e_o:
             raise PreconditionError("collapse needs at least one edge")
-        if any(letter != self.a for _, letter, _ in self.e_o):
+        if any(letter != a for _, letter, _ in e_o):
             raise PreconditionError("collapse edge not labeled a")
         if set(self.s_o) & set(self.s_t):
             raise PreconditionError("origin and terminus sets overlap")
+        return self
 
     @property
     def s_o(self) -> tuple[int, ...]:

@@ -26,8 +26,7 @@ broken invariant trips.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .core_graph import CollapseData, CoreGraph, build_core, label_sets
 from .errors import CyclicOrTrivialSubgroupError, NoCutVertexError, PreconditionError
@@ -120,14 +119,13 @@ def whitehead_graph_of_core(ls: dict[int, frozenset], rank: int) -> WhiteheadGra
     return WhiteheadGraph(rank, mult)
 
 
-@dataclass(frozen=True)
-class CutVertexReport:
+class CutVertexReport(namedtuple("CutVertexReport", "letter configuration witness")):
     """A non-isolated letter whose removal separates its component, or
-    whose component misses its inverse (configuration 1 before 2)."""
+    whose component misses its inverse (configuration 1 before 2); the
+    witness is the pieces of its component without it, each a tuple of
+    letters."""
 
-    letter: Letter
-    configuration: int
-    witness: tuple[tuple[Letter, ...], ...]
+    __slots__ = ()
 
 
 def find_cut_vertices(wg: WhiteheadGraph) -> list[CutVertexReport]:

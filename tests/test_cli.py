@@ -489,3 +489,71 @@ def test_importing_the_library_loads_no_output_format():
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert proc.stdout == "[]\n"
+
+
+# the modules a light command does without: the output formats it was
+# not asked for, and the dataclass machinery
+WATCHED = {"csv", "dataclasses", "inspect", "json", "typing"}
+CLI_MODULES = {"cogrowth", "cogrowth.cli", "cogrowth.errors", "cogrowth.words"}
+STEP_MODULES = {"cogrowth.core_graph", "cogrowth.whitehead", "cogrowth.automaton",
+                "cogrowth.spectral", "cogrowth.pipeline"}
+# the library modules each subcommand loads beyond CLI_MODULES
+COMMAND_MODULES = {
+    "core": {"cogrowth.core_graph"},
+    "whitehead": {"cogrowth.core_graph", "cogrowth.whitehead"},
+    "automaton": {"cogrowth.core_graph", "cogrowth.automaton"},
+    "matrix": {"cogrowth.core_graph", "cogrowth.whitehead", "cogrowth.automaton",
+               "cogrowth.spectral"},
+    "eigen": {"cogrowth.core_graph", "cogrowth.automaton", "cogrowth.spectral"},
+    "census": {"cogrowth.core_graph", "cogrowth.automaton", "cogrowth.spectral"},
+    "reduce-step": STEP_MODULES,
+    "reduce": STEP_MODULES,
+    "verify": STEP_MODULES,
+}
+
+
+def modules_loaded(tmp_path, module, *argv):
+    """What a fresh interpreter without site (so without start-up hooks)
+    has loaded after importing `module` and, given argv, running the
+    command with its output sent to a file."""
+    probe = (f"import sys, {module}\n"
+             "if sys.argv[1:]:\n"
+             "    assert cogrowth.cli.main(sys.argv[1:]) == 0\n"
+             "print(*sys.modules)")
+    if argv:
+        argv = (*argv, "--out", str(tmp_path / "out"))
+    src = Path(__file__).parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    return set(proc.stdout.split())
+
+
+def package_modules(loaded):
+    return {name for name in loaded if name.split(".")[0] == "cogrowth"}
+
+
+def test_importing_the_package_loads_no_submodule(tmp_path):
+    assert package_modules(modules_loaded(tmp_path, "cogrowth")) == {"cogrowth"}
+
+
+def test_importing_the_cli_loads_only_errors_and_words(tmp_path):
+    loaded = modules_loaded(tmp_path, "cogrowth.cli")
+    assert package_modules(loaded) == CLI_MODULES
+    assert loaded.isdisjoint(WATCHED)
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_a_subcommand_loads_only_the_modules_it_runs(tmp_path, command):
+    loaded = modules_loaded(tmp_path, "cogrowth.cli", command, *EXAMPLE)
+    assert package_modules(loaded) == CLI_MODULES | COMMAND_MODULES[command]
+    if command in ("core", "whitehead", "automaton"):
+        assert loaded.isdisjoint(WATCHED)
+
+
+@pytest.mark.parametrize("argv, used, unused", [
+    (["matrix", "--format", "csv"], "csv", "json"),
+    (["eigen", "--format", "json"], "json", "csv"),
+])
+def test_an_output_format_loads_its_module(tmp_path, argv, used, unused):
+    loaded = modules_loaded(tmp_path, "cogrowth.cli", *argv, *EXAMPLE)
+    assert used in loaded and unused not in loaded

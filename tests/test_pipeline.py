@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,7 +149,7 @@ def test_step_checks_the_order_of_the_collapsed_states(
 
     def reversed_order(cls, aut, cd):
         s = from_collapse(aut, cd)
-        return replace(s, survivors=s.survivors[::-1])
+        return s._replace(survivors=s.survivors[::-1])
 
     monkeypatch.setattr(automaton.SStateSet, "from_collapse", classmethod(reversed_order))
     with pytest.raises(CogrowthError, match="not in the OSE order"):

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cogrowth.errors import WordParseError
+from cogrowth.errors import PreconditionError, WordParseError
 from cogrowth.whitehead import random_whitehead
 from cogrowth.words import (
     MAX_WORD_LENGTH,
@@ -116,9 +116,9 @@ def test_whitehead_fixes_own_letter():
 
 
 def test_whitehead_rejects_bad_side_set():
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         WhiteheadAutomorphism(2, frozenset({2, 1}))
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         WhiteheadAutomorphism(2, frozenset({-2}))
 
 
