@@ -50,7 +50,7 @@ def main():
     print("\nchosen automorphism:", step.phi.format(ab))
     print("collapse origin/terminus sets:", step.collapse.s_o, step.collapse.s_t)
     print("OSE:", ", ".join(state_names(step.aut_before.states, ab)))
-    print("NSE:", ", ".join(state_names(step.m.ordering.states, ab)))
+    print("NSE:", ", ".join(state_names(step.m.states, ab)))
     print("\ntransition matrix under the NSE:")
     print(matrix_text(step.m, ab))
     print("collapsed matrix (OSE of the image automaton):")
@@ -60,7 +60,7 @@ def main():
     vec = [x / step.pf1.eigenvector[5] for x in step.pf1.eigenvector]
     print("eigenvector (6th entry 1):", [round(x, 4) for x in vec])
 
-    cert = certify_inequality(step.m, step.m1, step.s_states, step.pf1, u_override=3.0)
+    cert = certify_inequality(step.m, step.pf1, u_override=3.0)
     print("\ncertificate with both tail entries set to 3:")
     print("  strict slack at NSE rows:", cert.strict_rows)
     for state, (value, lo, hi) in cert.s_values.items():
@@ -77,7 +77,7 @@ def main():
 
     if args.dot_dir:
         os.makedirs(args.dot_dir, exist_ok=True)
-        dashed = set(step.s_states.elements)
+        dashed = set(step.m.collapse.elements)
         for name, text in [
             ("core.dot", core_dot(core, extended=True)),
             ("whitehead.dot", whitehead_dot(wg, ab)),

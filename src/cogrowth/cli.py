@@ -172,7 +172,7 @@ def matrix_csv(mat, alphabet) -> str:
     import csv
     import io
 
-    names = state_names(mat.ordering.states, alphabet)
+    names = state_names(mat.states, alphabet)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([""] + names)
@@ -184,11 +184,11 @@ def matrix_csv(mat, alphabet) -> str:
 def matrix_text(mat, alphabet) -> str:
     """Aligned layout with a vertical separator before the collapse
     block and a rule above the collapse rows (NSE only)."""
-    names = state_names(mat.ordering.states, alphabet)
+    names = state_names(mat.states, alphabet)
     width = max(len(n) for n in names)
     # one blank at least between neighbouring columns, at every order
     field = max(3, len(str(mat.size)) + 1)
-    boundary = mat.ordering.boundary
+    boundary = mat.boundary
     lines = ["# rows/columns: " + " ".join(f"{i + 1}={n}" for i, n in enumerate(names))]
     header = " " * (width + 1)
     for j in range(mat.size):
@@ -279,20 +279,19 @@ def cmd_automaton(alphabet, gens, args) -> str:
 def cmd_matrix(alphabet, gens, args) -> str:
     from .automaton import SStateSet, build_automaton
     from .core_graph import build_core
-    from .spectral import adjacency, make_nse, ose
+    from .spectral import make_nse, ose
     from .whitehead import choose_automorphism
 
     graph = build_core(gens, alphabet)
     # a core with no cut vertex raises before its automaton is built
     cd = choose_automorphism(graph)[1] if args.ordering == "nse" else None
     aut = build_automaton(graph)
-    ordering = ose(aut) if cd is None else make_nse(aut, SStateSet.from_collapse(aut, cd))
-    mat = adjacency(aut, ordering)
+    mat = ose(aut) if cd is None else make_nse(aut, SStateSet.from_collapse(aut, cd))
     if args.format == "csv":
         return matrix_csv(mat, alphabet)
     if args.format == "json":
         return _json({
-            "ordering": state_names(ordering.states, alphabet),
+            "ordering": state_names(mat.states, alphabet),
             "kind": args.ordering.upper(),
             "matrix": mat.matrix,
         })
@@ -302,11 +301,10 @@ def cmd_matrix(alphabet, gens, args) -> str:
 def cmd_eigen(alphabet, gens, args) -> str:
     from .automaton import build_automaton
     from .core_graph import build_core
-    from .spectral import adjacency, ose, pf_eigen
+    from .spectral import ose, pf_eigen
 
     aut = build_automaton(build_core(gens, alphabet))
-    mat = adjacency(aut, ose(aut))
-    pf = pf_eigen(mat, tol=args.tol)
+    pf = pf_eigen(ose(aut), tol=args.tol)
     if args.format == "json":
         return _json({
             "eigenvalue": pf.eigenvalue,
@@ -328,7 +326,7 @@ def _step_json(step) -> dict:
     """A `pipeline.StepReport` as the JSON object `reduce-step` and
     `reduce` print."""
     ab = step.core_before.alphabet
-    cert, nse = step.certificate, state_names(step.m.ordering.states, ab)
+    cert, nse = step.certificate, state_names(step.m.states, ab)
     return {
         "phi": step.phi.format(ab),
         "collapse": {
@@ -347,7 +345,7 @@ def _step_json(step) -> dict:
         "states_after": step.aut_after.n_states,
         "ose": state_names(step.aut_before.states, ab),
         "nse": nse,
-        "ose_after": state_names(step.m1.ordering.states, ab),
+        "ose_after": state_names(step.m1.states, ab),
         "matrix": step.m.matrix,
         "matrix_1": step.m1.matrix,
         "lambda": step.pf.eigenvalue,
@@ -383,8 +381,8 @@ def _step_text(step, tol: float) -> list[str]:
         f" -> {step.core_after.n_vertices} vertices, {step.core_after.n_edges} edges",
         f"automaton: {step.aut_before.n_states} states -> {step.aut_after.n_states} states",
         "OSE: " + ", ".join(state_names(step.aut_before.states, ab)),
-        "NSE: " + ", ".join(state_names(step.m.ordering.states, ab)),
-        "OSE after collapse: " + ", ".join(state_names(step.m1.ordering.states, ab)),
+        "NSE: " + ", ".join(state_names(step.m.states, ab)),
+        "OSE after collapse: " + ", ".join(state_names(step.m1.states, ab)),
         f"lambda  = {_f(step.pf.eigenvalue)}  (tol {_f(tol)})",
         f"lambda1 = {_f(step.pf1.eigenvalue)}",
         "certificate: strict slack at NSE rows "
@@ -451,9 +449,9 @@ def cmd_census(alphabet, gens, args) -> str:
     ]
     if args.format == "csv":
         return _text(["n,a_n,a_n^(1/n)"] + [f"{n},{a},{_f(est)}" for n, a, est in rows])
-    from .spectral import adjacency, ose, pf_eigen
+    from .spectral import ose, pf_eigen
 
-    alpha = pf_eigen(adjacency(aut, ose(aut)), tol=args.tol).eigenvalue
+    alpha = pf_eigen(ose(aut), tol=args.tol).eigenvalue
     lines = [f"{'n':>4} {'a_n':>12} {'a_n^(1/n)':>10}"]
     lines += [f"{n:>4} {a:>12} {_f(est):>10}" for n, a, est in rows]
     lines.append(f"cogrowth alpha = {_f(alpha)} (tol {_f(args.tol)})")
@@ -524,9 +522,7 @@ def cmd_verify(alphabet, gens, args) -> tuple[str, int | CogrowthError]:
     for choice in (1, 2):
         check(
             f"inequality certificate, choice {choice}",
-            lambda c=choice: certify_inequality(
-                step.m, step.m1, step.s_states, step.pf1, u_choice=c, tol=args.tol
-            ),
+            lambda c=choice: certify_inequality(step.m, step.pf1, u_choice=c, tol=args.tol),
         )
     # reduce_step built and checked choice 3 as the step's certificate
     lines.append("ok   inequality certificate, choice 3")

@@ -29,7 +29,6 @@ from .spectral import (
     AdjacencyMatrix,
     InequalityCertificate,
     PFResult,
-    adjacency,
     certify_inequality,
     derive_m1,
     make_nse,
@@ -48,7 +47,6 @@ class StepReport:
     gens_after: tuple[Word, ...]
     phi: WhiteheadAutomorphism
     collapse: CollapseData
-    s_states: SStateSet
     core_before: CoreGraph
     core_after: CoreGraph
     # vertex ids of the contracted core -> those of core_after
@@ -57,8 +55,8 @@ class StepReport:
     # automaton, checked against aut_after, is not kept
     aut_before: Automaton
     aut_after: Automaton
-    # m is indexed by the NSE, m1 by the collapsed automaton's OSE, in
-    # the contracted core's vertex ids
+    # m is indexed by the NSE of the collapse's S-states (m.collapse), m1
+    # by the collapsed automaton's OSE, in the contracted core's vertex ids
     m: AdjacencyMatrix
     m1: AdjacencyMatrix
     pf: PFResult
@@ -94,12 +92,12 @@ def reduce_step(
     phi, cd = choose_automorphism(core)
     aut = build_automaton(core) if previous is None else previous.aut_after
     s = SStateSet.from_collapse(aut, cd)
-    m = adjacency(aut, make_nse(aut, s))
-    m1 = derive_m1(m, s)
+    m = make_nse(aut, s)
+    m1 = derive_m1(m)
 
     collapsed = collapse_automaton(aut, s)
-    m1_direct = adjacency(collapsed, ose(collapsed))
-    if m1.ordering.states != m1_direct.ordering.states or m1.rows != m1_direct.rows:
+    m1_direct = ose(collapsed)
+    if m1.states != m1_direct.states or m1.rows != m1_direct.rows:
         raise CogrowthError(
             "row-transformed matrix disagrees with the collapsed automaton"
         )
@@ -121,20 +119,19 @@ def reduce_step(
         # keeps its bracket
         position = {
             (previous.core_map[v], letter): i
-            for i, (v, letter) in enumerate(previous.m1.ordering.states)
+            for i, (v, letter) in enumerate(previous.m1.states)
         }
         vector = previous.pf1.eigenvector
         pf = replace(
-            previous.pf1, eigenvector=[vector[position[q]] for q in m.ordering.states]
+            previous.pf1, eigenvector=[vector[position[q]] for q in m.states]
         )
     pf1 = pf_eigen(m1, tol=tol)
-    certificate = certify_inequality(m, m1, s, pf1, u_choice=u_choice, tol=tol)
+    certificate = certify_inequality(m, pf1, u_choice=u_choice, tol=tol)
     return StepReport(
         gens_before=tuple(gens),
         gens_after=gens_after,
         phi=phi,
         collapse=cd,
-        s_states=s,
         core_before=core,
         core_after=core_after,
         core_map=core_map,

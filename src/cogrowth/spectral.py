@@ -1,12 +1,13 @@
-"""State orderings, adjacency matrices, the row-transformation derivation
-of the collapsed matrix, Perron-Frobenius eigenpairs, and the strict
-spectral-gap certificate.
+"""Adjacency matrices under the OSE and an NSE, the row-transformation
+derivation of the collapsed matrix, Perron-Frobenius eigenpairs, and the
+strict spectral-gap certificate.
 
-A matrix is held as its rows of column indices: the automaton's successor
-rows, sorted, under the OSE, and permuted under an NSE (at most 2m - 1
-entries, most rows one).  The row transform, the block check, the
-certificate and the eigenpair solve all work on those rows; the dense
-matrix is built only where it is printed or read whole (`.matrix`).
+A matrix is held as its states and its rows of column indices: the
+automaton's successor rows, sorted, under the OSE, and permuted under an
+NSE (at most 2m - 1 entries, most rows one), whose matrix also carries
+its collapse.  The row transform, the block check, the certificate and
+the eigenpair solve all work on those rows; the dense matrix is built
+only where it is printed or read whole (`.matrix`).
 All arithmetic is plain Python: the only dense system, that of each
 Noda step on the branch states, has order at most 6(r - 1) for a core of
 rank r, and no module of the package imports numpy.
@@ -36,6 +37,7 @@ and `certify_inequality` reads the feeder rows off the same rows.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from operator import eq, lt, truediv
@@ -51,41 +53,29 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class StateOrdering:
-    """A fixed listing of automaton states; `boundary`, set on an NSE
-    only, is the index of the first collapse state."""
-
-    states: tuple[State, ...]
-    boundary: int | None = None
-
-
-def ose(aut: Automaton) -> StateOrdering:
-    return StateOrdering(aut.states)
-
-
-def make_nse(aut: Automaton, s: SStateSet) -> StateOrdering:
-    """NSE: non-collapse states ordered by their post-merge (vertex,
-    letter) keys but keeping their original names, then the collapse
-    states."""
-    lead = tuple([aut.states[i] for i in s.survivors])
-    return StateOrdering(lead + s.elements, boundary=len(lead))
-
-
-@dataclass(frozen=True)
 class AdjacencyMatrix:
-    """Transition-count matrix of an automaton under a fixed ordering.
+    """Transition-count matrix of an automaton, with the states that
+    index its rows and columns.
 
     ``rows[i]`` lists the columns of row i's entries in increasing order,
     a column once per unit of its entry: an automaton's rows are its
-    states' successors.
+    states' successors.  ``collapse`` is set on an NSE matrix only: the
+    collapse whose states the NSE moves to the tail.
     """
 
     rows: tuple[tuple[int, ...], ...]
-    ordering: StateOrdering
+    states: tuple[State, ...]
+    collapse: SStateSet | None = None
 
     @property
     def size(self) -> int:
         return len(self.rows)
+
+    @property
+    def boundary(self) -> int | None:
+        """The index of the first collapse state, on an NSE only."""
+        s = self.collapse
+        return None if s is None else len(self.states) - len(s.elements)
 
     @property
     def matrix(self) -> list[list[int]]:
@@ -98,30 +88,45 @@ class AdjacencyMatrix:
         return dense
 
 
-def adjacency(aut: Automaton, ordering: StateOrdering) -> AdjacencyMatrix:
-    """The matrix of `aut` under `ordering`: each state's successors at
-    their positions in the ordering, sorted.  The OSE keeps the
-    automaton's own indices; an NSE permutes them."""
-    rows = aut.rows
-    if ordering.states != aut.states:
-        order = [aut.index.get(q) for q in ordering.states]
+def adjacency(aut: Automaton, states: Sequence[State]) -> AdjacencyMatrix:
+    """The matrix of `aut` with rows and columns in the order of
+    `states`: each state's successors at their positions in the list,
+    sorted.  The OSE keeps the automaton's own indices; an NSE permutes
+    them."""
+    states, rows = tuple(states), aut.rows
+    if states != aut.states:
+        order = [aut.index.get(q) for q in states]
         if len(order) != len(rows) or None in order or len(set(order)) != len(order):
             raise PreconditionError("ordering does not cover the automaton's states")
         position = sorted(range(len(order)), key=order.__getitem__)  # inverse
         rows = [tuple(map(position.__getitem__, rows[q])) for q in order]
     rows = [tuple(sorted(row)) for row in rows]
-    return AdjacencyMatrix(tuple(rows), ordering)
+    return AdjacencyMatrix(tuple(rows), states)
 
 
-def decompose(m: AdjacencyMatrix, s: SStateSet) -> None:
-    """Check the blocks (M', U, Z, O) under the NSE: O is zero and each
+def ose(aut: Automaton) -> AdjacencyMatrix:
+    """The matrix of `aut` under its OSE, the automaton's own order."""
+    return adjacency(aut, aut.states)
+
+
+def make_nse(aut: Automaton, s: SStateSet) -> AdjacencyMatrix:
+    """The matrix of `aut` under the NSE of `s`: non-collapse states
+    ordered by their post-merge (vertex, letter) keys but keeping their
+    original names, then the collapse states."""
+    lead = tuple([aut.states[i] for i in s.survivors])
+    m = adjacency(aut, lead + s.elements)
+    return AdjacencyMatrix(m.rows, m.states, s)
+
+
+def decompose(m: AdjacencyMatrix) -> None:
+    """Check the blocks (M', U, Z, O) of an NSE matrix: O is zero and each
     row of U has at most a single 1, or the upstream construction is
     broken.  `derive_m1` runs it, once per step.  Nothing is returned:
     M's rows already say which lead rows feed which collapse state."""
-    b = m.ordering.boundary
+    b = m.boundary
     if b is None:
         raise PreconditionError("matrix must be indexed by the NSE")
-    if m.ordering.states[b:] != s.elements:
+    if m.states[b:] != m.collapse.elements:
         raise PreconditionError("NSE tail does not match the collapse states")
     # a row's columns increase, so its entries in U or O come last
     if any(row and row[-1] >= b for row in m.rows[b:]):
@@ -130,7 +135,7 @@ def decompose(m: AdjacencyMatrix, s: SStateSet) -> None:
         raise DecompositionViolationError("a row of U has more than one entry")
 
 
-def derive_m1(m: AdjacencyMatrix, s: SStateSet) -> AdjacencyMatrix:
+def derive_m1(m: AdjacencyMatrix) -> AdjacencyMatrix:
     """Put each collapse state's row in place of its column in the rows
     feeding it, then drop the collapse rows.
 
@@ -140,8 +145,8 @@ def derive_m1(m: AdjacencyMatrix, s: SStateSet) -> AdjacencyMatrix:
     no collapse column, so one substitution per lead row leaves the lead
     block only.
     """
-    decompose(m, s)
-    b = m.ordering.boundary
+    decompose(m)
+    b = m.boundary
     rows = []
     for row in m.rows[:b]:
         if row and row[-1] >= b:
@@ -150,8 +155,7 @@ def derive_m1(m: AdjacencyMatrix, s: SStateSet) -> AdjacencyMatrix:
         if any(map(eq, row, row[1:])):
             raise EntryOverflowError("row transformation produced an entry above 1")
         rows.append(row)
-    lead = s.rename(m.ordering.states[:b])
-    return AdjacencyMatrix(tuple(rows), StateOrdering(lead))
+    return AdjacencyMatrix(tuple(rows), m.collapse.rename(m.states[:b]))
 
 
 @dataclass(frozen=True)
@@ -385,18 +389,16 @@ class InequalityCertificate:
 
 def certify_inequality(
     m: AdjacencyMatrix,
-    m1: AdjacencyMatrix,
-    s: SStateSet,
     pf1: PFResult,
     u_choice: int = 3,
     u_override: float | None = None,
     tol: float = 1e-10,
 ) -> InequalityCertificate:
-    """Build the comparison vector from `pf1`, the eigenpair of `m1`
-    solved to `tol`, and verify (M u)_j <= lam1 u_j everywhere, strictly
-    where the chosen construction guarantees it.  By the Perron-Frobenius
-    comparison theorem this certifies that M's eigenvalue is strictly
-    below lam1.
+    """Build the comparison vector from `pf1`, the eigenpair of the
+    collapsed matrix `derive_m1(m)` solved to `tol`, and verify (M u)_j
+    <= lam1 u_j everywhere, strictly where the chosen construction
+    guarantees it.  By the Perron-Frobenius comparison theorem this
+    certifies that M's eigenvalue is strictly below lam1.
 
     Choice 1 takes each collapse entry at its lower bound (strict rows:
     the feeder rows), choice 2 at its upper bound (strict rows: the
@@ -404,10 +406,10 @@ def certify_inequality(
     scalar override replaces every collapse entry; its strict rows are
     whatever the verification finds.
 
-    `m` is the NSE matrix that `derive_m1` checked and turned into `m1`;
-    the feeder rows and the collapse states are read off it, and its
-    blocks are not checked again.  The certificate does not rest on
-    them: the inequality is verified on every row of M.
+    `m` is the NSE matrix that `derive_m1` checked and collapsed; the
+    feeder rows and the collapse states are read off it, and its blocks
+    are not checked again.  The certificate does not rest on them: the
+    inequality is verified on every row of M.
 
     The comparison vector is the collapsed eigenvector scaled so its
     smallest entry is 1; override values and the reported bounds are
@@ -419,14 +421,12 @@ def certify_inequality(
     entry, that is not positive and finite raises PreconditionError:
     neither belongs to a Perron eigenpair.
     """
-    b = m.ordering.boundary
+    b = m.boundary
     if b is None:
         raise PreconditionError("matrix must be indexed by the NSE")
-    if s.rename(m.ordering.states[:b]) != m1.ordering.states:
-        raise PreconditionError("collapsed matrix does not match the NSE lead block")
     if u_choice not in (1, 2, 3):
         raise PreconditionError("u_choice must be 1, 2 or 3")
-    if len(pf1.eigenvector) != m1.size:
+    if len(pf1.eigenvector) != b:
         raise PreconditionError("eigenpair does not belong to the collapsed matrix")
 
     lam1 = pf1.eigenvalue
@@ -450,7 +450,7 @@ def certify_inequality(
             expected_strict.update(range(b, n))
     get = u.__getitem__
     s_values: dict[State, tuple[float, float, float]] = {}
-    for row, state in enumerate(m.ordering.states[b:], start=b):
+    for row, state in enumerate(m.states[b:], start=b):
         bound = sum(map(get, m.rows[row]))  # O is zero: lead columns only
         lower, upper = bound / lam1, bound
         if u_override is not None:

@@ -84,12 +84,14 @@ class Alphabet(_Value):
     """Ordered generator names for a free group of rank >= 2.
 
     Names must be distinct single lowercase ASCII letters so that the
-    compact uppercase-inverse syntax is unambiguous.
+    compact uppercase-inverse syntax is unambiguous.  Any iterable of
+    names is kept as a tuple: ``Alphabet("xyz") == Alphabet(("x", "y", "z"))``.
     """
 
     __slots__ = ("names",)
 
-    def __init__(self, names: tuple[str, ...]):
+    def __init__(self, names: Iterable[str]):
+        names = tuple(names)
         if len(names) < 2:
             raise WordParseError("alphabet needs rank >= 2")
         for n in names:
@@ -133,13 +135,21 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         return _parse_explicit(text, alphabet)
     letters = []
     for col, ch in enumerate(text, start=1):
-        if "a" <= ch <= "z":
-            letters.append(alphabet.index(ch))
-        elif "A" <= ch <= "Z":
-            letters.append(-alphabet.index(ch.lower()))
-        else:
+        if not ("a" <= ch <= "z" or "A" <= ch <= "Z"):
             raise WordParseError(f"unexpected character {ch!r}", column=col)
+        letters.append(_letter(ch, alphabet, col))
     return tuple(letters)
+
+
+def _letter(name: str, alphabet: Alphabet, col: int) -> Letter:
+    """The letter a generator name spells, its inverse when uppercase;
+    an unknown name raises WordParseError at column `col`."""
+    try:
+        if "A" <= name <= "Z":
+            return -alphabet.index(name.lower())
+        return alphabet.index(name)
+    except WordParseError as exc:
+        raise WordParseError(str(exc), column=col) from None
 
 
 def _parse_explicit(text: str, alphabet: Alphabet) -> Word:
@@ -148,13 +158,7 @@ def _parse_explicit(text: str, alphabet: Alphabet) -> Word:
     for token in text.replace("*", " ").split():
         col = text.index(token, col) + 1
         name, caret, exp = token.partition("^")
-        try:
-            if "A" <= name <= "Z":
-                base = -alphabet.index(name.lower())
-            else:
-                base = alphabet.index(name)
-        except WordParseError as exc:
-            raise WordParseError(str(exc), column=col) from None
+        base = _letter(name, alphabet, col)
         if caret:
             try:
                 power = int(exp)
@@ -225,12 +229,13 @@ class WhiteheadAutomorphism(_Value):
     generator picks up ``a`` on the left iff it lies in A and ``a^-1``
     on the right iff its inverse lies in A.
 
-    The inverse automorphism is (A, a^-1).
+    The inverse automorphism is (A, a^-1).  A is kept as a frozenset.
     """
 
     __slots__ = ("a", "members")
 
-    def __init__(self, a: Letter, members: frozenset[Letter]):
+    def __init__(self, a: Letter, members: Iterable[Letter]):
+        members = frozenset(members)
         if a == 0:
             raise PreconditionError("multiplier letter must be nonzero")
         if a in members or -a in members:

@@ -41,7 +41,9 @@ GOLDEN_COMMANDS = {
     "eigen.txt": ["cogrowth", "eigen", *EXAMPLE],
     "eigen.json": ["cogrowth", "eigen", *EXAMPLE, "--format", "json"],
     "reduce-step.txt": ["cogrowth", "reduce-step", *EXAMPLE],
+    "reduce-step.json": ["cogrowth", "reduce-step", *EXAMPLE, "--format", "json"],
     "reduce.txt": ["cogrowth", "reduce", *EXAMPLE],
+    "reduce.json": ["cogrowth", "reduce", *EXAMPLE, "--format", "json"],
     "census.txt": ["cogrowth", "census", *EXAMPLE],
     "census.csv": ["cogrowth", "census", *EXAMPLE, "--format", "csv"],
     "verify.txt": ["cogrowth", "verify", *EXAMPLE],

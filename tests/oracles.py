@@ -39,7 +39,7 @@ from cogrowth.errors import (
     NotCyclicallyReducedError,
     PreconditionError,
 )
-from cogrowth.spectral import AdjacencyMatrix, PFResult, StateOrdering
+from cogrowth.spectral import AdjacencyMatrix, PFResult
 from cogrowth.whitehead import WhiteheadGraph
 from cogrowth.words import (
     Alphabet,
@@ -582,9 +582,10 @@ def automaton_from_transitions(alphabet, states, delta, initial) -> Automaton:
     return Automaton(alphabet, states, [tuple(row) for row in rows], initial)
 
 
-def from_array(array, ordering: StateOrdering) -> AdjacencyMatrix:
+def from_array(array, states, collapse=None) -> AdjacencyMatrix:
     """The matrix of a square, nonnegative, integral array: a nested
-    sequence of rows, such as a list of lists or a numpy array."""
+    sequence of rows, such as a list of lists or a numpy array, indexed
+    by `states` (an NSE's when `collapse` is its SStateSet)."""
     try:
         dense = [list(row) for row in array]
     except TypeError:
@@ -600,7 +601,7 @@ def from_array(array, ordering: StateOrdering) -> AdjacencyMatrix:
     rows = tuple(
         tuple(j for j, x in enumerate(row) for _ in range(int(x))) for row in dense
     )
-    return AdjacencyMatrix(rows, ordering)
+    return AdjacencyMatrix(rows, tuple(states), collapse)
 
 
 def core_from_edges(alphabet: Alphabet, root: int, edges) -> CoreGraph:

@@ -56,7 +56,7 @@ from cogrowth.automaton import (
 from cogrowth.cli import main, state_names
 from cogrowth.core_graph import build_core, collapse_core, label_sets
 from cogrowth.errors import NoCutVertexError
-from cogrowth.spectral import adjacency, certify_inequality, ose, pf_eigen
+from cogrowth.spectral import certify_inequality, ose, pf_eigen
 from cogrowth.whitehead import find_cut_vertices, whitehead_graph_of_core
 from cogrowth.words import format_word, parse_word
 
@@ -110,7 +110,7 @@ def test_criterion_1_example_structure(example_alphabet):
     step = pipeline.reduce_step(core, gens)
     ok = ok and step.phi.a == 2 and step.phi.members == frozenset({1, -4})
     ok = ok and [format_word(w, ab) for w in step.gens_after] == ["X", "zYzt"]
-    ok = ok and step.s_states.elements == ((2, 2), (1, -2))  # (2,y), (1,y^-1)
+    ok = ok and step.m.collapse.elements == ((2, 2), (1, -2))  # (2,y), (1,y^-1)
     ok = ok and step.aut_before.n_states == 12
     ok = ok and step.aut_after.n_states == 10
 
@@ -118,11 +118,11 @@ def test_criterion_1_example_structure(example_alphabet):
         "(1,x^-1)", "(1,y^-1)", "(1,t)", "(2,x)", "(2,y)", "(2,z^-1)",
         "(3,y)", "(3,z)", "(4,y^-1)", "(4,z^-1)", "(5,z)", "(5,t^-1)",
     ]
-    ok = ok and state_names(step.m.ordering.states, ab) == [
+    ok = ok and state_names(step.m.states, ab) == [
         "(2,x)", "(1,x^-1)", "(2,z^-1)", "(1,t)", "(3,y)", "(3,z)",
         "(4,y^-1)", "(4,z^-1)", "(5,z)", "(5,t^-1)", "(2,y)", "(1,y^-1)",
     ]
-    ok = ok and state_names(step.m1.ordering.states, ab) == [
+    ok = ok and state_names(step.m1.states, ab) == [
         "(2,x)", "(2,x^-1)", "(2,z^-1)", "(2,t)", "(3,y)", "(3,z)",
         "(4,y^-1)", "(4,z^-1)", "(5,z)", "(5,t^-1)",
     ]
@@ -161,7 +161,7 @@ def test_criterion_3_eigenvector_reference_tuple(example_gens, example_alphabet)
 
 def test_criterion_4_example_certificate(example_gens, example_alphabet):
     step = pipeline.reduce_step(build_core(example_gens, example_alphabet), example_gens)
-    cert = certify_inequality(step.m, step.m1, step.s_states, step.pf1, u_override=3.0)
+    cert = certify_inequality(step.m, step.pf1, u_override=3.0)
     ok = cert.strict_rows == (1, 2, 3, 4, 11, 12)
     mu = np.asarray(step.m.matrix) @ np.asarray(cert.u)
     for row in range(4, 10):  # NSE rows 5..10
@@ -194,21 +194,21 @@ def test_criterion_5_theorem_suite(runs):
             rebuilt = build_automaton(
                 build_core(list(step.gens_after), inst.alphabet)
             )
-            collapsed = collapse_automaton(step.aut_before, step.s_states)
+            collapsed = collapse_automaton(step.aut_before, step.m.collapse)
             if not isomorphic(collapsed, rebuilt):
                 raise AssertionError("collapse not isomorphic to direct build")
-            direct = adjacency(collapsed, ose(collapsed))
+            direct = ose(collapsed)
             m1 = np.asarray(step.m1.matrix)
             if not np.array_equal(np.asarray(direct.matrix), m1):
                 raise AssertionError("derived matrix differs from direct adjacency")
-            boundary = step.m.ordering.boundary
+            boundary = step.m.boundary
             lead = np.asarray(step.m.matrix)[:boundary, :boundary]
             if not (lead <= m1).all():
                 raise AssertionError("lead block exceeds the collapsed matrix")
-            index = {q: i for i, q in enumerate(step.m.ordering.states)}
+            index = {q: i for i, q in enumerate(step.m.states)}
             expected_strict = set()
-            back = oracles.predecessors(step.aut_before, step.s_states.elements)
-            for state in step.s_states.elements:
+            back = oracles.predecessors(step.aut_before, step.m.collapse.elements)
+            for state in step.m.collapse.elements:
                 feeders = [index[q] for q in back[state]]
                 targets = [index[t] for _, t in oracles.successors(step.aut_before, state)]
                 expected_strict |= {(i, j) for i in feeders for j in targets}
@@ -218,9 +218,7 @@ def test_criterion_5_theorem_suite(runs):
             if not step.pf.eigenvalue < step.pf1.eigenvalue - 1e-8:
                 raise AssertionError("eigenvalue margin too small")
             for choice in (1, 2, 3):
-                certify_inequality(
-                    step.m, step.m1, step.s_states, step.pf1, u_choice=choice
-                )
+                certify_inequality(step.m, step.pf1, u_choice=choice)
         except Exception as exc:
             failures.append(f"{label}: {exc}")
     elapsed = time.monotonic() - t0 + build_time
@@ -252,12 +250,12 @@ def test_criterion_6_growth_estimate_at_20(runs):
     failures = []
     for entry in entries:
         aut, label = entry["aut"], entry["inst"].label
-        order = ose(aut)
-        pf = pf_eigen(adjacency(aut, order))
+        mat = ose(aut)
+        pf = pf_eigen(mat)
         lam, v = pf.eigenvalue, np.asarray(pf.eigenvector)
-        initial = [i for i, q in enumerate(order.states) if q in aut.initial]
-        final = [i for i, q in enumerate(order.states) if q in aut.final]
-        k, size = aut.ambiguity, len(order.states)
+        initial = [i for i, q in enumerate(mat.states) if q in aut.initial]
+        final = [i for i, q in enumerate(mat.states) if q in aut.final]
+        k, size = aut.ambiguity, len(mat.states)
         counts = word_census(aut, 20 + size - 1)
         mass = float(v[initial].sum())
         upper = mass / float(v[final].min())

@@ -18,7 +18,7 @@ from cogrowth.automaton import (
 from cogrowth.cli import automaton_dot, automaton_json
 from cogrowth.core_graph import CollapseData, build_core, collapse_core
 from cogrowth.errors import CogrowthError, DeterminismViolationError, PreconditionError
-from cogrowth.spectral import adjacency, ose
+from cogrowth.spectral import ose
 from cogrowth.whitehead import choose_automorphism
 from cogrowth.words import Alphabet, parse_word, sigma
 
@@ -77,7 +77,7 @@ def assert_matches_definition(g):
     ]
     assert aut.initial == initial
     index = {q: i for i, q in enumerate(states)}
-    assert adjacency(aut, ose(aut)).rows == tuple(
+    assert ose(aut).rows == tuple(
         tuple(sorted(index[t] for t in successors[q])) for q in states
     )
 

@@ -60,7 +60,7 @@ def test_step_reports_are_internally_consistent(steps):
         assert s.core_after.n_vertices == s.core_before.n_vertices - len(s.collapse.s_o)
         assert s.aut_after.n_states == s.aut_before.n_states - 2 * len(s.collapse.e_o)
         assert s.pf1.eigenvalue > s.pf.eigenvalue
-        assert s.m.ordering.boundary == s.aut_after.n_states
+        assert s.m.boundary == s.aut_after.n_states
         assert len(s.gens_after) == len(s.gens_before)
 
 
@@ -166,7 +166,7 @@ def test_next_automaton_is_the_collapsed_one_renamed(corpus_traces, ladder_trace
             assert step.aut_after.states == rebuilt.states
             assert transitions(step.aut_after) == transitions(rebuilt)
             assert step.aut_after.initial == rebuilt.initial
-            collapsed = collapse_automaton(step.aut_before, step.s_states)
+            collapsed = collapse_automaton(step.aut_before, step.m.collapse)
             pipeline._check_collapsed(collapsed, step.core_map, step.aut_after)
             checked += 1
     assert checked >= 470
@@ -192,7 +192,7 @@ def test_core_map_is_the_rooted_isomorphism(corpus_traces, ladder_traces):
 
 def test_next_automaton_check_rejects_a_wrong_vertex_map(example_gens, example_alphabet):
     first = pipeline.reduce_full(example_gens, example_alphabet).steps[0]
-    collapsed = collapse_automaton(first.aut_before, first.s_states)
+    collapsed = collapse_automaton(first.aut_before, first.m.collapse)
     # a folded core has no rooted automorphism, so every other bijection
     # onto its vertices renames the automaton into another one
     for u, v in itertools.combinations(first.core_map, 2):

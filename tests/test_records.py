@@ -6,7 +6,7 @@ import pytest
 
 import cogrowth
 from cogrowth.automaton import SStateSet
-from cogrowth.core_graph import CollapseData
+from cogrowth.core_graph import CollapseData, build_core
 from cogrowth.errors import PreconditionError, WordParseError
 from cogrowth.whitehead import CutVertexReport
 from cogrowth.words import Alphabet, WhiteheadAutomorphism
@@ -69,6 +69,26 @@ def test_a_record_checks_its_fields(make, error, message):
     with pytest.raises(error) as info:
         make()
     assert str(info.value) == message
+
+
+def test_container_fields_are_normalised():
+    # names are a tuple and A a frozenset, whatever iterable gives them
+    for names in (["x", "y", "z"], "xyz", iter("xyz")):
+        ab = Alphabet(names)
+        assert ab == Alphabet(("x", "y", "z")) and type(ab.names) is tuple
+        assert hash(ab) == hash(Alphabet(("x", "y", "z")))
+    # cores folded over the two spellings of one alphabet are equal
+    gens = [(1, -2), (2, 3)]
+    assert build_core(gens, Alphabet(["x", "y", "z"])) == build_core(gens, Alphabet("xyz"))
+    for members in ({2}, [2], (2, 2)):
+        phi = WhiteheadAutomorphism(1, members)
+        assert phi == WhiteheadAutomorphism(1, frozenset({2})) and type(phi.members) is frozenset
+        assert hash(phi) == hash(WhiteheadAutomorphism(1, frozenset({2})))
+    # the same checks, with the same messages, on any iterable
+    with pytest.raises(WordParseError, match="^alphabet names must be pairwise distinct$"):
+        Alphabet(["x", "x"])
+    with pytest.raises(PreconditionError, match="^A must avoid the multiplier and its inverse$"):
+        WhiteheadAutomorphism(2, [1, -2])
 
 
 # the package's names: 34 functions and classes, and 7 submodules

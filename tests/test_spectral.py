@@ -23,7 +23,6 @@ from cogrowth.errors import (
     PreconditionError,
 )
 from cogrowth.spectral import (
-    StateOrdering,
     adjacency,
     certify_inequality,
     decompose,
@@ -79,9 +78,8 @@ def example_spectral(example_core):
     aut = build_automaton(example_core)
     phi, cd = choose_automorphism(example_core)
     s = SStateSet.from_collapse(aut, cd)
-    nse = make_nse(aut, s)
-    m = adjacency(aut, nse)
-    m1 = derive_m1(m, s)
+    m = make_nse(aut, s)
+    m1 = derive_m1(m)
     return aut, cd, s, m, m1
 
 
@@ -92,9 +90,9 @@ def S(ab, vertex, spec):
 def test_nse_matches_worked_example(example_spectral, example_alphabet):
     _, _, _, m, _ = example_spectral
     ab = example_alphabet
-    assert m.ordering.boundary is not None  # an NSE
-    assert m.ordering.boundary == 10
-    assert m.ordering.states == tuple(
+    assert m.boundary is not None  # an NSE
+    assert m.boundary == 10
+    assert m.states == tuple(
         S(ab, v, w)
         for v, w in [
             (2, "x"), (1, "X"), (2, "Z"), (1, "t"),
@@ -108,11 +106,11 @@ def test_nse_matches_worked_example(example_spectral, example_alphabet):
 
 def test_nse_rendering(example_spectral, example_alphabet):
     _, _, _, m, m1 = example_spectral
-    assert state_names(m.ordering.states, example_alphabet) == [
+    assert state_names(m.states, example_alphabet) == [
         "(2,x)", "(1,x^-1)", "(2,z^-1)", "(1,t)", "(3,y)", "(3,z)",
         "(4,y^-1)", "(4,z^-1)", "(5,z)", "(5,t^-1)", "(2,y)", "(1,y^-1)",
     ]
-    assert state_names(m1.ordering.states, example_alphabet) == [
+    assert state_names(m1.states, example_alphabet) == [
         "(2,x)", "(2,x^-1)", "(2,z^-1)", "(2,t)", "(3,y)", "(3,z)",
         "(4,y^-1)", "(4,z^-1)", "(5,z)", "(5,t^-1)",
     ]
@@ -139,7 +137,7 @@ def test_row_and_column_sums(example_spectral):
     assert dense[10].sum() == 2 and dense[11].sum() == 2
     # column sums are in-degrees
     aut = example_spectral[0]
-    index = {q: i for i, q in enumerate(m.ordering.states)}
+    index = {q: i for i, q in enumerate(m.states)}
     indeg = [0] * 12
     for (_, _), t in oracles.transitions(aut).items():
         indeg[index[t]] += 1
@@ -147,8 +145,8 @@ def test_row_and_column_sums(example_spectral):
 
 
 def test_decomposition_blocks(example_spectral, example_alphabet):
-    _, _, s, m, _ = example_spectral
-    decompose(m, s)
+    _, _, _, m, _ = example_spectral
+    decompose(m)
     dense = np.asarray(m.matrix)
     u, o = dense[:10, 10:], dense[10:, 10:]
     assert o.shape == (2, 2) and not o.any()
@@ -170,16 +168,16 @@ def test_decomposition_on_corpus(corpus):
             continue
         aut = build_automaton(g)
         s = SStateSet.from_collapse(aut, cd)
-        decompose(adjacency(aut, make_nse(aut, s)), s)
+        decompose(make_nse(aut, s))
 
 
 def test_derive_m1_rejects_a_nonzero_collapse_block(example_spectral):
-    _, _, s, m, _ = example_spectral
+    _, _, _, m, _ = example_spectral
     broken = np.asarray(m.matrix)
-    b = m.ordering.boundary
+    b = m.boundary
     broken[b, b + 1] = 1  # the first collapse state feeds the second
     with pytest.raises(DecompositionViolationError, match="block O"):
-        derive_m1(oracles.from_array(broken, m.ordering), s)
+        derive_m1(oracles.from_array(broken, m.states, m.collapse))
 
 
 @pytest.mark.parametrize(
@@ -195,12 +193,12 @@ def test_derive_m1_rejects_a_nonzero_collapse_block(example_spectral):
 def test_derive_m1_rejects_a_lead_row_it_cannot_transform(
     example_spectral, cells, error, match
 ):
-    _, _, s, m, _ = example_spectral
+    _, _, _, m, _ = example_spectral
     broken = np.asarray(m.matrix)
     for cell in cells:
         broken[cell] = 1
     with pytest.raises(error, match=match):
-        derive_m1(oracles.from_array(broken, m.ordering), s)
+        derive_m1(oracles.from_array(broken, m.states, m.collapse))
 
 
 def test_derive_m1_matches_frozen_matrix(example_spectral):
@@ -211,9 +209,49 @@ def test_derive_m1_matches_frozen_matrix(example_spectral):
 def test_derive_m1_equals_collapsed_adjacency(example_spectral):
     aut, _, s, m, m1 = example_spectral
     collapsed = collapse_automaton(aut, s)
-    direct = adjacency(collapsed, ose(collapsed))
-    assert direct.ordering.states == m1.ordering.states
+    direct = ose(collapsed)
+    assert direct.states == m1.states
     assert np.array_equal(direct.matrix, m1.matrix)
+    # both are OSE matrices
+    assert direct.collapse is None and m1.collapse is None and m1.boundary is None
+
+
+def test_nse_matrix_carries_its_collapse(example_spectral):
+    aut, _, s, m, _ = example_spectral
+    assert m.collapse is s
+    assert m.states[m.boundary:] == s.elements
+    # the same list through adjacency gives the same rows, but no collapse
+    plain = adjacency(aut, list(m.states))
+    assert plain.rows == m.rows and plain.states == m.states
+    assert plain.collapse is None and plain.boundary is None
+
+
+def test_adjacency_rejects_a_list_that_does_not_cover_the_states(example_spectral):
+    aut = example_spectral[0]
+    for states in (aut.states[1:], aut.states[:-1] + aut.states[:1]):
+        with pytest.raises(PreconditionError, match="does not cover"):
+            adjacency(aut, states)
+
+
+def test_nse_steps_reject_an_ose_matrix(example_spectral):
+    aut, _, _, m, m1 = example_spectral
+    for call in (
+        lambda: decompose(ose(aut)),
+        lambda: derive_m1(ose(aut)),
+        lambda: certify_inequality(ose(aut), pf_eigen(m1)),
+        lambda: derive_m1(m1),
+    ):
+        with pytest.raises(PreconditionError, match="matrix must be indexed by the NSE"):
+            call()
+
+
+def test_decompose_rejects_a_tail_other_than_the_collapse_states(example_spectral):
+    _, _, s, m, _ = example_spectral
+    # the last two states swapped: the tail no longer lists s's elements in order
+    order = list(range(m.size - 2)) + [m.size - 1, m.size - 2]
+    swapped = [[m.matrix[i][j] for j in order] for i in order]
+    with pytest.raises(PreconditionError, match="NSE tail"):
+        decompose(oracles.from_array(swapped, [m.states[i] for i in order], s))
 
 
 def test_lead_block_below_m1_with_prescribed_strict_positions(example_spectral):
@@ -222,7 +260,7 @@ def test_lead_block_below_m1_with_prescribed_strict_positions(example_spectral):
     lead = np.asarray(m.matrix)[:10, :10]
     assert (lead <= dense1).all()
     expected_strict = set()
-    index = {q: i for i, q in enumerate(m.ordering.states)}
+    index = {q: i for i, q in enumerate(m.states)}
     back = oracles.predecessors(aut, s.elements)
     for state in s.elements:
         feeders = [index[q] for q in back[state]]
@@ -264,13 +302,13 @@ def test_pf_eigen_on_permutation_cycle():
     cycle = np.zeros((4, 4), dtype=np.int64)
     for i in range(4):
         cycle[i, (i + 1) % 4] = 1
-    pf = pf_eigen(oracles.from_array(cycle, StateOrdering(states)))
+    pf = pf_eigen(oracles.from_array(cycle, states))
     assert pf.eigenvalue == pytest.approx(1.0, abs=1e-9)
 
 
 def _matrix(rows):
     states = tuple((i, 1) for i in range(1, len(rows) + 1))
-    return oracles.from_array(rows, StateOrdering(states))
+    return oracles.from_array(rows, states)
 
 
 @pytest.mark.parametrize(
@@ -323,7 +361,7 @@ def test_pf_eigen_agrees_with_charpoly_bisection(example_spectral):
 
 def _ose_matrix(gens, alphabet):
     aut = build_automaton(build_core(list(gens), alphabet))
-    return adjacency(aut, ose(aut))
+    return ose(aut)
 
 
 def _grown_free_factor(min_vertices, seed):
@@ -407,7 +445,7 @@ def test_pf_eigen_agrees_with_ihara_bass_on_the_ladder(ladder_steps):
 
 def test_derive_m1_equals_the_dense_row_transform(corpus_steps, ladder_steps):
     for step in corpus_steps + ladder_steps:
-        expected = oracles.dense_row_transform(step.m.matrix, step.m.ordering.boundary)
+        expected = oracles.dense_row_transform(step.m.matrix, step.m.boundary)
         assert np.array_equal(step.m1.matrix, expected)
 
 
@@ -416,8 +454,8 @@ def test_forced_states_meet_the_eigen_equation(corpus_steps, ladder_steps):
     # so |v_t - lambda1 v_q| <= residual v_q; divided by v_q, both sides
     # are exact in floating point (the ratio lies in the bracket)
     for step in corpus_steps + ladder_steps:
-        aut, pf1 = collapse_automaton(step.aut_before, step.s_states), step.pf1
-        index = {q: i for i, q in enumerate(step.m1.ordering.states)}
+        aut, pf1 = collapse_automaton(step.aut_before, step.m.collapse), step.pf1
+        index = {q: i for i, q in enumerate(step.m1.states)}
         v = pf1.eigenvector
         for q in aut.states:
             (successor, *others) = [t for _, t in oracles.successors(aut, q)]
@@ -437,7 +475,7 @@ def test_pf_eigen_matches_the_state_by_state_reference(corpus_steps, ladder_step
 
 def test_pf_eigen_rejects_an_empty_matrix():
     with pytest.raises(PreconditionError):
-        pf_eigen(spectral.AdjacencyMatrix((), StateOrdering(())))
+        pf_eigen(spectral.AdjacencyMatrix((), ()))
 
 
 def test_pf_eigen_reports_a_singular_solve_as_a_convergence_failure(
@@ -500,8 +538,8 @@ def test_pf_eigen_on_a_subgroup_of_rank_25():
 
 
 def test_certificate_with_override_of_three(example_spectral):
-    _, _, s, m, m1 = example_spectral
-    cert = certify_inequality(m, m1, s, pf_eigen(m1), u_override=3.0)
+    _, _, _, m, m1 = example_spectral
+    cert = certify_inequality(m, pf_eigen(m1), u_override=3.0)
     assert cert.strict_rows == (1, 2, 3, 4, 11, 12)
     for state, (value, lower, upper) in cert.s_values.items():
         assert value == 3.0
@@ -519,42 +557,42 @@ def test_certificate_with_override_of_three(example_spectral):
     [(1, (1, 2, 3, 4)), (2, (11, 12)), (3, (1, 2, 3, 4, 11, 12))],
 )
 def test_certificate_choices(example_spectral, choice, expected_rows):
-    _, _, s, m, m1 = example_spectral
-    cert = certify_inequality(m, m1, s, pf_eigen(m1), u_choice=choice)
+    _, _, _, m, m1 = example_spectral
+    cert = certify_inequality(m, pf_eigen(m1), u_choice=choice)
     assert cert.strict_rows == expected_rows
     assert cert.u_choice == choice
 
 
 def test_certificate_rejects_out_of_range_override(example_spectral):
-    _, _, s, m, m1 = example_spectral
+    _, _, _, m, m1 = example_spectral
     with pytest.raises(CertificateFailureError):
-        certify_inequality(m, m1, s, pf_eigen(m1), u_override=100.0)
+        certify_inequality(m, pf_eigen(m1), u_override=100.0)
 
 
 def test_certificate_rejects_an_eigenpair_of_another_matrix(example_spectral):
-    _, _, s, m, m1 = example_spectral
+    _, _, _, m, m1 = example_spectral
     with pytest.raises(PreconditionError):
-        certify_inequality(m, m1, s, pf_eigen(m))
+        certify_inequality(m, pf_eigen(m))
 
 
 @pytest.mark.parametrize("entry", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
 def test_certificate_rejects_an_eigenvector_entry_that_is_not_positive_and_finite(
     example_spectral, entry
 ):
-    _, _, s, m, m1 = example_spectral
+    _, _, _, m, m1 = example_spectral
     pf1 = pf_eigen(m1)
     vector = pf1.eigenvector[:3] + [entry] + pf1.eigenvector[4:]
     with pytest.raises(PreconditionError):
-        certify_inequality(m, m1, s, replace(pf1, eigenvector=vector))
+        certify_inequality(m, replace(pf1, eigenvector=vector))
 
 
 @pytest.mark.parametrize("lam1", [0.0, math.nan, math.inf], ids=["zero", "nan", "inf"])
 def test_certificate_rejects_an_eigenvalue_that_is_not_positive_and_finite(
     example_spectral, lam1
 ):
-    _, _, s, m, m1 = example_spectral
+    _, _, _, m, m1 = example_spectral
     with pytest.raises(PreconditionError):
-        certify_inequality(m, m1, s, replace(pf_eigen(m1), eigenvalue=lam1))
+        certify_inequality(m, replace(pf_eigen(m1), eigenvalue=lam1))
 
 
 def test_census_growth_tracks_cogrowth(example_core, example_spectral):
@@ -574,7 +612,7 @@ def test_matrix_text_keeps_columns_apart_from_order_100(example_alphabet):
     n = 120
     states = tuple((i, 1) for i in range(1, n + 1))
     cycle = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
-    text = matrix_text(oracles.from_array(cycle, StateOrdering(states)), example_alphabet)
+    text = matrix_text(oracles.from_array(cycle, states), example_alphabet)
     _, header, *body = text.splitlines()
     assert header.split() == [str(j) for j in range(1, n + 1)]
     assert {len(line) for line in body} == {len(header)}

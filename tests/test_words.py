@@ -162,11 +162,12 @@ def test_parse_errors_carry_column():
     assert err.value.column == 3
     with pytest.raises(WordParseError):
         parse_word("x^0", AB4)
-    with pytest.raises(WordParseError):
-        parse_word("q", AB4)
-    with pytest.raises(WordParseError) as err:
-        parse_word("x qq^2", AB4)
-    assert err.value.column == 3
+    # an unknown generator, in either syntax and either case, at its column
+    for text, column in [("q", 1), ("xwy", 2), ("xWy", 2), ("x qq^2", 3), ("x y w", 5)]:
+        with pytest.raises(WordParseError, match="unknown generator") as err:
+            parse_word(text, AB4)
+        assert err.value.column == column
+        assert str(err.value).endswith(f"(column {column})")
 
 
 def test_parse_caps_the_word_length():
