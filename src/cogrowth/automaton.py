@@ -198,8 +198,8 @@ def collapse_automaton(aut: Automaton, s: SStateSet) -> Automaton:
     l != a, a^-1 at both o and t, and then the surviving states
     (o, l^-1) and (t, l^-1) merge.  The check stays for other sets.
 
-    The result is not validated: `pipeline.reduce_step` checks it
-    against the automaton built, and validated, from the next core."""
+    Not validated: a step builds the next automaton from the contracted
+    core instead, and `pipeline.check_step` checks this one against it."""
     states, rows, index, order = aut.states, aut.rows, aut.index, s.survivors
     new_states = s.rename([states[i] for i in order])
     if len(set(new_states)) != len(new_states):

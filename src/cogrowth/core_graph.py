@@ -9,7 +9,7 @@ Vertex ids are assigned by depth-first discovery order from the root
 along the global letter order, which makes the output independent of
 generator order and fold order and reproduces the conventional
 enumeration (root is 1).  Collapsed graphs keep the surviving ids of
-their parent; `rooted_map` matches graphs whatever their numbering.
+their parent until `renumber`; `rooted_map` matches any numberings.
 """
 
 from __future__ import annotations
@@ -45,6 +45,16 @@ class CoreGraph:
     def step(self, vertex: int, letter: Letter):
         """Endpoint of the extended edge labeled `letter` at `vertex`, or None."""
         return self._nbr.get(vertex, {}).get(letter)
+
+    def reads_loop(self, word: Word) -> bool:
+        """Whether `word` reads a closed path at the root."""
+        nbr, v = self._nbr, self.root
+        try:
+            for letter in word:
+                v = nbr[v][letter]
+        except KeyError:
+            return False
+        return v == self.root
 
     def neighbours(self, vertex: int) -> dict[Letter, int]:
         """The extended edges leaving `vertex`, label -> endpoint, in the
@@ -160,14 +170,11 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
     for w in gens:
         if not w:
             raise EmptyGeneratorError("generators must be nonempty")
-        # not implied by the fold being a core: the step cyclically
-        # reduces each image on its own, and on a conjugated free factor
-        # such as zxz, ZXXzyxzxz the contraction then disagrees with the
-        # core of the images
+        # not implied by the fold being a core: a step cyclically reduces
+        # each image on its own, and on a conjugated free factor such as
+        # zxz, ZXXzyxzxz the images then miss the contracted core
         if not is_cyclically_reduced(w):
-            raise NotCyclicallyReducedError(
-                "generators must be cyclically reduced"
-            )
+            raise NotCyclicallyReducedError("generators must be cyclically reduced")
         for l in w:
             if abs(l) > alphabet.rank:
                 raise PreconditionError("generator uses letters outside the alphabet")
@@ -217,16 +224,10 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
             r = rep[r]
         rep[v] = r
 
-    ids, found = _discover(rep[0], nbr, rep)
     # folding cyclically reduced loops cannot fail these checks; they stay
-    if len(found) != len(nbr) - nbr.count(None):
+    ids, adjacency = _discover(rep[0], nbr, rep)
+    if len(ids) != len(nbr) - nbr.count(None):
         raise PreconditionError("graph is not connected")
-    adjacency: dict[int, dict[Letter, int]] = {}
-    for v, letters in found:
-        out, i = nbr[v], ids[v]
-        if len(letters) < 2:
-            raise PreconditionError(f"vertex {i} has degree < 2")
-        adjacency[i] = {l: ids[rep[out[l]]] for l in letters}
     core = CoreGraph(alphabet, 1, adjacency)
     if core.subgroup_rank < 2:
         raise CyclicOrTrivialSubgroupError(
@@ -237,8 +238,9 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
 
 def _discover(root: int, nbr, rep):
     """Depth-first discovery from `root` along the global letter order:
-    the ids 1, 2, ... of the vertices reached, and each with its sorted
-    labels, in order.  `rep` maps the neighbours in `nbr[v]` to vertices."""
+    the ids 1, 2, ... of the vertices reached, and their neighbour maps
+    under those ids, labels sorted; a vertex of degree < 2 raises
+    PreconditionError.  `rep` maps the neighbours in `nbr[v]` to vertices."""
     ids: dict[int, int] = {}
     found: list[tuple[int, list[Letter]]] = []
     stack = [root]
@@ -251,7 +253,21 @@ def _discover(root: int, nbr, rep):
         letters = sorted(out, key=letter_key)
         found.append((v, letters))
         stack.extend([rep[out[l]] for l in reversed(letters)])
-    return ids, found
+    adjacency: dict[int, dict[Letter, int]] = {}
+    for v, letters in found:
+        if len(letters) < 2:
+            raise PreconditionError(f"vertex {ids[v]} has degree < 2")
+        out = nbr[v]
+        adjacency[ids[v]] = {l: ids[rep[out[l]]] for l in letters}
+    return ids, adjacency
+
+
+def renumber(graph: CoreGraph) -> tuple[CoreGraph, dict[int, int]]:
+    """`graph` under the ids `build_core` gives any basis of its subgroup,
+    and the map from its ids to them."""
+    identity = range(max(graph.vertices) + 1)
+    ids, adjacency = _discover(graph.root, graph._nbr, identity)
+    return CoreGraph(graph.alphabet, 1, adjacency), ids
 
 
 def label_sets(graph: CoreGraph) -> dict[int, frozenset[Letter]]:

@@ -1,34 +1,32 @@
 """One reduction step, and the full iterated reduction.
 
-A step takes a folded core: it picks the collapse automorphism, builds
-the automaton and both matrices (row-transformed and directly collapsed,
-checked against each other), folds the core of the images and builds
-its automaton, checks the contracted core and the collapsed automaton
-against those two, solves the Perron-Frobenius eigenpairs of both
-matrices, and certifies the strict gap.  The follow-up generators are
-the cyclically reduced images of the input generators, and their core
-and automaton are carried into the next step, so iterating strictly
-shrinks the core until a single-vertex core remains or no cut vertex is
-left.
+A step derives the next core, automaton and matrix as the paper does: it
+contracts the collapse edges of the core (Ascari) under `build_core`'s
+ids, builds that core's automaton, and derives the collapsed matrix M1
+from the NSE matrix M by the row transform; it then solves both
+Perron-Frobenius eigenpairs and certifies the strict gap.  The next
+generators are the cyclically reduced images.  The second route, which
+folds the images, collapses the automaton and reads M1 off it, is
+`check_step`: `cogrowth verify` and the tests run it, a step does not.
 
-The full reduction runs the construction forward.  Each step takes the
-previous step's core, automaton and collapsed eigenpair, the last
-reordered through the vertex map `StepReport.core_map`, instead of
-building or solving them again, so each artifact is computed and
-checked once and a reduction of k steps solves k + 1 eigenpairs.
+`reduce_full` hands each step the previous step's core, automaton and
+collapsed eigenpair, the last reordered through `StepReport.core_map`,
+so each artifact is computed once and k steps solve k + 1 eigenpairs;
+the core shrinks until it has a single vertex or no cut vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .automaton import Automaton, SStateSet, build_automaton, collapse_automaton
-from .core_graph import CollapseData, CoreGraph, build_core, collapse_core, rooted_map
+from .automaton import Automaton, SStateSet, build_automaton, collapse_automaton, isomorphic
+from .core_graph import CollapseData, CoreGraph, build_core, collapse_core, renumber, rooted_map
 from .errors import CogrowthError, NoCutVertexError, PreconditionError
 from .spectral import (
     AdjacencyMatrix,
     InequalityCertificate,
     PFResult,
+    adjacency,
     certify_inequality,
     derive_m1,
     make_nse,
@@ -51,8 +49,7 @@ class StepReport:
     core_after: CoreGraph
     # vertex ids of the contracted core -> those of core_after
     core_map: dict[int, int]
-    # the automata built from core_before and core_after; the collapsed
-    # automaton, checked against aut_after, is not kept
+    # the automata built from core_before and core_after
     aut_before: Automaton
     aut_after: Automaton
     # m is indexed by the NSE of the collapse's S-states (m.collapse), m1
@@ -74,11 +71,12 @@ def reduce_step(
 ) -> StepReport:
     """Run one collapse step on `core`, the folded core of `gens`.
 
-    The next core is folded from the images of `gens` and must be the
-    contracted core up to rooted isomorphism (found by one walk from the
-    roots, `core_graph.rooted_map`); the collapsed automaton,
-    renamed through that isomorphism, must be the automaton built from
-    the next core.  CogrowthError is raised otherwise.
+    CogrowthError is raised unless M1, renamed through `core_map`, is the
+    matrix of the next core's automaton, and unless the images of `gens`,
+    cyclically reduced with one shared conjugator c, read closed paths at
+    the next root.  They then generate c^-1 phi(H) c <= phi(H), which the
+    next core carries (Ascari), and an ascending chain of conjugates of
+    bounded rank is stationary (Takahasi), so the two are equal.
 
     `previous` is the step whose `core_after` is `core`, or
     PreconditionError is raised.  Its `aut_after` is then the automaton
@@ -94,23 +92,15 @@ def reduce_step(
     s = SStateSet.from_collapse(aut, cd)
     m = make_nse(aut, s)
     m1 = derive_m1(m)
-
-    collapsed = collapse_automaton(aut, s)
-    m1_direct = ose(collapsed)
-    if m1.states != m1_direct.states or m1.rows != m1_direct.rows:
-        raise CogrowthError(
-            "row-transformed matrix disagrees with the collapsed automaton"
-        )
-    gens_after = tuple(cyclic_reduce(apply_whitehead(phi, w))[0] for w in gens)
-    core_after = build_core(list(gens_after), core.alphabet)
+    core_after, core_map = renumber(collapse_core(core, cd))
     aut_after = build_automaton(core_after)
-    contracted = collapse_core(core, cd)
-    core_map = rooted_map(
-        contracted.root, contracted.neighbours, core_after.root, core_after.neighbours
-    )
-    if core_map is None or len(core_map) != core_after.n_vertices:
+    renamed = [(core_map[v], l) for v, l in m1.states]
+    if set(renamed) != aut_after.index.keys() or adjacency(aut_after, renamed).rows != m1.rows:
+        raise CogrowthError("row-transformed matrix disagrees with the collapsed automaton")
+    split = [cyclic_reduce(apply_whitehead(phi, w)) for w in gens]
+    gens_after = tuple([w for w, _ in split])
+    if len({c for _, c in split}) > 1 or not all(map(core_after.reads_loop, gens_after)):
         raise CogrowthError("contracted core disagrees with the core of the images")
-    _check_collapsed(collapsed, core_map, aut_after)
 
     if previous is None:
         pf = pf_eigen(m, tol=tol)
@@ -122,9 +112,7 @@ def reduce_step(
             for i, (v, letter) in enumerate(previous.m1.states)
         }
         vector = previous.pf1.eigenvector
-        pf = replace(
-            previous.pf1, eigenvector=[vector[position[q]] for q in m.states]
-        )
+        pf = replace(previous.pf1, eigenvector=[vector[position[q]] for q in m.states])
     pf1 = pf_eigen(m1, tol=tol)
     certificate = certify_inequality(m, pf1, u_choice=u_choice, tol=tol)
     return StepReport(
@@ -145,24 +133,22 @@ def reduce_step(
     )
 
 
-def _check_collapsed(collapsed: Automaton, core_map: dict[int, int], aut: Automaton):
-    """Rename `collapsed` through the vertex map `core_map` and require its
-    states (one-to-one), transitions, initial set and alphabet to be
-    those of `aut`; raises CogrowthError otherwise.  Renaming keeps the
-    letters, so each row carried over must be `aut`'s row exactly."""
-    position = [aut.index.get((core_map[v], l)) for v, l in collapsed.states]
-    rename = position.__getitem__
-    if (
-        collapsed.alphabet != aut.alphabet
-        or None in position
-        or sorted(position) != list(range(aut.n_states))
-        or [tuple(map(rename, row)) for row in collapsed.rows]
-        != list(map(aut.rows.__getitem__, position))
-        or {(core_map[v], letter) for v, letter in collapsed.initial} != aut.initial
-    ):
-        raise CogrowthError(
-            "collapsed automaton disagrees with the automaton of the core of the images"
-        )
+def check_step(step: StepReport) -> tuple[bool, bool, bool]:
+    """Rebuild by the second route what `reduce_step` derived, and say
+    whether each rebuild equals the step's: M1 the OSE matrix of the
+    automaton collapsed from `aut_before`, that automaton `aut_after` up
+    to isomorphism, and `core_after` the core folded from `gens_after`,
+    matched to the contracted core by `core_map`."""
+    collapsed = collapse_automaton(step.aut_before, step.m.collapse)
+    contracted = collapse_core(step.core_before, step.collapse)
+    after = build_core(list(step.gens_after), step.core_after.alphabet)
+    return (
+        ose(collapsed) == step.m1,
+        isomorphic(collapsed, step.aut_after),
+        after == step.core_after
+        and rooted_map(contracted.root, contracted.neighbours, after.root, after.neighbours)
+        == step.core_map,
+    )
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,8 @@ eliminates the states with a single successor along their chains, so
 only a dense system on the branch states remains.  Irreducibility is
 established where each automaton is built (`Automaton.validate`), not
 by the solver; `pipeline.reduce_step` requires the row-transformed
-matrix to equal that of the collapsed automaton, and the collapsed
-automaton to equal the validated one built from the next core, before
-it solves the collapsed matrix.
+matrix, renamed to the next core's ids, to be that of the validated
+automaton of the next core before it solves it (`check_step` rebuilds it).
 
 The old state enumeration (OSE) sorts states by (vertex, letter).  The
 new enumeration (NSE) used for one collapse step moves the collapse

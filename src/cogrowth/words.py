@@ -216,12 +216,11 @@ def cyclic_reduce(word: Iterable[Letter]) -> tuple[Word, Word]:
     to the recombination.  For an already cyclically reduced word the
     conjugator is empty.
     """
-    w = list(free_reduce(word))
-    prefix: list[int] = []
-    while len(w) >= 2 and w[0] == -w[-1]:
-        prefix.append(w[0])
-        w = w[1:-1]
-    return tuple(w), tuple(prefix)
+    w = free_reduce(word)
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == -w[j]:
+        i, j = i + 1, j - 1
+    return w[i : j + 1], w[:i]
 
 
 class WhiteheadAutomorphism(_Value):

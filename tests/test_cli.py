@@ -295,6 +295,21 @@ def test_verify_battery(capsys):
     assert out.count("ok ") >= 8
 
 
+def test_verify_fails_on_a_rebuild_that_differs(capsys, monkeypatch):
+    # the rebuild lines are checks: a fold of the images that differs
+    # from the contracted core fails its line, and verify exits 1
+    from cogrowth import core_graph, pipeline
+
+    def rose(gens, alphabet):
+        return core_graph.build_core([(g,) for g in range(1, alphabet.rank + 1)], alphabet)
+
+    monkeypatch.setattr(pipeline, "build_core", rose)
+    code, out, _ = run(capsys, "verify", *EXAMPLE)
+    assert code == 1
+    assert "ok   collapsed automaton isomorphic to rebuilt automaton\n" in out
+    assert "FAIL collapsed core matches rebuilt core\n" in out
+
+
 def free_factor_c(length):
     """C(L) = <x, y, z t^L> <= F4: a free factor whose first step has a
     spectral gap lambda1 - lambda of about 3^-L."""
@@ -347,7 +362,7 @@ ROADMAP_ITEM_1 = "ROADMAP item 1: a float certificate cannot resolve a gap this 
         19,
         # exits 6: "expected strict slack missing at NSE rows [7]"
         pytest.param(20, marks=pytest.mark.xfail(strict=True, reason=ROADMAP_ITEM_1)),
-        # exits 6: "Noda iteration stalled ... rounding broke the iterate's positivity"
+        # exits 6: "expected strict slack missing at NSE rows [7, 105]"
         pytest.param(50, marks=pytest.mark.xfail(strict=True, reason=ROADMAP_ITEM_1)),
     ],
 )

@@ -1,13 +1,14 @@
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cogrowth import automaton, pipeline, spectral
-from cogrowth.automaton import Automaton, accepts, build_automaton, collapse_automaton
+from cogrowth import automaton, core_graph, pipeline, spectral
+from cogrowth.automaton import Automaton, accepts, build_automaton
 from cogrowth.core_graph import build_core, collapse_core, label_sets, rooted_map
 from cogrowth.errors import CogrowthError, PreconditionError
 from cogrowth.whitehead import random_whitehead
@@ -22,6 +23,7 @@ from oracles import (
     canonical_numbering,
     core_from_edges,
     membership,
+    naive_fold,
     rooted_isomorphism,
     transitions,
 )
@@ -75,7 +77,7 @@ def test_full_reduction_of_example(example_gens, example_alphabet):
         assert later.core_before.n_vertices < earlier.core_before.n_vertices
 
 
-def test_full_reduction_folds_once_per_step_and_solves_each_matrix_once(
+def test_full_reduction_folds_once_builds_each_automaton_once_and_solves_each_matrix_once(
     example_gens, example_alphabet, monkeypatch
 ):
     calls = Counter()
@@ -87,19 +89,29 @@ def test_full_reduction_folds_once_per_step_and_solves_each_matrix_once(
 
         return wrapper
 
-    monkeypatch.setattr(pipeline, "build_core", counted("build_core", pipeline.build_core))
-    pf_eigen = counted("pf_eigen", spectral.pf_eigen)
-    monkeypatch.setattr(pipeline, "pf_eigen", pf_eigen)
-    monkeypatch.setattr(spectral, "pf_eigen", pf_eigen)
-    monkeypatch.setattr(
-        automaton, "strongly_connected", counted("connected", automaton.strongly_connected)
-    )
-    monkeypatch.setattr(spectral, "decompose", counted("decompose", spectral.decompose))
+    # each name in the module that defines it and in every module that
+    # imports it
+    for name, modules in {
+        "build_core": (core_graph, pipeline),
+        "rooted_map": (core_graph, automaton, pipeline),
+        "build_automaton": (automaton, pipeline),
+        "collapse_automaton": (automaton, pipeline),
+        "ose": (spectral, pipeline),
+        "pf_eigen": (spectral, pipeline),
+        "decompose": (spectral,),
+        "strongly_connected": (automaton,),
+    }.items():
+        wrapper = counted(name, getattr(modules[0], name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
     steps = len(pipeline.reduce_full(example_gens, example_alphabet).steps)
     assert steps == 4
-    assert calls["build_core"] == steps + 1
+    # the input is folded; each next core is contracted, not folded
+    assert calls["build_core"] == 1
     # each automaton is built and validated once, the final rose's included
-    assert calls["connected"] == steps + 1
+    assert calls["build_automaton"] == calls["strongly_connected"] == steps + 1
+    # the second route (check_step) is not run
+    assert calls["collapse_automaton"] == calls["rooted_map"] == calls["ose"] == 0
     # the blocks of each M are checked once, by derive_m1
     assert calls["decompose"] == steps
     # the first step solves M and M1; each later step reuses the previous M1's
@@ -112,6 +124,15 @@ def test_step_rejects_a_core_that_is_not_folded_from_the_generators(
     gens = [parse_word(w, example_alphabet) for w in ("yX", "yzYzt", "x")]
     with pytest.raises(CogrowthError, match="contracted core"):
         pipeline.reduce_step(example_core, gens)
+
+
+def test_check_step_catches_generators_of_a_smaller_subgroup(example_core, example_alphabet):
+    # the step trusts that `core` is the core of `gens`: the images of a
+    # proper subgroup's generators read loops in the next core, and only
+    # check_step's fold tells the subgroups apart
+    gens = [parse_word(w, example_alphabet) for w in ("yX", "yzYztyzYzt")]
+    step = pipeline.reduce_step(example_core, gens)
+    assert pipeline.check_step(step) == (True, True, False)
 
 
 def test_step_rejects_a_carried_pair_that_is_not_its_automaton(
@@ -127,33 +148,45 @@ def test_step_rejects_a_carried_pair_that_is_not_its_automaton(
             pipeline.reduce_step(core, gens, previous=first)
 
 
-def test_step_checks_its_own_collapsed_automaton(example_core, example_gens, monkeypatch):
-    # moving the initial set keeps the collapsed matrix, so only the
-    # automaton check can tell
-    def misplaced(aut, s):
-        good = collapse_automaton(aut, s)
-        initial = set(good.states) - set(good.initial)
-        return Automaton(good.alphabet, good.states, good.rows, initial)
+def test_step_rejects_images_that_do_not_generate_the_contracted_core():
+    # a conjugated free factor of F3: its core is a core, but the images
+    # of zxz and ZXXzyxzxz, each cyclically reduced on its own, do not
+    # generate the contracted core; build_core rejects the input, so the
+    # core is folded by the oracle
+    ab = Alphabet(("x", "y", "z"))
+    gens = [parse_word(w, ab) for w in ("zxz", "ZXXzyxzxz")]
+    core = core_from_edges(ab, *naive_fold(gens, 3))
+    core.validate()
+    with pytest.raises(CogrowthError, match="contracted core disagrees"):
+        pipeline.reduce_step(core, gens)
 
-    monkeypatch.setattr(pipeline, "collapse_automaton", misplaced)
-    with pytest.raises(CogrowthError, match="collapsed automaton disagrees"):
-        pipeline.reduce_step(example_core, example_gens)
+
+def test_check_step_checks_the_collapsed_automaton(example_core, example_gens):
+    # moving the initial set keeps the matrix, so only the automaton
+    # check can tell
+    step = pipeline.reduce_step(example_core, example_gens)
+    assert pipeline.check_step(step) == (True, True, True)
+    good = step.aut_after
+    moved = set(good.states) - set(good.initial)
+    misplaced = Automaton(good.alphabet, good.states, good.rows, moved)
+    assert pipeline.check_step(replace(step, aut_after=misplaced)) == (True, False, True)
 
 
-def test_step_checks_the_order_of_the_collapsed_states(
-    example_core, example_gens, monkeypatch
-):
-    # the NSE lead block and the collapsed OSE share this order, so the
-    # two matrices agree and the renamed automaton matches either way
-    from_collapse = automaton.SStateSet.from_collapse
-
-    def reversed_order(cls, aut, cd):
-        s = from_collapse(aut, cd)
-        return s._replace(survivors=s.survivors[::-1])
-
-    monkeypatch.setattr(automaton.SStateSet, "from_collapse", classmethod(reversed_order))
+def test_check_step_checks_the_order_of_the_collapsed_states(example_core, example_gens):
+    # the NSE lead block and the collapsed OSE share this order
+    step = pipeline.reduce_step(example_core, example_gens)
+    s = step.m.collapse
+    reversed_order = replace(step.m, collapse=s._replace(survivors=s.survivors[::-1]))
     with pytest.raises(CogrowthError, match="not in the OSE order"):
-        pipeline.reduce_step(example_core, example_gens)
+        pipeline.check_step(replace(step, m=reversed_order))
+    # the same matrix with its states listed in another order is not M1
+    order = list(range(step.m1.size))[::-1]
+    position = {j: i for i, j in enumerate(order)}
+    permuted = spectral.AdjacencyMatrix(
+        tuple(tuple(sorted(position[j] for j in step.m1.rows[i])) for i in order),
+        tuple(step.m1.states[i] for i in order),
+    )
+    assert pipeline.check_step(replace(step, m1=permuted)) == (False, True, True)
 
 
 def test_next_automaton_is_the_collapsed_one_renamed(corpus_traces, ladder_traces):
@@ -166,8 +199,7 @@ def test_next_automaton_is_the_collapsed_one_renamed(corpus_traces, ladder_trace
             assert step.aut_after.states == rebuilt.states
             assert transitions(step.aut_after) == transitions(rebuilt)
             assert step.aut_after.initial == rebuilt.initial
-            collapsed = collapse_automaton(step.aut_before, step.m.collapse)
-            pipeline._check_collapsed(collapsed, step.core_map, step.aut_after)
+            assert pipeline.check_step(step) == (True, True, True)
             checked += 1
     assert checked >= 470
 
@@ -192,21 +224,20 @@ def test_core_map_is_the_rooted_isomorphism(corpus_traces, ladder_traces):
 
 def test_next_automaton_check_rejects_a_wrong_vertex_map(example_gens, example_alphabet):
     first = pipeline.reduce_full(example_gens, example_alphabet).steps[0]
-    collapsed = collapse_automaton(first.aut_before, first.m.collapse)
     # a folded core has no rooted automorphism, so every other bijection
-    # onto its vertices renames the automaton into another one
+    # onto its vertices is not the walk from the roots
     for u, v in itertools.combinations(first.core_map, 2):
         swapped = {**first.core_map, u: first.core_map[v], v: first.core_map[u]}
-        with pytest.raises(CogrowthError, match="collapsed automaton"):
-            pipeline._check_collapsed(collapsed, swapped, first.aut_after)
-    # swapping the two vertices of this core preserves every labelled
-    # edge but moves the root: only the initial set tells the maps apart
-    ab = Alphabet(("x", "y"))
-    double = [(1, 1, 2), (2, 1, 1), (1, 2, 1), (2, 2, 2)]
-    symmetric = build_automaton(core_from_edges(ab, 1, double))
-    pipeline._check_collapsed(symmetric, {1: 1, 2: 2}, symmetric)
-    with pytest.raises(CogrowthError, match="collapsed automaton"):
-        pipeline._check_collapsed(symmetric, {1: 2, 2: 1}, symmetric)
+        assert pipeline.check_step(replace(first, core_map=swapped)) == (True, True, False)
+    # nor is a core numbered otherwise the folded one, though isomorphic
+    after = first.core_after
+    for u, v in itertools.combinations(after.vertices, 2):
+        swap = {**{w: w for w in after.vertices}, u: v, v: u}
+        renamed = core_from_edges(
+            example_alphabet, swap[after.root], [(swap[o], l, swap[t]) for o, l, t in after.edges]
+        )
+        assert rooted_isomorphism(renamed, after) is not None
+        assert pipeline.check_step(replace(first, core_after=renamed))[2] is False
 
 
 def test_full_reduction_on_corpus_sample(corpus):

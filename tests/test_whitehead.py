@@ -4,13 +4,12 @@ import pytest
 
 from cogrowth.automaton import SStateSet, build_automaton, collapse_automaton
 from cogrowth.cli import cut_vertex_dict, whitehead_dot
-from cogrowth.core_graph import build_core, collapse_core, label_sets, rooted_map
+from cogrowth.core_graph import build_core, collapse_core, label_sets, renumber, rooted_map
 from cogrowth.errors import (
     NoCutVertexError,
     NotCyclicallyReducedError,
     PreconditionError,
 )
-from cogrowth.pipeline import _check_collapsed
 from cogrowth.whitehead import (
     WhiteheadGraph,
     choose_automorphism,
@@ -28,6 +27,7 @@ from oracles import (
     cyclic_length,
     reduce_primitive_word,
     spanning_tree_basis,
+    transitions,
     whitehead_descent,
     whitehead_graph_of_word,
 )
@@ -195,7 +195,8 @@ def test_every_cut_vertex_of_every_small_core_collapses(rank, n_vertices, n_core
     letters, 44,545 in all.  On each cut the walk from the roots
     matches the contracted core with its renumbering by the oracle, and
     the collapsed automaton is also the automaton of the contracted
-    core, initial set included."""
+    core, initial set included.  The oracle's renumbering is also
+    `renumber`'s, by which a step numbers its next core."""
     alphabet = Alphabet(tuple("xyz"[:rank]))
     count = 0
     for g in all_small_cores(alphabet, n_vertices):
@@ -228,16 +229,21 @@ def test_every_cut_vertex_of_every_small_core_collapses(rank, n_vertices, n_core
             collapsed = collapse_core(g, cd)
             assert collapsed.n_vertices == g.n_vertices - len(cd.s_o)
             ids, form = canonical_numbering(collapsed.root, collapsed.edges)
-            renumbered = core_from_edges(alphabet, 1, form)
-            core_map = rooted_map(
+            renumbered, core_map = renumber(collapsed)
+            assert renumbered == core_from_edges(alphabet, 1, form)
+            assert core_map == ids == rooted_map(
                 collapsed.root, collapsed.neighbours, 1, renumbered.neighbours
             )
-            assert core_map == ids
-            _check_collapsed(
-                collapse_automaton(aut, SStateSet.from_collapse(aut, cd)),
-                core_map,
-                build_automaton(renumbered),
-            )
+            # renamed through core_map, the collapsed automaton is the
+            # automaton of the renumbered core, initial set included
+            rename = lambda q: (core_map[q[0]], q[1])
+            folded = collapse_automaton(aut, SStateSet.from_collapse(aut, cd))
+            rebuilt = build_automaton(renumbered)
+            assert {
+                (rename(q), letter): rename(t)
+                for (q, letter), t in transitions(folded).items()
+            } == transitions(rebuilt)
+            assert set(map(rename, folded.initial)) == rebuilt.initial
     assert count == n_cores
 
 
@@ -265,8 +271,9 @@ def test_free_factor_verdict_matches_whitehead_descent():
     on 2, no core without a cut vertex descends to a rose (the "not a
     free factor" verdict holds), and every core with one does.  Where
     the spanning-tree basis is cyclically reduced, `reduce_full` on it
-    reaches the descent's verdict; the other cores are counted."""
-    from cogrowth.pipeline import reduce_full
+    reaches the descent's verdict, and each of its steps passes
+    `check_step`; the other cores are counted."""
+    from cogrowth.pipeline import check_step, reduce_full
 
     counts = Counter()
     for rank, n_vertices in ((2, 2), (2, 3), (3, 2)):
@@ -280,8 +287,9 @@ def test_free_factor_verdict_matches_whitehead_descent():
             if not all(is_cyclically_reduced(w) for w in basis):
                 counts[cut, "no usable basis"] += 1
                 continue
-            status = reduce_full(basis, alphabet).status
-            assert status == ("single_vertex_core" if rose else "no_cut_vertex")
+            trace = reduce_full(basis, alphabet)
+            assert trace.status == ("single_vertex_core" if rose else "no_cut_vertex")
+            assert all(check_step(step) == (True, True, True) for step in trace.steps)
             counts[cut, "reduce_full agrees"] += 1
     assert counts == {
         (False, "reduce_full agrees"): 199,

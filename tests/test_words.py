@@ -71,6 +71,13 @@ def test_cyclic_reduce_one_layer():
     assert conj == parse_word("y", AB4)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 8000])
+def test_cyclic_reduce_strips_a_long_conjugator(n):
+    # x^n y X^n is y conjugated by x^n, whatever the length of x^n
+    x, y = parse_word("x", AB4), parse_word("y", AB4)
+    assert cyclic_reduce(x * n + y + inverse_word(x * n)) == (y, x * n)
+
+
 def test_cyclic_reduce_already_reduced():
     core, conj = cyclic_reduce(parse_word("yX", AB4))
     assert core == parse_word("yX", AB4) and conj == ()
