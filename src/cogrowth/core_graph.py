@@ -32,8 +32,8 @@ class CoreGraph:
     `nbr` maps each vertex, in ascending order, to its extended edges'
     labels, in the global letter order, and their endpoints; every edge
     is in the maps of both its ends.  The maps are trusted as given:
-    `build_core` and `collapse_core` make them, `validate` checks the
-    core's shape.
+    `build_core` and `collapse_core` make them, and `_discover`, which
+    numbers a core, checks that it is connected with every degree >= 2.
     """
 
     def __init__(self, alphabet: Alphabet, root: int, nbr: dict[int, dict[Letter, int]]):
@@ -95,24 +95,6 @@ class CoreGraph:
     def __repr__(self):
         return f"CoreGraph(root={self.root}, vertices={self.n_vertices}, edges={self.n_edges})"
 
-    def validate(self):
-        """Check the core invariants; raises PreconditionError."""
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            for w in self._nbr[v].values():
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != set(self.vertices):
-            raise PreconditionError("graph is not connected")
-        # the root too: a label set of one letter breaks the trichotomy
-        # that whitehead.choose_automorphism relies on
-        for v in self.vertices:
-            if self.degree(v) < 2:
-                raise PreconditionError(f"vertex {v} has degree < 2")
-
 
 class CollapseData(namedtuple("CollapseData", "a e_o")):
     """Edges to contract for one Whitehead reduction step.
@@ -130,7 +112,10 @@ class CollapseData(namedtuple("CollapseData", "a e_o")):
             raise PreconditionError("collapse needs at least one edge")
         if any(letter != a for _, letter, _ in e_o):
             raise PreconditionError("collapse edge not labeled a")
-        if set(self.s_o) & set(self.s_t):
+        origins = set(self.s_o)
+        if len(origins) < len(e_o):
+            raise PreconditionError("two collapse edges at one origin")
+        if origins & set(self.s_t):
             raise PreconditionError("origin and terminus sets overlap")
         return self
 
@@ -164,8 +149,8 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
     O(n m log n) instead of one rescan of the edge list per merge.
 
     One depth-first pass (`_discover`) then gives the canonical ids and
-    each vertex's letter order, hence the neighbour maps of the core;
-    every representative must be reached, with degree >= 2.
+    each vertex's letter order, hence the neighbour maps of the core,
+    and checks that every representative is reached, with degree >= 2.
     """
     for w in gens:
         if not w:
@@ -225,9 +210,7 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
         rep[v] = r
 
     # folding cyclically reduced loops cannot fail these checks; they stay
-    ids, adjacency = _discover(rep[0], nbr, rep)
-    if len(ids) != len(nbr) - nbr.count(None):
-        raise PreconditionError("graph is not connected")
+    ids, adjacency = _discover(rep[0], nbr, rep, len(nbr) - nbr.count(None))
     core = CoreGraph(alphabet, 1, adjacency)
     if core.subgroup_rank < 2:
         raise CyclicOrTrivialSubgroupError(
@@ -236,11 +219,13 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
     return core
 
 
-def _discover(root: int, nbr, rep):
+def _discover(root: int, nbr, rep, n_vertices: int):
     """Depth-first discovery from `root` along the global letter order:
     the ids 1, 2, ... of the vertices reached, and their neighbour maps
-    under those ids, labels sorted; a vertex of degree < 2 raises
-    PreconditionError.  `rep` maps the neighbours in `nbr[v]` to vertices."""
+    under those ids, labels sorted.  `rep` maps the neighbours in
+    `nbr[v]` to vertices.  The one check that a graph is a core: raises
+    PreconditionError unless all `n_vertices` are reached, each of
+    degree >= 2 (the root too, for whitehead's trichotomy)."""
     ids: dict[int, int] = {}
     found: list[tuple[int, list[Letter]]] = []
     stack = [root]
@@ -253,6 +238,8 @@ def _discover(root: int, nbr, rep):
         letters = sorted(out, key=letter_key)
         found.append((v, letters))
         stack.extend([rep[out[l]] for l in reversed(letters)])
+    if len(found) != n_vertices:
+        raise PreconditionError("graph is not connected")
     adjacency: dict[int, dict[Letter, int]] = {}
     for v, letters in found:
         if len(letters) < 2:
@@ -264,9 +251,10 @@ def _discover(root: int, nbr, rep):
 
 def renumber(graph: CoreGraph) -> tuple[CoreGraph, dict[int, int]]:
     """`graph` under the ids `build_core` gives any basis of its subgroup,
-    and the map from its ids to them."""
+    and the map from its ids to them; raises PreconditionError if
+    `graph` is not a core (connected, every degree >= 2)."""
     identity = range(max(graph.vertices) + 1)
-    ids, adjacency = _discover(graph.root, graph._nbr, identity)
+    ids, adjacency = _discover(graph.root, graph._nbr, identity, graph.n_vertices)
     return CoreGraph(graph.alphabet, 1, adjacency), ids
 
 
@@ -281,7 +269,9 @@ def collapse_core(graph: CoreGraph, cd: CollapseData) -> CoreGraph:
     The other vertices keep their ids and neighbour maps, with the
     targets renamed; each origin's map, less a, joins its terminus's,
     less a^-1.  Raises FoldingViolationError if a label is at both ends
-    (the trichotomy was not actually satisfied).
+    (the trichotomy was not actually satisfied).  `graph` is trusted to
+    be a core, as `CoreGraph` trusts its maps; the result then is one
+    (ascari2021fine), and `renumber` re-checks it on every step.
     """
     for o, letter, t in cd.e_o:
         if graph.step(o, letter) != t:
@@ -301,7 +291,6 @@ def collapse_core(graph: CoreGraph, cd: CollapseData) -> CoreGraph:
     result = CoreGraph(graph.alphabet, merge.get(graph.root, graph.root), nbr)
     if not (result.n_vertices < graph.n_vertices and result.n_edges < graph.n_edges):
         raise FoldingViolationError("contraction did not shrink the graph")
-    result.validate()
     return result
 
 

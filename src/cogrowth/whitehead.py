@@ -20,8 +20,9 @@ basis loops, and a core with several vertices whose Whitehead graph has
 no cut vertex is not a free factor (Whitehead 1936; Stallings,
 "Whitehead graphs on handlebodies", 1999).  Ascari's fine property
 (ascari2021fine) is the free-factor half.  `CollapseData` and
-`collapse_core` still check the result, as internal checks that only a
-broken invariant trips.
+`collapse_core` still check the collapse (its edges, no label clash, a
+smaller graph) and `renumber` that the contracted graph is a core:
+internal checks that only a broken invariant trips.
 """
 
 from __future__ import annotations

@@ -145,7 +145,9 @@ def _trace_tables(graph):
 
 def brute_census(graph, n_max):
     """a_1..a_n_max by enumerating every reduced word over the alphabet
-    and tracing it from the root; one array slot per word."""
+    that reads a path from the root, one array slot per word.  A word
+    that leaves the core never comes back, so after each letter the
+    words at the dead sink are dropped rather than extended."""
     letters, table, root, dead = _trace_tables(graph)
     n_letters = len(letters)
     inverse_of = np.array(
@@ -155,6 +157,8 @@ def brute_census(graph, n_max):
     vert = table[last, np.full(n_letters, root, dtype=np.int16)]
     counts = [int((vert == root).sum())]
     for _ in range(1, n_max):
+        alive = vert != dead
+        last, vert = last[alive], vert[alive]
         child = np.tile(np.arange(n_letters, dtype=np.int16), len(last))
         parent_last = np.repeat(last, n_letters)
         keep = child != inverse_of[parent_last]

@@ -301,6 +301,26 @@ def test_validate_passes_on_corpus(corpus):
         aut.validate()
 
 
+@pytest.mark.parametrize(
+    "delta, message",
+    [
+        # (1, x) moves on x^-1 to (1, x^-1) and back on x: strongly connected
+        ({((1, 1), -1): (1, -1), ((1, -1), 1): (1, 1)},
+         "transition labeled with the inverse of the entry letter"),
+        # a loop on x at (1, x) and a loop on x^-1 at (1, x^-1), nothing between
+        ({((1, 1), 1): (1, 1), ((1, -1), -1): (1, -1)},
+         "transition diagram is not strongly connected"),
+    ],
+    ids=["inverse-letter", "two-pieces"],
+)
+def test_validate_rejects(delta, message):
+    states = [(1, 1), (1, -1)]
+    aut = oracles.automaton_from_transitions(AB2, states, delta, states)
+    with pytest.raises(PreconditionError) as excinfo:
+        aut.validate()
+    assert str(excinfo.value) == message
+
+
 def test_json_and_dot(example_aut, example_collapse):
     import json
 

@@ -8,6 +8,7 @@ from cogrowth.core_graph import (
     build_core,
     collapse_core,
     label_sets,
+    renumber,
     rooted_map,
 )
 from cogrowth.errors import (
@@ -317,7 +318,7 @@ PARALLEL_Y = [(1, 1, 2), (1, 2, 2), (2, 2, 1)]
 )
 def test_collapse_core_rejects(edges, e_o, error, message):
     core = oracles.core_from_edges(AB2, 1, edges)
-    core.validate()
+    renumber(core)  # a core
     with pytest.raises(error) as excinfo:
         collapse_core(core, CollapseData(a=1, e_o=e_o))
     assert str(excinfo.value) == message
@@ -373,12 +374,20 @@ def test_collapse_data_validation():
         CollapseData(a=2, e_o=((1, 2, 2), (2, 2, 3)))
 
 
-def test_validate_rejects_root_of_degree_one():
+def test_renumber_rejects_root_of_degree_one():
     # the root's label set is just {x}: cases 1 and 3 of the trichotomy
     # would both hold there for the cut vertex x
     g = oracles.core_from_edges(AB2, 1, [(1, 1, 2), (2, 2, 2)])
-    with pytest.raises(PreconditionError, match="degree < 2"):
-        g.validate()
+    with pytest.raises(PreconditionError, match="vertex 1 has degree < 2"):
+        renumber(g)
+
+
+def test_renumber_rejects_a_graph_that_is_not_connected():
+    # vertex 3, with two loops, cannot be reached from the root
+    g = oracles.core_from_edges(AB2, 1, [(1, 1, 2), (2, 1, 1), (1, 2, 1), (3, 1, 3), (3, 2, 3)])
+    assert g.vertices == (1, 2, 3)
+    with pytest.raises(PreconditionError, match="graph is not connected"):
+        renumber(g)
 
 
 def test_collapse_shrinks_and_respects_label_overlap_bound(corpus):

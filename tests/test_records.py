@@ -64,6 +64,8 @@ def test_a_record_is_an_immutable_value(name):
      "collapse edge not labeled a"),
     (lambda: CollapseData(2, ((1, 2, 3), (3, 2, 4))), PreconditionError,
      "origin and terminus sets overlap"),
+    (lambda: CollapseData(2, ((1, 2, 2), (1, 2, 2))), PreconditionError,
+     "two collapse edges at one origin"),
 ], ids=lambda x: x if isinstance(x, str) else None)
 def test_a_record_checks_its_fields(make, error, message):
     with pytest.raises(error) as info:
