@@ -20,10 +20,9 @@ from .errors import (
     CyclicOrTrivialSubgroupError,
     EmptyGeneratorError,
     FoldingViolationError,
-    NotCyclicallyReducedError,
     PreconditionError,
 )
-from .words import Alphabet, Letter, Word, is_cyclically_reduced, letter_key
+from .words import Alphabet, Letter, Word, letter_key
 
 
 class CoreGraph:
@@ -134,8 +133,9 @@ class CollapseData(namedtuple("CollapseData", "a e_o")):
 def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
     """Fold a wedge of generator loops into the core graph.
 
-    Every generator must be nonempty and cyclically reduced; the
-    generated subgroup must be non-trivial and non-cyclic.
+    Every generator must be nonempty, and the fold must be a core: every
+    vertex, the root included, of degree >= 2.  The generated subgroup
+    must be non-trivial and non-cyclic.
 
     Folding runs off a worklist (Kapovich-Myasnikov, "Stallings
     foldings and subgroups of free groups", J. Algebra 2002; Touikan,
@@ -155,11 +155,6 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
     for w in gens:
         if not w:
             raise EmptyGeneratorError("generators must be nonempty")
-        # not implied by the fold being a core: a step cyclically reduces
-        # each image on its own, and on a conjugated free factor such as
-        # zxz, ZXXzyxzxz the images then miss the contracted core
-        if not is_cyclically_reduced(w):
-            raise NotCyclicallyReducedError("generators must be cyclically reduced")
         for l in w:
             if abs(l) > alphabet.rank:
                 raise PreconditionError("generator uses letters outside the alphabet")
@@ -209,7 +204,8 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
             r = rep[r]
         rep[v] = r
 
-    # folding cyclically reduced loops cannot fail these checks; they stay
+    # the precondition on the words: the fold must be a core (a wedge of
+    # loops is connected, so only "vertex i has degree < 2" can fire)
     ids, adjacency = _discover(rep[0], nbr, rep, len(nbr) - nbr.count(None))
     core = CoreGraph(alphabet, 1, adjacency)
     if core.subgroup_rank < 2:

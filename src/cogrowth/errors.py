@@ -24,10 +24,6 @@ class EmptyGeneratorError(PreconditionError):
     pass
 
 
-class NotCyclicallyReducedError(PreconditionError):
-    pass
-
-
 class CyclicOrTrivialSubgroupError(PreconditionError):
     pass
 

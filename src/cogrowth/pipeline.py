@@ -5,7 +5,8 @@ contracts the collapse edges of the core (Ascari) under `build_core`'s
 ids, builds that core's automaton, and derives the collapsed matrix M1
 from the NSE matrix M by the row transform; it then solves both
 Perron-Frobenius eigenpairs and certifies the strict gap.  The next
-generators are the cyclically reduced images.  The second route, which
+generators are the images conjugated by the one word c that the root's
+case of the trichotomy gives (`reduce_step`).  The second route, which
 folds the images, collapses the automaton and reads M1 off it, is
 `check_step`: `cogrowth verify` and the tests run it, a step does not.
 
@@ -34,7 +35,7 @@ from .spectral import (
     pf_eigen,
 )
 from .whitehead import choose_automorphism
-from .words import Alphabet, WhiteheadAutomorphism, Word, apply_whitehead, cyclic_reduce
+from .words import Alphabet, WhiteheadAutomorphism, Word, apply_whitehead, inverse_word
 
 
 @dataclass(frozen=True)
@@ -71,12 +72,17 @@ def reduce_step(
 ) -> StepReport:
     """Run one collapse step on `core`, the folded core of `gens`.
 
-    CogrowthError is raised unless M1, renamed through `core_map`, is the
-    matrix of the next core's automaton, and unless the images of `gens`,
-    cyclically reduced with one shared conjugator c, read closed paths at
-    the next root.  They then generate c^-1 phi(H) c <= phi(H), which the
-    next core carries (Ascari), and an ascending chain of conjugates of
-    bounded rank is stationary (Takahasi), so the two are equal.
+    The next generators are c^-1 phi(g) c, with c = a when every label at
+    the root lies in A + {a} (cases 2 and 3 of the trichotomy), where each
+    generator leaves the root by a letter l in A + {a}, so phi(l) starts
+    with a, and returns by a letter m with m^-1 in A + {a}, so phi(m)
+    ends with a^-1; c is empty otherwise.  CogrowthError is raised unless
+    M1, renamed through `core_map`, is the matrix of the next core's
+    automaton, and unless the next generators read closed paths at the
+    next root.  They then generate c^-1 phi(H) c inside the conjugate of
+    phi(H) that the next core carries (Ascari), and an ascending chain
+    of conjugates of bounded rank is stationary (Takahasi), so the two
+    are equal.
 
     `previous` is the step whose `core_after` is `core`, or
     PreconditionError is raised.  Its `aut_after` is then the automaton
@@ -97,9 +103,10 @@ def reduce_step(
     renamed = [(core_map[v], l) for v, l in m1.states]
     if set(renamed) != aut_after.index.keys() or adjacency(aut_after, renamed).rows != m1.rows:
         raise CogrowthError("row-transformed matrix disagrees with the collapsed automaton")
-    split = [cyclic_reduce(apply_whitehead(phi, w)) for w in gens]
-    gens_after = tuple([w for w, _ in split])
-    if len({c for _, c in split}) > 1 or not all(map(core_after.reads_loop, gens_after)):
+    c = (phi.a,) if core.neighbours(core.root).keys() <= phi.members | {phi.a} else ()
+    # phi fixes a, so phi(c^-1 g c) = c^-1 phi(g) c, freely reduced
+    gens_after = tuple([apply_whitehead(phi, (*inverse_word(c), *w, *c)) for w in gens])
+    if not all(map(core_after.reads_loop, gens_after)):
         raise CogrowthError("contracted core disagrees with the core of the images")
 
     if previous is None:

@@ -36,7 +36,6 @@ from cogrowth.core_graph import CoreGraph
 from cogrowth.errors import (
     ConvergenceFailureError,
     FoldingViolationError,
-    NotCyclicallyReducedError,
     PreconditionError,
 )
 from cogrowth.spectral import AdjacencyMatrix, PFResult
@@ -642,9 +641,7 @@ def whitehead_graph_of_word(word, rank: int) -> WhiteheadGraph:
     """One edge per consecutive pair (inverse of first to second), plus
     the wrap-around edge; the multiset has exactly |word| edges."""
     if not word or not is_cyclically_reduced(word):
-        raise NotCyclicallyReducedError(
-            "Whitehead graph needs a nonempty cyclically reduced word"
-        )
+        raise PreconditionError("Whitehead graph needs a nonempty cyclically reduced word")
     mult = {}
     for i in range(len(word)):
         u, v = -word[i], word[(i + 1) % len(word)]
@@ -737,6 +734,17 @@ def all_small_cores(alphabet: Alphabet, n_vertices: int):
                 stack.append(t)
         if len(seen) == n_vertices:
             yield core_from_edges(alphabet, 1, edges)
+
+
+def cyclically_reduced_images(phi, gens):
+    """The next generators by the per-image route: each image under
+    `phi` cyclically reduced on its own, or None when their conjugators
+    differ.  Where `gens` are cyclically reduced, a step's one
+    conjugator must give the same words."""
+    split = [cyclic_reduce(apply_whitehead(phi, w)) for w in gens]
+    if len({c for _, c in split}) > 1:
+        return None
+    return tuple(w for w, _ in split)
 
 
 def cyclic_length(word) -> int:

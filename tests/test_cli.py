@@ -111,8 +111,21 @@ def test_empty_out_path_fails_at_parsing(capsys):
 def test_precondition_exit_code(capsys):
     code, _, err = run(capsys, "core", "--gens", "x", "--alphabet", "xy")
     assert code == 3
-    code, _, err = run(capsys, "core", "--gens", "xyX,z", "--alphabet", "xyz")
+    # a fold with a hair: the root sees only the x of xyX and xzX
+    code, _, err = run(capsys, "core", "--gens", "xyX,xzX", "--alphabet", "xyz")
     assert code == 3
+    assert "vertex 1 has degree < 2" in err
+
+
+def test_reduce_decides_a_conjugated_free_factor(capsys):
+    # neither generator is cyclically reduced, yet the fold is a core
+    gens = ("--gens", "zxz,ZXXzyxzxz", "--alphabet", "xyz")
+    code, out, _ = run(capsys, "reduce", *gens)
+    assert code == 0
+    assert "status: single_vertex_core" in out
+    code, out, _ = run(capsys, "verify", *gens)
+    assert code == 0
+    assert "FAIL" not in out
 
 
 def test_no_cut_vertex_exit_code_and_no_artifacts(capsys, tmp_path):

@@ -9,19 +9,22 @@ from hypothesis import given, settings, strategies as st
 
 from cogrowth import automaton, core_graph, pipeline, spectral
 from cogrowth.automaton import Automaton, accepts, build_automaton
-from cogrowth.core_graph import build_core, collapse_core, label_sets, renumber, rooted_map
+from cogrowth.core_graph import build_core, collapse_core, label_sets, rooted_map
 from cogrowth.errors import CogrowthError, PreconditionError
-from cogrowth.whitehead import random_whitehead
+from cogrowth.whitehead import random_free_factor, random_whitehead
 from cogrowth.words import (
     Alphabet,
     apply_whitehead,
     free_reduce,
+    inverse_word,
     is_cyclically_reduced,
     parse_word,
+    sigma,
 )
 from oracles import (
     canonical_numbering,
     core_from_edges,
+    cyclically_reduced_images,
     membership,
     naive_fold,
     rooted_isomorphism,
@@ -148,17 +151,75 @@ def test_step_rejects_a_carried_pair_that_is_not_its_automaton(
             pipeline.reduce_step(core, gens, previous=first)
 
 
-def test_step_rejects_images_that_do_not_generate_the_contracted_core():
-    # a conjugated free factor of F3: its core is a core, but the images
-    # of zxz and ZXXzyxzxz, each cyclically reduced on its own, do not
-    # generate the contracted core; build_core rejects the input, so the
-    # core is folded by the oracle
-    ab = Alphabet(("x", "y", "z"))
-    gens = [parse_word(w, ab) for w in ("zxz", "ZXXzyxzxz")]
-    core = core_from_edges(ab, *naive_fold(gens, 3))
-    renumber(core)  # a core
+def test_step_rejects_images_that_do_not_generate_the_contracted_core(
+    example_core, example_alphabet
+):
+    # yx, yzYzt fold to another core than the example's, whose step then
+    # sends yx off the contracted core
+    gens = [parse_word(w, example_alphabet) for w in ("yx", "yzYzt")]
+    assert build_core(gens, example_alphabet).edges != example_core.edges
     with pytest.raises(CogrowthError, match="contracted core disagrees"):
-        pipeline.reduce_step(core, gens)
+        pipeline.reduce_step(example_core, gens)
+
+
+def test_step_conjugates_as_the_per_image_route_on_cyclically_reduced_generators(
+    corpus_traces,
+):
+    """Where the generators are cyclically reduced, the one conjugator
+    read off the root's trichotomy case gives the words that cyclically
+    reducing each image gives.  The corpus takes both branches: c = a at
+    an origin root (case 3) and at a root in case 2, and c empty."""
+    cases = Counter()
+    for trace in corpus_traces:
+        for step in trace.steps:
+            if not all(map(is_cyclically_reduced, step.gens_before)):
+                continue
+            assert step.gens_after == cyclically_reduced_images(step.phi, step.gens_before)
+            labels = step.core_before.neighbours(step.core_before.root).keys()
+            if labels <= step.phi.members:
+                cases["case 2"] += 1
+            elif labels <= step.phi.members | {step.phi.a}:
+                cases["case 3"] += 1
+            else:
+                cases["c empty"] += 1
+    assert cases == {"case 3": 151, "case 2": 6, "c empty": 246}
+
+
+def conjugated_free_factors(count):
+    """Free factors from `random_free_factor` (rank 3 or 4, from
+    random.Random(5)) with every generator conjugated by one reduced word
+    of 1-3 letters, kept when not every generator is cyclically reduced
+    and their fold, by the oracle, is a core."""
+    rng = random.Random(5)
+    out = []
+    while len(out) < count:
+        rank = rng.choice((3, 4))
+        ab = Alphabet(tuple("xyzt"[:rank]))
+        gens = random_free_factor(rng, rank)
+        length, g = rng.randint(1, 3), ()
+        while len(g) < length:
+            g = free_reduce(g + (rng.choice(sigma(rank)),))
+        conjugated = [free_reduce(g + w + inverse_word(g)) for w in gens]
+        if all(map(is_cyclically_reduced, conjugated)):
+            continue
+        fold = core_from_edges(ab, *naive_fold(conjugated, rank))
+        if min(map(fold.degree, fold.vertices)) >= 2:
+            out.append((conjugated, ab))
+    return out
+
+
+def test_conjugated_free_factors_that_fold_to_a_core_reduce_to_a_rose():
+    """A generating set need not be cyclically reduced: a conjugate of a
+    free factor whose fold is a core is decided, and every step's images
+    fold to its contracted core."""
+    ab3 = Alphabet(("x", "y", "z"))
+    cases = [([parse_word(w, ab3) for w in ("zxz", "ZXXzyxzxz")], ab3)]
+    cases += conjugated_free_factors(200)
+    for gens, ab in cases:
+        trace = pipeline.reduce_full(gens, ab)
+        assert trace.status == "single_vertex_core"
+        assert trace.steps
+        assert all(pipeline.check_step(step) == (True, True, True) for step in trace.steps)
 
 
 def test_check_step_checks_the_collapsed_automaton(example_core, example_gens):

@@ -565,8 +565,14 @@ def test_certificate_choices(example_spectral, choice, expected_rows):
 
 def test_certificate_rejects_out_of_range_override(example_spectral):
     _, _, _, m, m1 = example_spectral
-    with pytest.raises(CertificateFailureError):
-        certify_inequality(m, pf_eigen(m1), u_override=100.0)
+    pf1 = pf_eigen(m1)
+    for u, message in [
+        (100.0, r"\(Mu\) exceeds lam1\*u at NSE row 1"),
+        (0.0, "comparison vector is not strictly positive"),
+        (float("inf"), "no row has strict slack"),
+    ]:
+        with pytest.raises(CertificateFailureError, match=message):
+            certify_inequality(m, pf1, u_override=u)
 
 
 def test_certificate_rejects_an_eigenpair_of_another_matrix(example_spectral):

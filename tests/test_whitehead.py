@@ -7,7 +7,6 @@ from cogrowth.cli import cut_vertex_dict, whitehead_dot
 from cogrowth.core_graph import build_core, collapse_core, label_sets, renumber, rooted_map
 from cogrowth.errors import (
     NoCutVertexError,
-    NotCyclicallyReducedError,
     PreconditionError,
 )
 from cogrowth.whitehead import (
@@ -17,7 +16,7 @@ from cogrowth.whitehead import (
     find_cut_vertices,
     whitehead_graph_of_core,
 )
-from cogrowth.words import Alphabet, is_cyclically_reduced, parse_word, sigma
+from cogrowth.words import Alphabet, parse_word, sigma
 from oracles import (
     all_small_cores,
     all_whitehead_automorphisms,
@@ -60,9 +59,10 @@ def test_graph_of_length_five_word():
 
 
 def test_graph_of_word_requires_cyclically_reduced():
-    with pytest.raises(NotCyclicallyReducedError):
+    message = "Whitehead graph needs a nonempty cyclically reduced word"
+    with pytest.raises(PreconditionError, match=message):
         whitehead_graph_of_word(parse_word("yxY", AB4), 4)
-    with pytest.raises(NotCyclicallyReducedError):
+    with pytest.raises(PreconditionError, match=message):
         whitehead_graph_of_word((), 4)
 
 
@@ -269,10 +269,10 @@ def test_cut_vertices_match_the_search_oracle(corpus):
 def test_free_factor_verdict_matches_whitehead_descent():
     """On the 641 small cores of 2 letters on 2-3 vertices and 3 letters
     on 2, no core without a cut vertex descends to a rose (the "not a
-    free factor" verdict holds), and every core with one does.  Where
-    the spanning-tree basis is cyclically reduced, `reduce_full` on it
+    free factor" verdict holds), and every core with one does.
+    `reduce_full` on the spanning-tree basis, cyclically reduced or not,
     reaches the descent's verdict, and each of its steps passes
-    `check_step`; the other cores are counted."""
+    `check_step`."""
     from cogrowth.pipeline import check_step, reduce_full
 
     counts = Counter()
@@ -283,19 +283,13 @@ def test_free_factor_verdict_matches_whitehead_descent():
             rose = len({v for o, _, t in final for v in (o, t)}) == 1
             cut = bool(find_cut_vertices(whitehead_graph_of_core(label_sets(g), rank)))
             assert rose == cut
-            basis = spanning_tree_basis(g.root, g.edges)
-            if not all(is_cyclically_reduced(w) for w in basis):
-                counts[cut, "no usable basis"] += 1
-                continue
-            trace = reduce_full(basis, alphabet)
+            trace = reduce_full(spanning_tree_basis(g.root, g.edges), alphabet)
             assert trace.status == ("single_vertex_core" if rose else "no_cut_vertex")
             assert all(check_step(step) == (True, True, True) for step in trace.steps)
             counts[cut, "reduce_full agrees"] += 1
     assert counts == {
-        (False, "reduce_full agrees"): 199,
-        (False, "no usable basis"): 398,
-        (True, "reduce_full agrees"): 20,
-        (True, "no usable basis"): 24,
+        (False, "reduce_full agrees"): 597,
+        (True, "reduce_full agrees"): 44,
     }
 
 

@@ -169,6 +169,10 @@ def test_parse_errors_carry_column():
     assert err.value.column == 3
     with pytest.raises(WordParseError):
         parse_word("x^0", AB4)
+    for text in ("x^a", "x^"):
+        with pytest.raises(WordParseError, match="bad exponent") as err:
+            parse_word(text, AB4)
+        assert err.value.column == 1
     # an unknown generator, in either syntax and either case, at its column
     for text, column in [("q", 1), ("xwy", 2), ("xWy", 2), ("x qq^2", 3), ("x y w", 5)]:
         with pytest.raises(WordParseError, match="unknown generator") as err:
