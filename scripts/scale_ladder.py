@@ -11,12 +11,15 @@ Usage: python scripts/scale_ladder.py [N ...]   (default: 2000 6000 50000)
 
 Each N runs in a fresh worker process, so the peak RSS it reports is its
 own.  The wall time covers `reduce_full` alone, not drawing the moves.
+Every D(N) is a free factor, so the exit status is 1 when a reduction
+ends in any status but `single_vertex_core`.
 """
 
 import argparse
 import multiprocessing
 import random
 import resource
+import sys
 import time
 
 from cogrowth import Alphabet, build_core, reduce_full
@@ -39,7 +42,7 @@ def free_factor(n: int) -> tuple:
     return gens
 
 
-def measure(n: int) -> str:
+def measure(n: int) -> tuple[str, bool]:
     gens = free_factor(n)
     vertices = build_core(list(gens), ALPHABET).n_vertices
     start = time.perf_counter()
@@ -48,21 +51,25 @@ def measure(n: int) -> str:
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     largest = max((step.m.size for step in trace.steps), default=0)
     first = repr(trace.steps[0].pf.eigenvalue) if trace.steps else "-"
-    return (
+    line = (
         f"D({n}): {sum(map(len, gens))} letters, {vertices} vertices, "
         f"{len(trace.steps)} steps, largest order {largest}, {trace.status}, "
         f"{wall:.2f} s, peak RSS {peak_mb:.0f} MB, first lambda {first}"
     )
+    return line, trace.status == "single_vertex_core"
 
 
-def main():
+def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("sizes", nargs="*", type=int, default=[2000, 6000, 50000])
     args = parser.parse_args()
+    reduced = True
     with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
-        for line in pool.imap(measure, args.sizes):
+        for line, ok in pool.imap(measure, args.sizes):
             print(line, flush=True)
+            reduced = reduced and ok
+    return 0 if reduced else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

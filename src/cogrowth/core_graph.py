@@ -204,15 +204,17 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
             r = rep[r]
         rep[v] = r
 
-    # the precondition on the words: the fold must be a core (a wedge of
-    # loops is connected, so only "vertex i has degree < 2" can fire)
-    ids, adjacency = _discover(rep[0], nbr, rep, len(nbr) - nbr.count(None))
-    core = CoreGraph(alphabet, 1, adjacency)
-    if core.subgroup_rank < 2:
+    # the rank, edges - vertices + 1 over the representatives, comes
+    # first: a conjugate of a cyclic subgroup folds to a cycle with a hair
+    n_vertices = len(nbr) - nbr.count(None)
+    if sum(map(len, filter(None, nbr))) // 2 - n_vertices + 1 < 2:
         raise CyclicOrTrivialSubgroupError(
             "subgroup is trivial or cyclic; the core has no branching"
         )
-    return core
+    # the precondition on the words: the fold must be a core (a wedge of
+    # loops is connected, so only "vertex i has degree < 2" can fire)
+    ids, adjacency = _discover(rep[0], nbr, rep, n_vertices)
+    return CoreGraph(alphabet, 1, adjacency)
 
 
 def _discover(root: int, nbr, rep, n_vertices: int):

@@ -35,7 +35,14 @@ from .spectral import (
     pf_eigen,
 )
 from .whitehead import choose_automorphism
-from .words import Alphabet, WhiteheadAutomorphism, Word, apply_whitehead, inverse_word
+from .words import (
+    Alphabet,
+    WhiteheadAutomorphism,
+    Word,
+    apply_whitehead,
+    free_reduce,
+    inverse_word,
+)
 
 
 @dataclass(frozen=True)
@@ -178,6 +185,8 @@ def reduce_full(
 ) -> ReductionTrace:
     gens = tuple(gens)
     core = build_core(list(gens), alphabet)
+    # each step's images are freely reduced, and so are the words it starts from
+    gens = tuple(map(free_reduce, gens))
     steps: list[StepReport] = []
     step = None
     while core.n_vertices > 1:

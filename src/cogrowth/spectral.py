@@ -9,14 +9,15 @@ its collapse.  The row transform, the block check, the certificate and
 the eigenpair solve all work on those rows; the dense matrix is built
 only where it is printed or read whole (`.matrix`).
 All arithmetic is plain Python: the only dense system, that of each
-Noda step on the branch states, has order at most 6(r - 1) for a core of
-rank r, and no module of the package imports numpy.
+Newton or Noda step on the branch states, has order at most 6(r - 1)
+for a core of rank r, and no module of the package imports numpy.
 
-Eigenpairs come from Noda's inverse iteration; each reported eigenvalue
+Eigenpairs come from Newton's method on the branch states, whose
+solution starts Noda's inverse iteration; each reported eigenvalue
 lies in a Collatz-Wielandt bracket [min(Mv/v), max(Mv/v)] at most `tol`
-wide, which also contains the exact Perron root.  Each shifted solve
-eliminates the states with a single successor along their chains, so
-only a dense system on the branch states remains.  Irreducibility is
+wide, which also contains the exact Perron root.  Both eliminate the
+states with a single successor along their chains, so only a dense
+system on the branch states remains.  Irreducibility is
 established where each automaton is built (`Automaton.validate`), not
 by the solver; `pipeline.reduce_step` requires the row-transformed
 matrix, renamed to the next core's ids, to be that of the validated
@@ -38,8 +39,8 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
-from operator import eq, lt, truediv
+from itertools import accumulate, repeat
+from operator import add, eq, lt, mul, sub, truediv
 
 from .automaton import Automaton, SStateSet, State
 from .errors import (
@@ -167,6 +168,8 @@ class PFResult:
     most half of it plus the rounding of the ratios Mv/v and of their
     midpoint, a few units in the last place of lambda: the width alone
     is no bound once the bracket is only a few units wide.
+    ``iterations`` counts the Newton steps on the kernel and the
+    brackets computed on M (`pf_eigen`).
     """
 
     eigenvalue: float
@@ -243,9 +246,89 @@ def _solve(a: list[list[float]], b: list[float]) -> list[float]:
     return b
 
 
+def _powers(u: float, top: int) -> list[float]:
+    """[1, u, ..., u^top] by repeated multiplication: unlike pow, which
+    libm computes, the same floats on every platform."""
+    return list(accumulate(repeat(u, top), mul, initial=1.0))
+
+
+def _kernel_start(
+    k: int, k_entries, forced: bool, lo: float, hi: float, tol: float
+) -> tuple[list[float], float, int]:
+    """The kernel's Perron pair (x, u), x of max entry 1 and u = 1/lambda,
+    and the number of Newton steps solved.
+
+    `k_entries` lists the kernel entries as `pf_eigen` builds them,
+    `forced` says whether any state is forced, and [lo, hi] is the
+    all-ones bracket, with lo > 0.  Newton's method on B(u) x = x, with
+    x_0 pinned: each step solves [B(u) - I | B'(u) x] (dx, du) = x - B(u) x.
+    It starts at x = 1 and at the root of sum_ie B(u)_ie = k.  The bracket
+    it watches is the Collatz-Wielandt bracket of M that (x, u) gives:
+    the ratios B(u)x / x of the kernel rows, and 1 for the forced rows,
+    all divided by u.  It stops once that bracket is at most tol / 2
+    wide, and keeps the last (x, u) before a step that does not narrow
+    it, makes x non-positive, takes u out of [1/hi, 1/lo] or meets a
+    singular system.
+    """
+    cells = [(i, col) for i, _, _, col in k_entries]
+    exps = [d + 1 for _, _, d, _ in k_entries]
+    top = max(exps)
+
+    def terms(x, u):
+        """u^e per entry, B(u) x and u B'(u) x, and the bracket's width."""
+        powers = list(map(_powers(u, top).__getitem__, exps))
+        bx, dbx = [0.0] * k, [0.0] * k
+        for (i, col), e, p in zip(cells, exps, powers):
+            t = p * x[col]
+            bx[i] += t
+            dbx[i] += e * t
+        ratios = list(map(truediv, bx, x))
+        if forced:
+            ratios.append(1.0)
+        return powers, bx, dbx, (max(ratios) - min(ratios)) / u
+
+    # the start: sum_j u^e_j = k by Newton's method in log u, where the
+    # sum is convex and increasing, from u = 1, where it is at least k:
+    # the steps fall onto the root from above, and dividing u by 1 + step
+    # in place of multiplying it by exp(-step) only shortens them
+    u = 1.0
+    while True:
+        powers = list(map(_powers(u, top).__getitem__, exps))
+        step = (math.fsum(powers) - k) / math.fsum(map(mul, exps, powers))
+        u /= 1 + step
+        if not step > 1e-3:
+            break
+    x, u = [1.0] * k, min(max(u, 1 / hi), 1 / lo)
+    powers, bx, dbx, width = terms(x, u)
+    steps = 0
+    while not width <= tol / 2:
+        # x_0 stays: column 0 of B(u) - I gives way to that of du
+        a = [[0.0] * k for _ in range(k)]
+        for (i, col), p in zip(cells, powers):
+            a[i][col] += p
+        for i, row in enumerate(a):
+            row[i] -= 1.0
+            row[0] = dbx[i] / u
+        steps += 1
+        try:
+            du, *dx = _solve(a, list(map(sub, x, bx)))
+        except ConvergenceFailureError:
+            break
+        x_next, u_next = [x[0], *map(add, x[1:], dx)], u + du
+        if not (min(x_next) > 0 and 1 / hi <= u_next <= 1 / lo):
+            break
+        after = terms(x_next, u_next)
+        if not after[3] < width:
+            break
+        x, u = x_next, u_next
+        powers, bx, dbx, width = after
+    largest = max(x)
+    return [t / largest for t in x], u, steps
+
+
 def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     """Noda's inverse iteration (Numer. Math. 17, 1971), stopped on the
-    Collatz-Wielandt bracket.
+    Collatz-Wielandt bracket, from a start solved on the kernel.
 
     For a positive iterate v the Perron root lies in [min(Mv/v),
     max(Mv/v)].  The iteration stops once that bracket is at most `tol`
@@ -255,30 +338,31 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     bracket narrows quadratically for a nonnegative irreducible matrix
     (Elsner, Linear Algebra Appl. 15, 1976).
 
-    The solve eliminates the forced states (`_forced_chains`).  A forced
-    state q has the one entry succ(q) off the diagonal, so w_q = (v_q +
-    w_succ(q)) / hi.  Run back from each chain's end, this gives w_q =
-    a_q + c_q w_end(q), with c_q = hi^-depth(q) and a_q the chain's sum
-    for w = 0 on the kernel.  Put into the kernel rows, it leaves a
-    dense system on the kernel states alone: for the automaton of a core
-    of rank r, at most the 6(r - 1) states at vertices of degree 3 or
-    more (Kotani-Sunada, 2000).  Its solution is then expanded along the
-    chains by the same recurrence.  The kernel system is solved by
-    Gaussian elimination with partial pivoting (`_solve`), a zero pivot
-    reported as a singular solve.  The bracket is still computed from M
-    and v on every row, so it holds the root whatever the rounding of
-    the solve; rounding can only end the narrowing, which the stall
-    check reports.
+    The forced states (`_forced_chains`) carry the eigenvector along
+    their chains: a forced state q has the one entry succ(q) off the
+    diagonal, so v_q = u v_succ(q) with u = 1/lambda, and v_q = u^depth(q)
+    v_end(q).  Put into the kernel rows, this leaves the equation B(u) x
+    = x on the kernel states alone, where B(u)_ie sums u^(depth(j) + 1)
+    over the entries j of kernel row i whose chain ends at e: for the
+    automaton of a core of rank r, at most the 6(r - 1) states at
+    vertices of degree 3 or more (Kotani-Sunada, 2000).  Its Perron pair
+    is found by Newton's method (`_kernel_start`), expanded along the
+    chains once, and handed to the iteration as its start; its first
+    bracket, on every row of M, is then usually within `tol`.  The start
+    is all ones when the all-ones bracket is within `tol` already (the
+    iteration then ends at once), when its lower end is 0, and when an
+    entry of the expansion underflows.
 
-    What depends only on the matrix is built once, before the first
-    iteration: the rows with a single entry as two index lists (row and
-    column), the forced states in depth order with their successors, and
-    each kernel-row entry with its state, that state's depth and its
-    kernel column.  Each iteration then reads those lists: the ratios of
-    the single-entry rows are quotients of two iterate entries, the
-    factors c form one list hi^-d by depth d (each the previous divided
-    by hi), and a and w are filled along the forced states in depth
-    order.
+    Each Noda step eliminates the forced states the same way.  Run back
+    from each chain's end, w_q = (v_q + w_succ(q)) / hi gives w_q = a_q +
+    c_q w_end(q), with c_q = hi^-depth(q) and a_q the chain's sum for w =
+    0 on the kernel, which leaves a dense system on the kernel, solved by
+    Gaussian elimination with partial pivoting (`_solve`), a zero pivot
+    reported as a singular solve.  Its solution is expanded along the
+    chains by the same recurrence.  The bracket is still computed from M
+    and v on every row, so it holds the root whatever the rounding of
+    the start and of the solve; rounding can only end the narrowing,
+    which the stall check reports.
 
     Irreducibility is not checked here.  Without it the result is still
     sound: for any nonnegative M and positive v the bracket contains the
@@ -292,12 +376,12 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     if not n:
         raise PreconditionError("the matrix has no states")
     rows = m.rows
+    counts = list(map(len, rows))
+    lo, hi = min(counts), max(counts)
+    if hi - lo <= tol:  # the all-ones vector is within tol
+        return PFResult((lo + hi) / 2, [1.0] * n, 1, float(hi - lo))
     succ, end, depth = _forced_chains(rows)
     kernel = [q for q in range(n) if not depth[q]]
-    # (forced state, its successor) in depth order: a forced successor's
-    # pair comes first
-    forced = sorted((q for q in range(n) if depth[q]), key=depth.__getitem__)
-    chains = [(q, succ[q]) for q in forced]
     k = len(kernel)
     slot = {q: i for i, q in enumerate(kernel)}
     # each entry of a kernel row: its row, its state, the depth of its
@@ -307,15 +391,26 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
         (i, j, depth[j], slot[end[j]]) for i, q in enumerate(kernel) for j in rows[q]
     ]
     top_depth = max(depth)
+    v, iteration = [1.0] * n, 0
+    if lo:  # every row has an entry: so does the kernel
+        x, u, iteration = _kernel_start(k, k_entries, k < n, lo, hi, tol)
+        x_end = [0.0] * n
+        for q, t in zip(kernel, x):
+            x_end[q] = t
+        powers = _powers(u, top_depth)
+        start = list(map(mul, map(powers.__getitem__, depth), map(x_end.__getitem__, end)))
+        if min(start) > 0:  # no entry underflowed
+            v = start
     # the rows with one entry, then the others: the ratios of the former
     # are quotients of two entries of the iterate
     single = [q for q, row in enumerate(rows) if len(row) == 1]
     single_to = [rows[q][0] for q in single]
     other = [(q, row) for q, row in enumerate(rows) if len(row) != 1]
+    chains = None
 
-    v = [1.0] * n
     previous = math.inf
-    for iteration in range(1, MAX_ITER + 1):
+    while iteration < MAX_ITER:
+        iteration += 1
         get = v.__getitem__
         ratios = list(map(truediv, map(get, single_to), map(get, single)))
         ratios += [sum(map(get, row)) / get(q) for q, row in other]
@@ -330,6 +425,11 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
                 f"{iteration} iterations, above tol {tol}"
             )
         previous = width
+        if chains is None:
+            # (forced state, its successor) in depth order: a forced
+            # successor's pair comes first
+            forced = sorted((q for q in range(n) if depth[q]), key=depth.__getitem__)
+            chains = [(q, succ[q]) for q in forced]
         # a forced state has a positive ratio, so hi > 0 where one is
         # divided; c[d] is hi^-d, by as many divisions
         a, c = [0.0] * n, [1.0]
@@ -346,6 +446,13 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
         try:
             w_kernel = _solve(shifted, rhs)
         except ConvergenceFailureError as exc:
+            # at a bracket a few units in the last place wide, hi is the
+            # root to working precision: rounding has ended the narrowing
+            if width <= 16 * math.ulp(hi):
+                raise ConvergenceFailureError(
+                    f"Noda iteration stalled at bracket width {width:.3g} after "
+                    f"{iteration} iterations, above tol {tol}: hi is the root to rounding"
+                ) from exc
             raise ConvergenceFailureError(
                 f"Noda iteration: hi*I - M is singular at hi = {hi!r} "
                 f"after {iteration} iterations"

@@ -330,11 +330,12 @@ def ihara_bass_pf(core: CoreGraph, precision: float = 1e-14) -> float:
 
 
 def noda_reference(m: AdjacencyMatrix, tol: float) -> PFResult:
-    """`spectral.pf_eigen` written out state by state, for comparing bit
-    for bit: the same Noda iteration with the same floating-point
-    operations in the same order, but with per-state loops, the
-    chain-ending factor c kept per state, and a Gaussian elimination of
-    its own that updates every column.
+    """Noda's iteration from the all-ones vector, written out state by
+    state: the chains of forced states eliminated as `spectral.pf_eigen`
+    eliminates them, but with per-state loops, the chain-ending factor c
+    kept per state, and a Gaussian elimination of its own that updates
+    every column.  It has no kernel start, so it checks `pf_eigen` by
+    agreement: both brackets are at most tol wide around the Perron root.
 
     Raises ConvergenceFailureError where the iteration stalls, meets a
     zero pivot or loses positivity; the messages are not those of

@@ -117,6 +117,23 @@ def test_precondition_exit_code(capsys):
     assert "vertex 1 has degree < 2" in err
 
 
+@pytest.mark.parametrize("gens", ["xyX", "xyX,xyyX"])
+def test_a_conjugate_of_a_cyclic_subgroup_is_reported_as_cyclic(capsys, gens):
+    # the fold is a loop y with a hair x at the root
+    code, _, err = run(capsys, "core", "--gens", gens, "--alphabet", "xyz")
+    assert code == 3
+    assert err == (
+        "precondition violation: subgroup is trivial or cyclic; the core has no branching\n"
+    )
+
+
+def test_reduce_prints_freely_reduced_gens_when_no_step_runs(capsys):
+    # x and x x^-1 y fold to the rose of <x,y>
+    code, out, err = run(capsys, "reduce", "--gens", "x,xXy", "--alphabet", "xyz")
+    assert (code, err) == (0, "")
+    assert out.endswith("status: single_vertex_core\nfinal gens: x, y\n")
+
+
 def test_reduce_decides_a_conjugated_free_factor(capsys):
     # neither generator is cyclically reduced, yet the fold is a core
     gens = ("--gens", "zxz,ZXXzyxzxz", "--alphabet", "xyz")

@@ -66,8 +66,11 @@ def test_generator_preconditions():
     # not cyclically reduced, but the fold is a core
     core = build_core([parse_word("xyX", AB4), parse_word("z", AB4)], AB4)
     assert core.edges == ((1, 1, 2), (1, 3, 1), (2, 2, 2))
-    # not even freely reduced: the fold has a hair
+    # not even freely reduced: the fold of x x^-1 y, z has a hair
     with pytest.raises(PreconditionError, match="vertex 2 has degree < 2"):
+        build_core([(1, -1, 2), (3,)], AB4)
+    # x x^-1 y, y generate <y>: a loop with a hair, reported as cyclic
+    with pytest.raises(CyclicOrTrivialSubgroupError):
         build_core([(1, -1, 2), (2,)], AB2)
 
 

@@ -14,7 +14,7 @@ from cogrowth.automaton import (
     word_census,
 )
 from cogrowth.cli import matrix_csv, matrix_text, state_names
-from cogrowth.core_graph import build_core
+from cogrowth.core_graph import build_core, collapse_core
 from cogrowth.errors import (
     CertificateFailureError,
     ConvergenceFailureError,
@@ -393,6 +393,12 @@ def corpus_matrices(corpus_steps):
     return [m for step in corpus_steps for m in (step.m, step.m1)]
 
 
+@pytest.fixture(scope="module")
+def ladder_matrices(ladder_steps):
+    """Both matrices of every step of every ladder reduction."""
+    return [m for step in ladder_steps for m in (step.m, step.m1)]
+
+
 def test_pf_eigen_is_within_tol_of_eigvals_on_large_matrices(example_alphabet):
     # lambda near 1 leaves power iteration almost no spectral gap; the
     # fold family x^n y x^-n z, x^n z x^-n t at n = 100 has order 608
@@ -414,25 +420,37 @@ def test_pf_eigen_is_within_tol_of_eigvals_on_large_matrices(example_alphabet):
 ULP = Fraction(1, 2**52)
 
 
+def _check_eigenpair(m, tol):
+    # Newton's method on the kernel and Noda's iteration both converge
+    # quadratically: a return to linear convergence needs tens of
+    # iterations on these matrices
+    pf = pf_eigen(m, tol=tol)
+    assert pf.iterations <= 20
+    assert max(pf.eigenvector) == 1.0
+    assert pf.residual <= tol
+    # exact arithmetic on the returned floats: the exact ratio (Mv)_i
+    # / v_i is within half the bracket of lambda, up to the rounding
+    # of the computed ratio (a sum of d terms, then a division: at
+    # most d roundings) and of the bracket's midpoint (one more)
+    lam, half = Fraction(pf.eigenvalue), Fraction(pf.residual) / 2
+    v = [Fraction(x) for x in pf.eigenvector]
+    for row, x in zip(m.rows, v):
+        mv = sum(v[j] for j in row)
+        rounding = (len(row) + 1) * ULP * max(mv, lam * x)
+        assert abs(mv - lam * x) <= x * half + rounding
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-10])
 def test_pf_eigen_on_corpus_matrices(corpus_matrices, tol):
-    # Noda's iteration converges quadratically: a return to linear
-    # convergence needs tens of iterations on these small matrices
     for m in corpus_matrices:
-        pf = pf_eigen(m, tol=tol)
-        assert pf.iterations <= 20
-        assert max(pf.eigenvector) == 1.0
-        assert pf.residual <= tol
-        # exact arithmetic on the returned floats: the exact ratio (Mv)_i
-        # / v_i is within half the bracket of lambda, up to the rounding
-        # of the computed ratio (a sum of d terms, then a division: at
-        # most d roundings) and of the bracket's midpoint (one more)
-        lam, half = Fraction(pf.eigenvalue), Fraction(pf.residual) / 2
-        v = [Fraction(x) for x in pf.eigenvector]
-        for row, x in zip(m.rows, v):
-            mv = sum(v[j] for j in row)
-            rounding = (len(row) + 1) * ULP * max(mv, lam * x)
-            assert abs(mv - lam * x) <= x * half + rounding
+        _check_eigenpair(m, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_pf_eigen_on_ladder_matrices(ladder_matrices, tol):
+    # chains of forced states up to hundreds of states long
+    for m in ladder_matrices:
+        _check_eigenpair(m, tol)
 
 
 def test_pf_eigen_agrees_with_ihara_bass_on_the_ladder(ladder_steps):
@@ -466,11 +484,27 @@ def test_forced_states_meet_the_eigen_equation(corpus_steps, ladder_steps):
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-6])
-def test_pf_eigen_matches_the_state_by_state_reference(corpus_steps, ladder_steps, tol):
-    # the same arithmetic in the same order: equal floats, not close ones
-    for step in corpus_steps + ladder_steps:
-        for m in (step.m, step.m1):
-            assert pf_eigen(m, tol) == oracles.noda_reference(m, tol)
+def test_pf_eigen_matches_the_state_by_state_reference(corpus_matrices, ladder_matrices, tol):
+    # two brackets at most tol wide, each around the Perron root: their
+    # midpoints are at most tol apart
+    for m in corpus_matrices + ladder_matrices:
+        assert abs(pf_eigen(m, tol).eigenvalue - oracles.noda_reference(m, tol).eigenvalue) <= tol
+
+
+@pytest.mark.parametrize("length", [10, 30, 100])
+def test_pf_eigen_on_long_chains(length):
+    # C(L) = <x, y, z t^L>: its core is a root with loops x and y and one
+    # cycle of length L + 1, so the eigenvector falls as about 3^-L along
+    # the cycle's chains of forced states; the first step's gap is about
+    # 3^-L too
+    ab = Alphabet(tuple("xyzt"))
+    core = build_core([(1,), (2,), (3,) + (4,) * length], ab)
+    _, cd = choose_automorphism(core)
+    aut = build_automaton(core)
+    m = make_nse(aut, SStateSet.from_collapse(aut, cd))
+    after = collapse_core(core, cd)
+    assert abs(pf_eigen(m).eigenvalue - oracles.ihara_bass_pf(core)) <= 1e-9
+    assert abs(pf_eigen(derive_m1(m)).eigenvalue - oracles.ihara_bass_pf(after)) <= 1e-9
 
 
 def test_pf_eigen_rejects_an_empty_matrix():
