@@ -3,9 +3,9 @@
 much memory.
 
 D(N) is the image of <x, y, z> <= F4 under Whitehead moves drawn by
-`random_whitehead` from random.Random(11).  A move is kept when every
-image stays cyclically reduced and the total length does not fall; the
-moves stop once the total length reaches N.
+`random_whitehead` (scripts/corpus_sweep.py) from random.Random(11).  A
+move is kept when every image stays cyclically reduced and the total
+length does not fall; the moves stop once the total length reaches N.
 
 Usage: python scripts/scale_ladder.py [N ...]   (default: 2000 6000 50000)
 
@@ -23,8 +23,8 @@ import sys
 import time
 
 from cogrowth import Alphabet, build_core, reduce_full
-from cogrowth.whitehead import random_whitehead
 from cogrowth.words import apply_whitehead, is_cyclically_reduced
+from corpus_sweep import random_whitehead
 
 ALPHABET = Alphabet(tuple("xyzt"))
 
@@ -54,7 +54,7 @@ def measure(n: int) -> tuple[str, bool]:
     line = (
         f"D({n}): {sum(map(len, gens))} letters, {vertices} vertices, "
         f"{len(trace.steps)} steps, largest order {largest}, {trace.status}, "
-        f"{wall:.2f} s, peak RSS {peak_mb:.0f} MB, first lambda {first}"
+        f"{wall:.3f} s, peak RSS {peak_mb:.0f} MB, first lambda {first}"
     )
     return line, trace.status == "single_vertex_core"
 

@@ -1,5 +1,4 @@
-"""Whitehead graphs, cut vertices, the choice of collapse automorphism,
-and seeded random Whitehead automorphisms and free factors.
+"""Whitehead graphs, cut vertices and the choice of collapse automorphism.
 
 The Whitehead graph of a labeled graph is the union of complete graphs
 on the per-vertex label sets.  A cut vertex in it drives one reduction
@@ -15,6 +14,15 @@ origin, and merging the origins into their termini makes no label
 clash, keeps every degree at least 2 and shrinks the core.  The proof
 is in README.md, "Why the first cut vertex always collapses".
 
+The graph is held as bitmasks over `sigma(rank)`: bit i stands for the
+i-th letter in the global order, so the inverse of bit i is bit i ^ 1.
+A label set is the mask of its letters and the graph one adjacency mask
+per letter.  `find_cut_vertices`, which `cogrowth whitehead` prints, and
+`choose_automorphism`, which every step calls, share the one search
+`_cut_vertices` on these masks.  A step forms the masks from the
+distinct label sets of its core only, counts no multiplicities, and
+decides the trichotomy once per distinct label set.
+
 So `reduce` decides free factors: a single-vertex core is a wedge of
 basis loops, and a core with several vertices whose Whitehead graph has
 no cut vertex is not a free factor (Whitehead 1936; Stallings,
@@ -28,37 +36,29 @@ internal checks that only a broken invariant trips.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from itertools import compress
 
-from .core_graph import CollapseData, CoreGraph, build_core, label_sets
-from .errors import CyclicOrTrivialSubgroupError, NoCutVertexError, PreconditionError
-from .words import (
-    Alphabet,
-    Letter,
-    WhiteheadAutomorphism,
-    Word,
-    apply_whitehead,
-    is_cyclically_reduced,
-    letter_key,
-    sigma,
-)
+from .core_graph import CollapseData, CoreGraph
+from .errors import NoCutVertexError, PreconditionError
+from .words import Letter, WhiteheadAutomorphism, letter_key, sigma
+
+# the global letter order as bit positions, and each letter's bit
+_LETTERS = sigma(26)
+_BIT = {letter: 1 << letter_key(letter) for letter in _LETTERS}
 
 
 class WhiteheadGraph:
     """Undirected graph on the 2m letters, with edge multiplicities.
 
-    Connectivity analysis uses the simple graph; multiplicities are kept
-    as metadata only.
+    The search reads the simple graph as `adjacency`, one mask per letter
+    of `vertices`; multiplicities are kept as metadata only.
     """
 
     def __init__(self, rank: int, edge_multiplicity: dict):
         self.rank = rank
         self.vertices = sigma(rank)
         self.multiplicity = dict(edge_multiplicity)
-        adj: dict[Letter, set[Letter]] = {v: set() for v in self.vertices}
-        for (u, v) in self.multiplicity:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adjacency = adj
+        self.adjacency = _adjacency((_BIT[u] | _BIT[v] for u, v in self.multiplicity), rank)
 
     @property
     def n_edges_simple(self) -> int:
@@ -74,33 +74,6 @@ class WhiteheadGraph:
             ((u, v, mult) for (u, v), mult in self.multiplicity.items()),
             key=lambda e: (letter_key(e[0]), letter_key(e[1])),
         )
-
-    def component(self, letter: Letter, removed: Letter | None = None) -> frozenset:
-        """Connected component of `letter` in the simple graph, optionally
-        with one vertex deleted."""
-        seen = {letter}
-        stack = [letter]
-        while stack:
-            u = stack.pop()
-            for v in self.adjacency[u]:
-                if v != removed and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return frozenset(seen)
-
-    def components_after_removal(self, letter: Letter) -> list[frozenset]:
-        """Components of `letter`'s component once `letter` is deleted,
-        sorted by their least letter: one search from each neighbour not
-        yet reached.  An isolated letter has none."""
-        out = []
-        seen: set[Letter] = set()
-        for start in self.adjacency[letter]:
-            if start in seen:
-                continue
-            comp = self.component(start, removed=letter)
-            seen |= comp
-            out.append(comp)
-        return sorted(out, key=lambda comp: min(map(letter_key, comp)))
 
 
 def whitehead_graph_of_core(ls: dict[int, frozenset], rank: int) -> WhiteheadGraph:
@@ -120,6 +93,63 @@ def whitehead_graph_of_core(ls: dict[int, frozenset], rank: int) -> WhiteheadGra
     return WhiteheadGraph(rank, mult)
 
 
+def _bits(mask: int):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _adjacency(cliques, rank: int) -> list[int]:
+    """One mask per letter of `sigma(rank)`: the union of the clique masks
+    that hold it, less the letter itself."""
+    adjacency = [0] * (2 * rank)
+    for clique in cliques:
+        for i in _bits(clique):
+            adjacency[i] |= clique
+    return [near & ~(1 << i) for i, near in enumerate(adjacency)]
+
+
+def _reach(adjacency: list[int], start: int, allowed: int) -> int:
+    """The letters joined to the mask `start` by paths inside `allowed`."""
+    seen = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adjacency[low.bit_length() - 1] & allowed & ~seen
+        seen |= new
+        frontier |= new
+    return seen
+
+
+def _lowest_bit(mask: int) -> int:
+    return mask & -mask
+
+
+def _cut_vertices(adjacency: list[int]):
+    """Each cut vertex in the global letter order, found only when the
+    search reaches it, as (bit, configuration, pieces): the pieces of its
+    component without it, as masks sorted by their least letter.  Each
+    piece is one search from the least neighbour not yet reached."""
+    full = (1 << len(adjacency)) - 1
+    for i, near in enumerate(adjacency):
+        if not near:  # isolated
+            continue
+        allowed = full ^ (1 << i)
+        rest = 0  # comp(a) - a
+        pieces = []
+        while near:
+            piece = _reach(adjacency, near & -near, allowed)
+            pieces.append(piece)
+            rest |= piece
+            near &= ~piece
+        if not rest >> (i ^ 1) & 1:
+            yield i, 1, sorted(pieces, key=_lowest_bit)
+        elif len(pieces) > 1:
+            yield i, 2, sorted(pieces, key=_lowest_bit)
+
+
 class CutVertexReport(namedtuple("CutVertexReport", "letter configuration witness")):
     """A non-isolated letter whose removal separates its component, or
     whose component misses its inverse (configuration 1 before 2); the
@@ -131,95 +161,52 @@ class CutVertexReport(namedtuple("CutVertexReport", "letter configuration witnes
 
 def find_cut_vertices(wg: WhiteheadGraph) -> list[CutVertexReport]:
     """All cut vertices, in the global letter order."""
-    return list(_cut_vertices(wg))
-
-
-def _cut_vertices(wg: WhiteheadGraph):
-    """The cut vertices in the global letter order, each found only when
-    the search reaches it."""
-    for a in wg.vertices:
-        pieces = wg.components_after_removal(a)
-        if not pieces:  # isolated
-            continue
-        witness = tuple(tuple(sorted(p, key=letter_key)) for p in pieces)
-        if not any(-a in p for p in pieces):
-            yield CutVertexReport(a, 1, witness)
-        elif len(pieces) > 1:
-            yield CutVertexReport(a, 2, witness)
-
-
-def collapse_for_cut(
-    graph: CoreGraph, ls: dict[int, frozenset], cut: CutVertexReport
-) -> tuple[WhiteheadAutomorphism, CollapseData]:
-    """The automorphism (A, a) of a cut vertex and the edges it collapses.
-
-    A is the union of the witness pieces that miss a^-1; each vertex in
-    case 3 of the trichotomy collapses along its a-edge.
-    """
-    a = cut.letter
-    members = frozenset(l for piece in cut.witness if -a not in piece for l in piece)
-    side = members | {a}
-    e_o = tuple(
-        (v, a, graph.step(v, a)) for v in graph.vertices if a in ls[v] and ls[v] <= side
-    )
-    return WhiteheadAutomorphism(a, members), CollapseData(a, e_o)
+    return [
+        CutVertexReport(
+            _LETTERS[i],
+            configuration,
+            tuple(tuple(_LETTERS[j] for j in _bits(piece)) for piece in pieces),
+        )
+        for i, configuration, pieces in _cut_vertices(wg.adjacency)
+    ]
 
 
 def choose_automorphism(
     graph: CoreGraph,
 ) -> tuple[WhiteheadAutomorphism, CollapseData]:
-    """The collapse of the first cut vertex in the global letter order;
+    """The collapse of the first cut vertex a in the global letter order;
     README.md, "Why the first cut vertex always collapses", proves that
     it always succeeds.  The search stops at that vertex: the letters
     after it are not examined.
+
+    A is the union of the pieces that miss a^-1.  A vertex is in case 3
+    of the trichotomy, and collapses along its a-edge, when a lies in
+    its label set and the set lies in A + {a}; that is decided once per
+    distinct label set, each read as the keys of a neighbour map.
 
     Raises NoCutVertexError when the Whitehead graph has no cut vertex,
     which certifies the subgroup is not a free factor.
     """
     if graph.n_vertices <= 1:
         raise PreconditionError("core already has a single vertex")
-    ls = label_sets(graph)
-    cut = next(_cut_vertices(whitehead_graph_of_core(ls, graph.alphabet.rank)), None)
+    keys = list(map(tuple, map(graph.neighbours, graph.vertices)))
+    masks = {key: sum(map(_BIT.__getitem__, key)) for key in set(keys)}
+    cut = next(_cut_vertices(_adjacency(masks.values(), graph.alphabet.rank)), None)
     if cut is None:
         raise NoCutVertexError(
             "no cut vertex in the Whitehead graph: the subgroup is not a free factor"
         )
-    return collapse_for_cut(graph, ls, cut)
-
-
-def random_whitehead(rng, rank: int) -> WhiteheadAutomorphism:
-    letters = sigma(rank)
-    a = letters[rng.randrange(len(letters))]
-    rest = [l for l in letters if abs(l) != abs(a)]
-    return WhiteheadAutomorphism(a, frozenset(l for l in rest if rng.random() < 0.5))
-
-
-def random_free_factor(rng, rank: int) -> tuple[Word, ...]:
-    """Image of a proper partial basis of F_rank (alphabet "xyzt"[:rank])
-    under a random chain of Whitehead moves; the tests, the sweep script
-    and the benchmark draw their corpora from it.
-
-    Resampled until every image is cyclically reduced as produced (so the
-    tuple is an exact automorphic image, hence a genuine free factor), no
-    image is longer than 12 letters, and the core has several vertices.
-    Needs rank >= 3: the only non-cyclic free factor of a rank-2 group is
-    the whole group, whose core is a single vertex.
-    """
-    alphabet = Alphabet(tuple("xyzt"[:rank]))
-    while True:
-        k = rng.randint(2, rank - 1)
-        words = [(i + 1,) for i in range(k)]
-        for _ in range(rng.randint(1, 7)):
-            phi = random_whitehead(rng, rank)
-            words = [apply_whitehead(phi, w) for w in words]
-        if not all(w and is_cyclically_reduced(w) for w in words):
-            continue
-        if max(len(w) for w in words) > 12:
-            continue
-        try:
-            graph = build_core(list(words), alphabet)
-        except CyclicOrTrivialSubgroupError:
-            continue
-        if graph.n_vertices >= 2:
-            return tuple(words)
-
+    i, _, pieces = cut
+    members = 0
+    for piece in pieces:
+        if not piece >> (i ^ 1) & 1:
+            members |= piece
+    outside = ~(members | (1 << i))
+    origin = {key for key, mask in masks.items() if mask >> i & 1 and not mask & outside}
+    a = _LETTERS[i]
+    e_o = tuple(
+        (v, a, graph.step(v, a))
+        for v in compress(graph.vertices, map(origin.__contains__, keys))
+    )
+    phi = WhiteheadAutomorphism(a, frozenset(_LETTERS[j] for j in _bits(members)))
+    return phi, CollapseData(a, e_o)

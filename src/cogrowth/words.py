@@ -195,14 +195,12 @@ def free_reduce(word: Iterable[Letter]) -> Word:
     return tuple(out)
 
 
-def is_reduced(word: Sequence[Letter]) -> bool:
-    return all(word[i] != -word[i + 1] for i in range(len(word) - 1))
-
-
 def is_cyclically_reduced(word: Sequence[Letter]) -> bool:
-    if not is_reduced(word):
+    """No letter is followed by its inverse, and the last is not the
+    inverse of the first."""
+    if len(word) > 1 and word[0] == -word[-1]:
         return False
-    return len(word) < 2 or word[0] != -word[-1]
+    return all(a != -b for a, b in zip(word, word[1:]))
 
 
 def inverse_word(word: Sequence[Letter]) -> Word:

@@ -6,7 +6,7 @@ import pytest
 from cogrowth import Alphabet, parse_word
 from cogrowth.core_graph import build_core
 from cogrowth.pipeline import reduce_full
-from cogrowth.whitehead import random_free_factor
+from corpus_sweep import random_free_factor
 
 CORPUS_SEED = 20240811
 ALPHABETS = {m: Alphabet(tuple("xyzt"[:m])) for m in (2, 3, 4)}

@@ -8,9 +8,10 @@ list (no neighbour maps, no successor rows), the top eigenvalue by exact
 characteristic-polynomial bisection (no power iteration) or by the
 Ihara-Bass pencil of the core (no transition matrix), Noda's iteration
 state by state (no index arrays, no shared solver), the row transform
-on dense arrays (no successor lists), cut vertices by one search per
-letter (no shared piece search), and the free-factor verdict by greedy
-Whitehead descent (no Whitehead graph).
+on dense arrays (no successor lists), cut vertices and the collapse of
+the first one by searches and subset tests on sets (no bitmasks), and
+the free-factor verdict by greedy Whitehead descent (no Whitehead
+graph).
 
 The last section holds helpers that only the tests use: membership by
 tracing, an automaton's transition function as a dict, its successors
@@ -32,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from cogrowth.automaton import Automaton, state_key
-from cogrowth.core_graph import CoreGraph
+from cogrowth.core_graph import CollapseData, CoreGraph
 from cogrowth.errors import (
     ConvergenceFailureError,
     FoldingViolationError,
@@ -451,24 +452,23 @@ def dense_row_transform(mat, boundary: int) -> np.ndarray:
 # -- cut vertices by plain searches ---------------------------------------
 
 
-def cut_vertices(label_sets, rank):
-    """(letter, configuration, witness) of every cut vertex of the
-    Whitehead graph of `label_sets`, letters in the order x1, x1^-1,
-    x2, ...; the witness lists the pieces of comp(a) - a by their least
-    letter, each piece sorted.
+def cut_vertices(edges, rank):
+    """(letter, configuration, witness) of every cut vertex of the simple
+    graph on the letters x1, x1^-1, x2, ... with `edges` (pairs of
+    letters), in that order; the witness lists the pieces of comp(a) - a
+    by their least letter, each piece sorted.
 
-    The adjacency is built here, a clique per label set; comp(a) is one
-    search from a, and the piece of each letter of comp(a) - a is its
-    own search with a removed.
+    Sets throughout: the pieces are the components left once a is
+    removed, one search from each neighbour of a not yet reached.
     """
     key = lambda l: (abs(l), l < 0)
     letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
     adjacent = {l: set() for l in letters}
-    for labels in label_sets.values():
-        for u in labels:
-            adjacent[u] |= labels - {u}
+    for u, v in edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
 
-    def reach(start, removed):
+    def component(start, removed):
         seen, stack = {start}, [start]
         while stack:
             for w in adjacent[stack.pop()] - seen - {removed}:
@@ -478,18 +478,54 @@ def cut_vertices(label_sets, rank):
 
     out = []
     for a in letters:
-        if not adjacent[a]:
+        pieces, seen = [], set()
+        for start in adjacent[a]:
+            if start not in seen:
+                pieces.append(component(start, a))
+                seen |= pieces[-1]
+        if not pieces:  # isolated
             continue
-        comp = reach(a, None)
-        pieces = {reach(l, a) for l in comp - {a}}
         witness = tuple(
             sorted((tuple(sorted(p, key=key)) for p in pieces), key=lambda p: key(p[0]))
         )
-        if -a not in comp:
+        if not any(-a in p for p in pieces):
             out.append((a, 1, witness))
         elif len(pieces) > 1:
             out.append((a, 2, witness))
     return out
+
+
+def clique_edges(label_sets):
+    """The edges of the Whitehead graph of `label_sets`: each pair of
+    letters that share a label set."""
+    return {(u, v) for labels in label_sets.values() for u in labels for v in labels if u != v}
+
+
+def collapse_for_cut(graph, label_sets, a, witness):
+    """The automorphism (A, a) of the cut vertex a whose pieces are
+    `witness`, and its collapse edges: A is the union of the pieces that
+    miss a^-1, and each vertex in case 3 of the trichotomy (a in L_v and
+    L_v within A + {a}, a frozenset test per vertex) collapses along its
+    a-edge, in vertex order."""
+    members = frozenset(l for piece in witness if -a not in piece for l in piece)
+    side = members | {a}
+    e_o = tuple(
+        (v, a, graph.step(v, a))
+        for v in graph.vertices
+        if a in label_sets[v] and label_sets[v] <= side
+    )
+    return WhiteheadAutomorphism(a, members), CollapseData(a, e_o)
+
+
+def first_cut_collapse(graph):
+    """The collapse of the first cut vertex of `graph`'s Whitehead graph,
+    by the searches above, or None when it has no cut vertex."""
+    label_sets = {v: frozenset(graph.neighbours(v)) for v in graph.vertices}
+    cuts = cut_vertices(clique_edges(label_sets), graph.alphabet.rank)
+    if not cuts:
+        return None
+    a, _, witness = cuts[0]
+    return collapse_for_cut(graph, label_sets, a, witness)
 
 
 # -- free factors by greedy Whitehead descent ------------------------------

@@ -19,7 +19,7 @@ from cogrowth.errors import (
 )
 from cogrowth.automaton import build_automaton
 from cogrowth.cli import core_dot, core_json
-from cogrowth.whitehead import choose_automorphism, random_whitehead
+from cogrowth.whitehead import choose_automorphism
 from cogrowth.words import (
     Alphabet,
     apply_whitehead,
@@ -30,6 +30,7 @@ from cogrowth.words import (
 )
 
 import oracles
+from corpus_sweep import random_whitehead
 
 AB2 = Alphabet(("x", "y"))
 AB4 = Alphabet(("x", "y", "z", "t"))

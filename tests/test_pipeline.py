@@ -11,7 +11,6 @@ from cogrowth import automaton, core_graph, pipeline, spectral
 from cogrowth.automaton import Automaton, accepts, build_automaton
 from cogrowth.core_graph import build_core, collapse_core, label_sets, rooted_map
 from cogrowth.errors import CogrowthError, PreconditionError
-from cogrowth.whitehead import random_free_factor, random_whitehead
 from cogrowth.words import (
     Alphabet,
     apply_whitehead,
@@ -21,6 +20,7 @@ from cogrowth.words import (
     parse_word,
     sigma,
 )
+from corpus_sweep import random_free_factor, random_whitehead
 from oracles import (
     canonical_numbering,
     core_from_edges,

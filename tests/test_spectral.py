@@ -31,7 +31,7 @@ from cogrowth.spectral import (
     ose,
     pf_eigen,
 )
-from cogrowth.whitehead import choose_automorphism, random_whitehead
+from cogrowth.whitehead import choose_automorphism
 from cogrowth.words import (
     Alphabet,
     apply_whitehead,
@@ -41,6 +41,7 @@ from cogrowth.words import (
 )
 
 import oracles
+from corpus_sweep import random_whitehead
 
 # the 12x12 transition matrix of the worked F_4 example under the NSE
 EXAMPLE_M = [

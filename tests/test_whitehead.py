@@ -1,3 +1,5 @@
+import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -12,7 +14,6 @@ from cogrowth.errors import (
 from cogrowth.whitehead import (
     WhiteheadGraph,
     choose_automorphism,
-    collapse_for_cut,
     find_cut_vertices,
     whitehead_graph_of_core,
 )
@@ -21,9 +22,12 @@ from oracles import (
     all_small_cores,
     all_whitehead_automorphisms,
     canonical_numbering,
+    clique_edges,
+    collapse_for_cut,
     core_from_edges,
     cut_vertices,
     cyclic_length,
+    first_cut_collapse,
     reduce_primitive_word,
     spanning_tree_basis,
     transitions,
@@ -207,12 +211,11 @@ def test_every_cut_vertex_of_every_small_core_collapses(rank, n_vertices, n_core
         aut = build_automaton(g) if cuts else None
         if cuts:
             # the search in choose_automorphism stops at the first cut
-            assert choose_automorphism(g) == collapse_for_cut(g, ls, cuts[0])
+            first = cuts[0]
+            assert choose_automorphism(g) == collapse_for_cut(g, ls, first.letter, first.witness)
         for cut in cuts:
             a = cut.letter
-            phi, cd = collapse_for_cut(g, ls, cut)
-            pieces = wg.components_after_removal(a)
-            assert phi.members == frozenset().union(*(p for p in pieces if -a not in p))
+            phi, cd = collapse_for_cut(g, ls, a, cut.witness)
             for v in g.vertices:
                 lv = ls[v]
                 cases = (
@@ -263,7 +266,55 @@ def test_cut_vertices_match_the_search_oracle(corpus):
         rank = g.alphabet.rank
         reports = find_cut_vertices(whitehead_graph_of_core(ls, rank))
         got = [(r.letter, r.configuration, r.witness) for r in reports]
-        assert got == cut_vertices(ls, rank)
+        assert got == cut_vertices(clique_edges(ls), rank)
+
+
+def assert_agrees_with_the_search_oracle(edges, rank):
+    reports = find_cut_vertices(WhiteheadGraph(rank, dict.fromkeys(edges, 1)))
+    got = [(r.letter, r.configuration, r.witness) for r in reports]
+    assert got == cut_vertices(edges, rank), edges
+
+
+def test_cut_vertices_of_every_simple_graph_on_four_letters():
+    """The 64 simple graphs on x, x^-1, y, y^-1, against the set search."""
+    pairs = list(itertools.combinations(sigma(2), 2))
+    subsets = list(itertools.product((False, True), repeat=len(pairs)))
+    assert len(subsets) == 64
+    for keep in subsets:
+        assert_agrees_with_the_search_oracle(list(itertools.compress(pairs, keep)), 2)
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_cut_vertices_of_random_simple_graphs(rank):
+    """2,000 seeded simple graphs on the 2m letters, each pair an edge
+    with a probability drawn per graph, against the set search."""
+    rng = random.Random(rank)
+    pairs = list(itertools.combinations(sigma(rank), 2))
+    for _ in range(2000):
+        density = rng.random()
+        assert_agrees_with_the_search_oracle([p for p in pairs if rng.random() < density], rank)
+
+
+def test_choice_on_every_corpus_and_ladder_core(corpus, ladder, corpus_traces, ladder_traces):
+    """`choose_automorphism` gives the set search's (phi, collapse) on
+    every core that a corpus or ladder reduction meets, and raises
+    NoCutVertexError exactly where the search finds no cut vertex."""
+    counts = Counter()
+    for inst, trace in zip(corpus + ladder, corpus_traces + ladder_traces):
+        cores = [step.core_before for step in trace.steps]
+        cores.append(trace.steps[-1].core_after if trace.steps
+                     else build_core(list(inst.gens), inst.alphabet))
+        for g in cores:
+            if g.n_vertices == 1:
+                continue
+            expected = first_cut_collapse(g)
+            if expected is None:
+                with pytest.raises(NoCutVertexError):
+                    choose_automorphism(g)
+            else:
+                assert choose_automorphism(g) == expected
+            counts[expected is None] += 1
+    assert counts == {False: 475, True: 4}
 
 
 def test_free_factor_verdict_matches_whitehead_descent():
