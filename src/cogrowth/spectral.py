@@ -9,15 +9,15 @@ its collapse.  The row transform, the block check, the certificate and
 the eigenpair solve all work on those rows; the dense matrix is built
 only where it is printed or read whole (`.matrix`).
 All arithmetic is plain Python: the only dense system, that of each
-Newton or Noda step on the branch states, has order at most 6(r - 1)
-for a core of rank r, and no module of the package imports numpy.
+Newton step on the branch states, has order at most 6(r - 1) for a
+core of rank r, and no module of the package imports numpy.
 
-Eigenpairs come from Newton's method on the branch states, whose
-solution starts Noda's inverse iteration; each reported eigenvalue
-lies in a Collatz-Wielandt bracket [min(Mv/v), max(Mv/v)] at most `tol`
-wide, which also contains the exact Perron root.  Both eliminate the
-states with a single successor along their chains, so only a dense
-system on the branch states remains.  Irreducibility is
+Eigenpairs come from Newton's method on the branch states: the states
+with a single successor are eliminated along their chains, so only a
+dense system on the branch states remains.  Each reported eigenvalue
+lies in a Collatz-Wielandt bracket [min(Mv/v), max(Mv/v)], computed on
+every row of M and at most `tol` wide, which also contains the exact
+Perron root.  Irreducibility is
 established where each automaton is built (`Automaton.validate`), not
 by the solver; `pipeline.reduce_step` requires the row-transformed
 matrix, renamed to the next core's ids, to be that of the validated
@@ -168,8 +168,8 @@ class PFResult:
     most half of it plus the rounding of the ratios Mv/v and of their
     midpoint, a few units in the last place of lambda: the width alone
     is no bound once the bracket is only a few units wide.
-    ``iterations`` counts the Newton steps on the kernel and the
-    brackets computed on M (`pf_eigen`).
+    ``iterations`` counts the Newton steps on the kernel and the one
+    bracket computed on M (`pf_eigen`).
     """
 
     eigenvalue: float
@@ -178,18 +178,23 @@ class PFResult:
     residual: float
 
 
-# only a bound: the stall check ends a solve that stops narrowing long before
-MAX_ITER = 10**6
+# a rejected Newton step is retried at t = 1/2, 1/4, ... of its length, at
+# most this many times.  A power of two scales the step exactly, so the
+# trial points are the same floats on every platform.  The step matrices
+# of the acceptance corpus need at most 3 halvings; at 2^-30 of its
+# length a step moves the bracket by less than the rounding of its
+# ratios, so a step still rejected there is stopped by rounding
+HALVINGS = 30
 
 
-def _forced_chains(rows) -> tuple[list[int], list[int], list[int]]:
-    """(succ, end, depth) per state.
+def _forced_chains(rows) -> tuple[list[int], list[int]]:
+    """(end, depth) per state.
 
     A state is forced when its row has a single entry other than itself,
-    its successor succ.  Every other state is a kernel state, and so is
-    one state cut from each cycle of forced states; there succ and end
-    are the state itself and depth is 0.  Following succ from a forced
-    state reaches the kernel state `end` after `depth` steps.
+    its successor.  Every other state is a kernel state, and so is one
+    state cut from each cycle of forced states; there end is the state
+    itself and depth is 0.  Following the successors from a forced state
+    reaches the kernel state `end` after `depth` steps.
     """
     n = len(rows)
     succ = [row[0] if len(row) == 1 and row[0] != q else q for q, row in enumerate(rows)]
@@ -209,7 +214,7 @@ def _forced_chains(rows) -> tuple[list[int], list[int], list[int]]:
             if succ[p] != p:
                 end[p], depth[p] = end[succ[p]], depth[succ[p]] + 1
             seen[p] = 2
-    return succ, end, depth
+    return end, depth
 
 
 def _solve(a: list[list[float]], b: list[float]) -> list[float]:
@@ -252,26 +257,27 @@ def _powers(u: float, top: int) -> list[float]:
     return list(accumulate(repeat(u, top), mul, initial=1.0))
 
 
-def _kernel_start(
-    k: int, k_entries, forced: bool, lo: float, hi: float, tol: float
+def _kernel_pair(
+    k: int, cells, exps, forced: bool, lo: float, hi: float, tol: float
 ) -> tuple[list[float], float, int]:
     """The kernel's Perron pair (x, u), x of max entry 1 and u = 1/lambda,
     and the number of Newton steps solved.
 
-    `k_entries` lists the kernel entries as `pf_eigen` builds them,
-    `forced` says whether any state is forced, and [lo, hi] is the
-    all-ones bracket, with lo > 0.  Newton's method on B(u) x = x, with
-    x_0 pinned: each step solves [B(u) - I | B'(u) x] (dx, du) = x - B(u) x.
-    It starts at x = 1 and at the root of sum_ie B(u)_ie = k.  The bracket
-    it watches is the Collatz-Wielandt bracket of M that (x, u) gives:
-    the ratios B(u)x / x of the kernel rows, and 1 for the forced rows,
-    all divided by u.  It stops once that bracket is at most tol / 2
-    wide, and keeps the last (x, u) before a step that does not narrow
-    it, makes x non-positive, takes u out of [1/hi, 1/lo] or meets a
-    singular system.
+    B(u) has the entry u^exps[j] in the cell cells[j] = (row, column),
+    summed over j; `forced` says whether any state is forced, and [lo,
+    hi] is the all-ones bracket, with lo > 0.  Newton's method on B(u) x
+    = x, with x_0 pinned: each step solves [B(u) - I | B'(u) x] (dx, du)
+    = x - B(u) x.  It starts at x = 1 and at the root of sum_ie B(u)_ie =
+    k.  The bracket it watches is the Collatz-Wielandt bracket of M that
+    (x, u) gives: the ratios B(u)x / x of the kernel rows, and 1 for the
+    forced rows, all divided by u.  A step is taken at the largest
+    length t = 1, 1/2, ..., 2^-HALVINGS of the solved one that keeps x
+    positive and u in [1/hi, 1/lo] and narrows that bracket (a
+    backtracking Newton step: Dennis and Schnabel, Numerical Methods for
+    Unconstrained Optimization and Nonlinear Equations, 1983, 6.3).  It
+    stops once the bracket is at most tol / 2 wide, and keeps the last
+    (x, u) when no length is taken or the system is singular.
     """
-    cells = [(i, col) for i, _, _, col in k_entries]
-    exps = [d + 1 for _, _, d, _ in k_entries]
     top = max(exps)
 
     def terms(x, u):
@@ -314,11 +320,16 @@ def _kernel_start(
             du, *dx = _solve(a, list(map(sub, x, bx)))
         except ConvergenceFailureError:
             break
-        x_next, u_next = [x[0], *map(add, x[1:], dx)], u + du
-        if not (min(x_next) > 0 and 1 / hi <= u_next <= 1 / lo):
-            break
-        after = terms(x_next, u_next)
-        if not after[3] < width:
+        t = 1.0
+        for _ in range(HALVINGS + 1):
+            x_next = [x[0], *(s + t * d for s, d in zip(x[1:], dx))]
+            u_next = u + t * du
+            if min(x_next) > 0 and 1 / hi <= u_next <= 1 / lo:
+                after = terms(x_next, u_next)
+                if after[3] < width:
+                    break
+            t /= 2
+        else:  # no length is taken
             break
         x, u = x_next, u_next
         powers, bx, dbx, width = after
@@ -327,50 +338,38 @@ def _kernel_start(
 
 
 def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
-    """Noda's inverse iteration (Numer. Math. 17, 1971), stopped on the
-    Collatz-Wielandt bracket, from a start solved on the kernel.
+    """The Perron eigenpair of M by Newton's method on its kernel,
+    accepted on the Collatz-Wielandt bracket of M.
 
-    For a positive iterate v the Perron root lies in [min(Mv/v),
-    max(Mv/v)].  The iteration stops once that bracket is at most `tol`
-    wide and reports its midpoint.  Otherwise it solves (hi I - M) w = v
-    with hi the upper end: hi exceeds the root unless v is already the
-    eigenvector, so hi I - M is a nonsingular M-matrix and w > 0.  The
-    bracket narrows quadratically for a nonnegative irreducible matrix
-    (Elsner, Linear Algebra Appl. 15, 1976).
+    For a positive vector v the Perron root lies in [min(Mv/v),
+    max(Mv/v)].  `pf_eigen` computes that bracket once, on every row of
+    M, for the vector it solves, reports its midpoint when it is at most
+    `tol` wide, and raises ConvergenceFailureError otherwise.  As the
+    bracket is computed from M and v, it holds the root whatever the
+    rounding of the solve; rounding can only widen it past `tol`.
 
     The forced states (`_forced_chains`) carry the eigenvector along
-    their chains: a forced state q has the one entry succ(q) off the
-    diagonal, so v_q = u v_succ(q) with u = 1/lambda, and v_q = u^depth(q)
+    their chains: a forced state q has one entry off the diagonal, its
+    successor s, so v_q = u v_s with u = 1/lambda, and v_q = u^depth(q)
     v_end(q).  Put into the kernel rows, this leaves the equation B(u) x
     = x on the kernel states alone, where B(u)_ie sums u^(depth(j) + 1)
     over the entries j of kernel row i whose chain ends at e: for the
     automaton of a core of rank r, at most the 6(r - 1) states at
     vertices of degree 3 or more (Kotani-Sunada, 2000).  Its Perron pair
-    is found by Newton's method (`_kernel_start`), expanded along the
-    chains once, and handed to the iteration as its start; its first
-    bracket, on every row of M, is then usually within `tol`.  The start
-    is all ones when the all-ones bracket is within `tol` already (the
-    iteration then ends at once), when its lower end is 0, and when an
-    entry of the expansion underflows.
-
-    Each Noda step eliminates the forced states the same way.  Run back
-    from each chain's end, w_q = (v_q + w_succ(q)) / hi gives w_q = a_q +
-    c_q w_end(q), with c_q = hi^-depth(q) and a_q the chain's sum for w =
-    0 on the kernel, which leaves a dense system on the kernel, solved by
-    Gaussian elimination with partial pivoting (`_solve`), a zero pivot
-    reported as a singular solve.  Its solution is expanded along the
-    chains by the same recurrence.  The bracket is still computed from M
-    and v on every row, so it holds the root whatever the rounding of
-    the start and of the solve; rounding can only end the narrowing,
-    which the stall check reports.
+    is found by Newton's method (`_kernel_pair`), each step a dense
+    system of order k solved by Gaussian elimination with partial
+    pivoting (`_solve`), and expanded along the chains once.  An entry
+    u^depth x_end that underflows to 0 leaves no positive vector to
+    bracket with, and raises ConvergenceFailureError.  When the row
+    lengths are all within `tol` of each other, the all-ones vector is
+    returned at once.
 
     Irreducibility is not checked here.  Without it the result is still
     sound: for any nonnegative M and positive v the bracket contains the
-    spectral radius, and with hi above it (hi I - M)^-1 is nonnegative,
-    so a reducible input returns a bracket at most `tol` wide around the
-    spectral radius or ends in ConvergenceFailureError (a stall, a
-    singular solve or a lost positivity).  A matrix with no states has no
-    eigenpair and raises PreconditionError.
+    spectral radius, so a reducible input returns a bracket at most `tol`
+    wide around the spectral radius or ends in ConvergenceFailureError.
+    A matrix with no states, or with a row with no entries, which no
+    automaton of a core has, raises PreconditionError.
     """
     n = m.size
     if not n:
@@ -378,102 +377,42 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     rows = m.rows
     counts = list(map(len, rows))
     lo, hi = min(counts), max(counts)
+    if not lo:
+        raise PreconditionError(f"row {counts.index(0) + 1} of the matrix has no entries")
     if hi - lo <= tol:  # the all-ones vector is within tol
         return PFResult((lo + hi) / 2, [1.0] * n, 1, float(hi - lo))
-    succ, end, depth = _forced_chains(rows)
+    end, depth = _forced_chains(rows)
     kernel = [q for q in range(n) if not depth[q]]
-    k = len(kernel)
     slot = {q: i for i, q in enumerate(kernel)}
-    # each entry of a kernel row: its row, its state, the depth of its
-    # state, and its column in the kernel system, that of the end of its
-    # chain
-    k_entries = [
-        (i, j, depth[j], slot[end[j]]) for i, q in enumerate(kernel) for j in rows[q]
-    ]
-    top_depth = max(depth)
-    v, iteration = [1.0] * n, 0
-    if lo:  # every row has an entry: so does the kernel
-        x, u, iteration = _kernel_start(k, k_entries, k < n, lo, hi, tol)
-        x_end = [0.0] * n
-        for q, t in zip(kernel, x):
-            x_end[q] = t
-        powers = _powers(u, top_depth)
-        start = list(map(mul, map(powers.__getitem__, depth), map(x_end.__getitem__, end)))
-        if min(start) > 0:  # no entry underflowed
-            v = start
-    # the rows with one entry, then the others: the ratios of the former
-    # are quotients of two entries of the iterate
-    single = [q for q, row in enumerate(rows) if len(row) == 1]
-    single_to = [rows[q][0] for q in single]
-    other = [(q, row) for q, row in enumerate(rows) if len(row) != 1]
-    chains = None
-
-    previous = math.inf
-    while iteration < MAX_ITER:
-        iteration += 1
-        get = v.__getitem__
-        ratios = list(map(truediv, map(get, single_to), map(get, single)))
-        ratios += [sum(map(get, row)) / get(q) for q, row in other]
-        lo, hi = min(ratios), max(ratios)
-        width = hi - lo
-        if width <= tol:
-            return PFResult((lo + hi) / 2, v, iteration, width)
-        # rounding ends the narrowing: no later bracket is tighter
-        if not width < previous:
-            raise ConvergenceFailureError(
-                f"Noda iteration stalled at bracket width {width:.3g} after "
-                f"{iteration} iterations, above tol {tol}"
-            )
-        previous = width
-        if chains is None:
-            # (forced state, its successor) in depth order: a forced
-            # successor's pair comes first
-            forced = sorted((q for q in range(n) if depth[q]), key=depth.__getitem__)
-            chains = [(q, succ[q]) for q in forced]
-        # a forced state has a positive ratio, so hi > 0 where one is
-        # divided; c[d] is hi^-d, by as many divisions
-        a, c = [0.0] * n, [1.0]
-        for _ in range(top_depth):
-            c.append(c[-1] / hi)
-        for q, p in chains:
-            a[q] = (v[q] + a[p]) / hi
-        shifted, rhs = [[0.0] * k for _ in kernel], [v[q] for q in kernel]
-        for i, row in enumerate(shifted):
-            row[i] = hi
-        for i, j, d, col in k_entries:
-            shifted[i][col] -= c[d]
-            rhs[i] += a[j]
-        try:
-            w_kernel = _solve(shifted, rhs)
-        except ConvergenceFailureError as exc:
-            # at a bracket a few units in the last place wide, hi is the
-            # root to working precision: rounding has ended the narrowing
-            if width <= 16 * math.ulp(hi):
-                raise ConvergenceFailureError(
-                    f"Noda iteration stalled at bracket width {width:.3g} after "
-                    f"{iteration} iterations, above tol {tol}: hi is the root to rounding"
-                ) from exc
-            raise ConvergenceFailureError(
-                f"Noda iteration: hi*I - M is singular at hi = {hi!r} "
-                f"after {iteration} iterations"
-            ) from exc
-        w = [0.0] * n
-        for q, x in zip(kernel, w_kernel):
-            w[q] = x
-        for q, p in chains:
-            w[q] = (v[q] + w[p]) / hi
-        top = max(w)
-        # min(w) / top is the least entry of the next iterate, which must
-        # not underflow to zero either
-        if not (all(map(lt, repeat(0.0), w)) and min(w) / top > 0):
-            raise ConvergenceFailureError(
-                f"Noda iteration stalled at bracket width {width:.3g} after "
-                f"{iteration} iterations: rounding broke the iterate's positivity"
-            )
-        v = [x / top for x in w]
-    raise ConvergenceFailureError(
-        f"Noda iteration did not reach bracket width {tol} in {MAX_ITER} iterations"
-    )
+    # each entry j of a kernel row i: the cell of B(u) it adds u^(depth(j)
+    # + 1) to, in the column of the end of its chain
+    cells = [(i, slot[end[j]]) for i, q in enumerate(kernel) for j in rows[q]]
+    exps = [depth[j] + 1 for q in kernel for j in rows[q]]
+    x, u, steps = _kernel_pair(len(kernel), cells, exps, len(kernel) < n, lo, hi, tol)
+    x_end = [0.0] * n
+    for q, t in zip(kernel, x):
+        x_end[q] = t
+    powers = _powers(u, max(depth))
+    v = list(map(mul, map(powers.__getitem__, depth), map(x_end.__getitem__, end)))
+    if not min(v) > 0:
+        d = min(d for d, t in zip(depth, v) if not t > 0)
+        raise ConvergenceFailureError(
+            f"eigenvector entry u^{d} x_end underflows to 0 at chain depth {d}, "
+            f"u = {u:.6g}: the Perron vector leaves the double range"
+        )
+    # the rows with one entry, then the others: the ratio of the former
+    # is one quotient of two entries of v, with no sum to take
+    get = v.__getitem__
+    ratios = [get(row[0]) / get(q) for q, row in enumerate(rows) if len(row) == 1]
+    ratios += [sum(map(get, row)) / get(q) for q, row in enumerate(rows) if len(row) != 1]
+    lo, hi = min(ratios), max(ratios)
+    width = hi - lo
+    if not width <= tol:
+        raise ConvergenceFailureError(
+            f"Newton's method on the kernel stalled at bracket width {width:.3g} "
+            f"on M after {steps} steps, above tol {tol}"
+        )
+    return PFResult((lo + hi) / 2, v, steps + 1, width)
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,16 @@ def test_numerical_failure_exit_code(capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("command", ["eigen", "reduce"])
+def test_an_eigenvector_below_the_double_range_is_named(capsys, command):
+    # C(700) = <x, y, z t^700>: along the arc the eigenvector falls as
+    # 3^-depth, below the smallest positive double past depth 679
+    code, out, err = run(capsys, command, "--gens", "x,y,z t^700", "--alphabet", "xyzt")
+    assert code == 6
+    assert not out
+    assert "underflows to 0 at chain depth 679, u = 0.333333" in err
+
+
 def test_reduce_step_text(capsys):
     code, out, _ = run(capsys, "reduce-step", *EXAMPLE)
     assert code == 0

@@ -15,6 +15,7 @@ from cogrowth.automaton import (
 )
 from cogrowth.cli import matrix_csv, matrix_text, state_names
 from cogrowth.core_graph import build_core, collapse_core
+from cogrowth.pipeline import reduce_full
 from cogrowth.errors import (
     CertificateFailureError,
     ConvergenceFailureError,
@@ -313,22 +314,24 @@ def _matrix(rows):
 
 
 @pytest.mark.parametrize(
-    "rows, solved",
+    "rows, error, match",
     [
-        ([[1, 1], [0, 1]], True),
-        ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], True),  # nilpotent: radius 0
-        ([[1, 1], [0, 2]], True),
-        ([[2, 1], [0, 1]], False),  # hi I - M turns singular at hi = 2
+        ([[1, 1], [0, 1]], None, None),
+        # a row with no entries, which no automaton has, is refused at once
+        ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], PreconditionError, "row 3 .* no entries"),
+        ([[1, 1], [0, 2]], None, None),
+        # the Perron vector (1, 0) is not positive: no bracket narrows to it
+        ([[2, 1], [0, 1]], ConvergenceFailureError, "stalled at bracket width"),
     ],
     ids=["unipotent", "nilpotent", "upper-2", "upper-singular"],
 )
-def test_pf_eigen_on_reducible_input_is_sound_or_fails(rows, solved):
+def test_pf_eigen_on_reducible_input_is_sound_or_fails(rows, error, match):
     # irreducibility is the callers' to establish; without it the
     # bracket still holds the spectral radius, or the solve gives up
     m = _matrix(rows)
     tol = 1e-10
-    if not solved:
-        with pytest.raises(ConvergenceFailureError, match="singular"):
+    if error:
+        with pytest.raises(error, match=match):
             pf_eigen(m, tol=tol)
         return
     radius = max(abs(np.linalg.eigvals(np.asarray(m.matrix, dtype=float))))
@@ -345,9 +348,8 @@ def test_from_array_rejects_a_matrix_that_is_not_square_nonnegative_integral(row
 
 @pytest.mark.parametrize("tol", [0.0, float("nan"), -1.0])
 def test_pf_eigen_stops_when_the_iterate_stalls(example_spectral, tol):
-    # no residual reaches these tolerances; the iterate hits a
-    # floating-point fixed point long before spectral.MAX_ITER, and the
-    # message tells a stall apart from running out of iterations
+    # no bracket reaches these tolerances: Newton's method stops where
+    # rounding ends the narrowing, and the bracket on M is too wide
     _, _, _, m, _ = example_spectral
     with pytest.raises(ConvergenceFailureError, match="stalled"):
         pf_eigen(m, tol=tol)
@@ -400,13 +402,27 @@ def ladder_matrices(ladder_steps):
     return [m for step in ladder_steps for m in (step.m, step.m1)]
 
 
+def _fold_family(n):
+    """x^n y x^-n z, x^n z x^-n t in F4."""
+    x, y, z, t = 1, 2, 3, 4
+    return [(x,) * n + (y,) + (-x,) * n + (z,), (x,) * n + (z,) + (-x,) * n + (t,)]
+
+
+@pytest.fixture(scope="module")
+def fold_matrices(example_alphabet):
+    """Both matrices of every step of reducing the fold family at n = 30.
+    On two of them Newton's full step is rejected, and the bracket
+    reaches tol only through a halved step."""
+    trace = reduce_full(_fold_family(30), example_alphabet)
+    return [m for step in trace.steps for m in (step.m, step.m1)]
+
+
 def test_pf_eigen_is_within_tol_of_eigvals_on_large_matrices(example_alphabet):
     # lambda near 1 leaves power iteration almost no spectral gap; the
-    # fold family x^n y x^-n z, x^n z x^-n t at n = 100 has order 608
-    x, y, z, t = 1, 2, 3, 4
-    fold = ((x,) * 100 + (y,) + (-x,) * 100 + (z,), (x,) * 100 + (z,) + (-x,) * 100 + (t,))
+    # fold family at n = 100 has order 608
     tol = 1e-10
-    for m in (_ose_matrix(fold, example_alphabet), _ose_matrix(*_grown_free_factor(100, 0))):
+    for m in (_ose_matrix(_fold_family(100), example_alphabet),
+              _ose_matrix(*_grown_free_factor(100, 0))):
         pf = pf_eigen(m, tol=tol)
         dense, v = np.asarray(m.matrix, dtype=float), np.asarray(pf.eigenvector)
         exact = max(np.linalg.eigvals(dense).real)
@@ -422,8 +438,8 @@ ULP = Fraction(1, 2**52)
 
 
 def _check_eigenpair(m, tol):
-    # Newton's method on the kernel and Noda's iteration both converge
-    # quadratically: a return to linear convergence needs tens of
+    # Newton's method on the kernel converges quadratically once it takes
+    # full steps: a return to linear convergence needs tens of
     # iterations on these matrices
     pf = pf_eigen(m, tol=tol)
     assert pf.iterations <= 20
@@ -451,6 +467,13 @@ def test_pf_eigen_on_corpus_matrices(corpus_matrices, tol):
 def test_pf_eigen_on_ladder_matrices(ladder_matrices, tol):
     # chains of forced states up to hundreds of states long
     for m in ladder_matrices:
+        _check_eigenpair(m, tol)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_pf_eigen_on_fold_matrices(fold_matrices, tol):
+    # lambda near 1, and Newton steps that are only taken halved
+    for m in fold_matrices:
         _check_eigenpair(m, tol)
 
 
@@ -485,10 +508,12 @@ def test_forced_states_meet_the_eigen_equation(corpus_steps, ladder_steps):
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-6])
-def test_pf_eigen_matches_the_state_by_state_reference(corpus_matrices, ladder_matrices, tol):
+def test_pf_eigen_matches_the_state_by_state_reference(
+    corpus_matrices, ladder_matrices, fold_matrices, tol
+):
     # two brackets at most tol wide, each around the Perron root: their
     # midpoints are at most tol apart
-    for m in corpus_matrices + ladder_matrices:
+    for m in corpus_matrices + ladder_matrices + fold_matrices:
         assert abs(pf_eigen(m, tol).eigenvalue - oracles.noda_reference(m, tol).eigenvalue) <= tol
 
 
@@ -521,12 +546,15 @@ def test_pf_eigen_reports_a_singular_solve_as_a_convergence_failure(
     def singular(a, b):
         raise ConvergenceFailureError("no nonzero pivot")
 
+    # Newton's method stops at its start, whose bracket on M is too wide
     monkeypatch.setattr(spectral, "_solve", singular)
-    with pytest.raises(ConvergenceFailureError, match="singular"):
+    with pytest.raises(ConvergenceFailureError, match="stalled .* after 1 steps"):
         pf_eigen(m)
 
 
 def test_pf_eigen_stops_when_rounding_breaks_positivity(example_spectral, monkeypatch):
+    # a solve that points the wrong way: after one halved step no
+    # length narrows the bracket, and Newton's method stops short of tol
     _, _, _, m, _ = example_spectral
     monkeypatch.setattr(spectral, "_solve", lambda a, b: [-x for x in b])
     with pytest.raises(ConvergenceFailureError, match="stalled"):
@@ -535,8 +563,7 @@ def test_pf_eigen_stops_when_rounding_breaks_positivity(example_spectral, monkey
 
 def test_solve_agrees_with_numpy_on_m_matrices():
     # s I - B with B >= 0 and s above its spectral radius: a nonsingular
-    # M-matrix, as each shifted Noda system is, at orders far above the
-    # workloads' kernels (at most 12)
+    # M-matrix, at orders far above the workloads' kernels (at most 12)
     for order in range(1, 41):
         rng = np.random.default_rng(order)
         b = rng.random((order, order)) * (rng.random((order, order)) < 0.3)
@@ -564,7 +591,7 @@ def test_pf_eigen_on_a_subgroup_of_rank_25():
         if w and is_cyclically_reduced(w):
             gens.append(w)
     m = _ose_matrix(gens, Alphabet(tuple("xyzt")))
-    _, _, depth = spectral._forced_chains(m.rows)
+    _, depth = spectral._forced_chains(m.rows)
     assert depth.count(0) >= 80
     tol = 1e-10
     pf = pf_eigen(m, tol=tol)
