@@ -152,11 +152,12 @@ def build_core(gens: list[Word], alphabet: Alphabet) -> CoreGraph:
     each vertex's letter order, hence the neighbour maps of the core,
     and checks that every representative is reached, with degree >= 2.
     """
+    rank = alphabet.rank
     for w in gens:
         if not w:
             raise EmptyGeneratorError("generators must be nonempty")
         for l in w:
-            if abs(l) > alphabet.rank:
+            if abs(l) > rank:
                 raise PreconditionError("generator uses letters outside the alphabet")
 
     # wedge of loops at vertex 0: nbr[v] maps each extended label at v to

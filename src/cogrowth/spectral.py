@@ -37,6 +37,7 @@ and `certify_inequality` reads the feeder rows off the same rows.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, repeat
@@ -337,6 +338,16 @@ def _kernel_pair(
     return [t / largest for t in x], u, steps
 
 
+def _out_of_range(depths: list[int], u: float, what: str) -> ConvergenceFailureError:
+    """The error that names the first of `depths`, the chain depths whose
+    eigenvector entries u^depth x_end leave the double range."""
+    d = min(depths)
+    return ConvergenceFailureError(
+        f"eigenvector entry u^{d} x_end {what} at chain depth {d}, "
+        f"u = {u:.6g}: the Perron vector leaves the double range"
+    )
+
+
 def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     """The Perron eigenpair of M by Newton's method on its kernel,
     accepted on the Collatz-Wielandt bracket of M.
@@ -360,9 +371,10 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     system of order k solved by Gaussian elimination with partial
     pivoting (`_solve`), and expanded along the chains once.  An entry
     u^depth x_end that underflows to 0 leaves no positive vector to
-    bracket with, and raises ConvergenceFailureError.  When the row
-    lengths are all within `tol` of each other, the all-ones vector is
-    returned at once.
+    bracket with, and raises ConvergenceFailureError; so does a bracket
+    wider than `tol` on a vector with a subnormal entry, whose lost
+    digits, not the solve, widen it.  When the row lengths are all
+    within `tol` of each other, the all-ones vector is returned at once.
 
     Irreducibility is not checked here.  Without it the result is still
     sound: for any nonnegative M and positive v the bracket contains the
@@ -395,11 +407,7 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     powers = _powers(u, max(depth))
     v = list(map(mul, map(powers.__getitem__, depth), map(x_end.__getitem__, end)))
     if not min(v) > 0:
-        d = min(d for d, t in zip(depth, v) if not t > 0)
-        raise ConvergenceFailureError(
-            f"eigenvector entry u^{d} x_end underflows to 0 at chain depth {d}, "
-            f"u = {u:.6g}: the Perron vector leaves the double range"
-        )
+        raise _out_of_range([d for d, t in zip(depth, v) if not t > 0], u, "underflows to 0")
     # the rows with one entry, then the others: the ratio of the former
     # is one quotient of two entries of v, with no sum to take
     get = v.__getitem__
@@ -408,6 +416,9 @@ def pf_eigen(m: AdjacencyMatrix, tol: float = 1e-10) -> PFResult:
     lo, hi = min(ratios), max(ratios)
     width = hi - lo
     if not width <= tol:
+        subnormal = [d for d, t in zip(depth, v) if t < sys.float_info.min]
+        if subnormal:
+            raise _out_of_range(subnormal, u, "is subnormal")
         raise ConvergenceFailureError(
             f"Newton's method on the kernel stalled at bracket width {width:.3g} "
             f"on M after {steps} steps, above tol {tol}"

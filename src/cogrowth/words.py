@@ -9,10 +9,16 @@ their lowercase names and inverses as the uppercase names ("yX" is
 y * x^-1).  The explicit one separates letters with whitespace and marks
 exponents with a caret ("y x^-1").  Parsing and printing round-trip
 exactly.
+
+`Alphabet` and `WhiteheadAutomorphism` are named tuples that check
+their fields in `__new__`, as are the other records of the structural
+layer (`CollapseData`, `CutVertexReport`, `SStateSet`); `spectral` and
+`pipeline` keep their records as frozen dataclasses.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
 from .errors import PreconditionError, WordParseError
@@ -42,45 +48,7 @@ _LETTER_ORDER = {letter: i for i, letter in enumerate(sigma(26))}
 letter_key = _LETTER_ORDER.__getitem__
 
 
-class _Value:
-    """An immutable value whose fields are its class's `__slots__`, each
-    set once in `__init__` through `object.__setattr__`.  Values of one
-    class with equal fields are equal and hash alike.
-
-    Slots, not a named tuple: on CPython 3.11 a slot reads as fast as a
-    dataclass field and a named tuple's field about twice as slowly, and
-    `build_core` reads `Alphabet.rank`, `apply_whitehead` the fields of
-    its automorphism, once per letter.
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-
-class Alphabet(_Value):
+class Alphabet(namedtuple("Alphabet", "names")):
     """Ordered generator names for a free group of rank >= 2.
 
     Names must be distinct single lowercase ASCII letters so that the
@@ -88,9 +56,9 @@ class Alphabet(_Value):
     names is kept as a tuple: ``Alphabet("xyz") == Alphabet(("x", "y", "z"))``.
     """
 
-    __slots__ = ("names",)
+    __slots__ = ()
 
-    def __init__(self, names: Iterable[str]):
+    def __new__(cls, names: Iterable[str]):
         names = tuple(names)
         if len(names) < 2:
             raise WordParseError("alphabet needs rank >= 2")
@@ -99,7 +67,7 @@ class Alphabet(_Value):
                 raise WordParseError(f"alphabet name {n!r} is not a lowercase letter")
         if len(set(names)) != len(names):
             raise WordParseError("alphabet names must be pairwise distinct")
-        object.__setattr__(self, "names", names)
+        return super().__new__(cls, names)
 
     @property
     def rank(self) -> int:
@@ -221,17 +189,16 @@ def cyclic_reduce(word: Iterable[Letter]) -> tuple[Word, Word]:
     return w[i : j + 1], w[:i]
 
 
-class WhiteheadAutomorphism(_Value):
-    """The automorphism (A, a): a maps to itself and every other
-    generator picks up ``a`` on the left iff it lies in A and ``a^-1``
-    on the right iff its inverse lies in A.
+class WhiteheadAutomorphism(namedtuple("WhiteheadAutomorphism", "a members")):
+    """The automorphism (A, a): a^±1 maps to itself and every other
+    letter l, positive or inverse, to (a if l ∈ A) · l · (a^-1 if l^-1 ∈ A).
 
     The inverse automorphism is (A, a^-1).  A is kept as a frozenset.
     """
 
-    __slots__ = ("a", "members")
+    __slots__ = ()
 
-    def __init__(self, a: Letter, members: Iterable[Letter]):
+    def __new__(cls, a: Letter, members: Iterable[Letter]):
         members = frozenset(members)
         if a == 0:
             raise PreconditionError("multiplier letter must be nonzero")
@@ -239,22 +206,7 @@ class WhiteheadAutomorphism(_Value):
             raise PreconditionError("A must avoid the multiplier and its inverse")
         if 0 in members:
             raise PreconditionError("letters are nonzero integers")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "members", members)
-
-    def letter_image(self, letter: Letter) -> Word:
-        if abs(letter) == abs(self.a):
-            return (letter,)
-        g = abs(letter)
-        img = []
-        if g in self.members:
-            img.append(self.a)
-        img.append(g)
-        if -g in self.members:
-            img.append(-self.a)
-        if letter < 0:
-            img = [-l for l in reversed(img)]
-        return tuple(img)
+        return super().__new__(cls, a, members)
 
     def format(self, alphabet: Alphabet) -> str:
         inside = ",".join(
@@ -264,12 +216,18 @@ class WhiteheadAutomorphism(_Value):
 
 
 def apply_whitehead(phi: WhiteheadAutomorphism, word: Iterable[Letter]) -> Word:
-    """Image of a word under (A, a), freely reduced."""
-    out: list[int] = []
+    """Image of a word under (A, a), freely reduced.
+
+    Each letter's image is written by the rule of
+    `WhiteheadAutomorphism`; A avoids a^±1, so a^±1 needs no case of its
+    own.
+    """
+    a, members = phi
+    image: list[int] = []
     for letter in word:
-        for l in phi.letter_image(letter):
-            if out and out[-1] == -l:
-                out.pop()
-            else:
-                out.append(l)
-    return tuple(out)
+        if letter in members:
+            image.append(a)
+        image.append(letter)
+        if -letter in members:
+            image.append(-a)
+    return free_reduce(image)

@@ -169,12 +169,20 @@ def test_numerical_failure_exit_code(capsys):
 
 @pytest.mark.parametrize("command", ["eigen", "reduce"])
 def test_an_eigenvector_below_the_double_range_is_named(capsys, command):
-    # C(700) = <x, y, z t^700>: along the arc the eigenvector falls as
-    # 3^-depth, below the smallest positive double past depth 679
-    code, out, err = run(capsys, command, "--gens", "x,y,z t^700", "--alphabet", "xyzt")
-    assert code == 6
-    assert not out
-    assert "underflows to 0 at chain depth 679, u = 0.333333" in err
+    # C(L) = <x, y, z t^L>: along the arc the eigenvector falls as
+    # 3^-depth, below the smallest normal double past depth 644 and
+    # below the smallest positive double past depth 679.  On C(675) the
+    # subnormal entries widen the bracket on M past tol
+    for length, named in (
+        (700, "underflows to 0 at chain depth 679"),
+        (675, "is subnormal at chain depth 645"),
+    ):
+        code, out, err = run(
+            capsys, command, "--gens", f"x,y,z t^{length}", "--alphabet", "xyzt"
+        )
+        assert code == 6
+        assert not out
+        assert f"{named}, u = 0.333333: the Perron vector leaves the double range" in err
 
 
 def test_reduce_step_text(capsys):

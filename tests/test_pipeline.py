@@ -151,6 +151,27 @@ def test_step_rejects_a_carried_pair_that_is_not_its_automaton(
             pipeline.reduce_step(core, gens, previous=first)
 
 
+def test_step_rejects_a_row_transformed_matrix_that_is_not_the_collapsed_automaton(
+    example_core, example_gens, monkeypatch
+):
+    # M1 with two distinct rows exchanged keeps its states, so only the
+    # comparison with the next automaton's matrix can tell
+    true_m1 = spectral.derive_m1
+
+    def exchanged(m):
+        m1 = true_m1(m)
+        rows = list(m1.rows)
+        j = next(j for j, row in enumerate(rows) if row != rows[0])
+        rows[0], rows[j] = rows[j], rows[0]
+        return replace(m1, rows=tuple(rows))
+
+    monkeypatch.setattr(pipeline, "derive_m1", exchanged)
+    with pytest.raises(
+        CogrowthError, match="^row-transformed matrix disagrees with the collapsed automaton$"
+    ):
+        pipeline.reduce_step(example_core, example_gens)
+
+
 def test_step_rejects_images_that_do_not_generate_the_contracted_core(
     example_core, example_alphabet
 ):

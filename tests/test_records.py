@@ -2,6 +2,9 @@
 assigned, equal fields make equal records (and equal hashes where the
 fields hash), and each record checks its fields when built."""
 
+import copy
+import pickle
+
 import pytest
 
 import cogrowth
@@ -46,6 +49,15 @@ def test_a_record_is_an_immutable_value(name):
             hash(record)
     else:
         assert hash(record) == hash(cls(**fields))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_survives_pickle_and_copy(name):
+    cls, fields, _ = RECORDS[name]
+    record = cls(**fields)
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(twin) is cls
+        assert twin == record
 
 
 @pytest.mark.parametrize("make, error, message", [

@@ -106,6 +106,9 @@ def test_whitehead_letter_images():
     assert apply_whitehead(EXAMPLE_PHI, parse_word("t", AB4)) == parse_word("tY", AB4)
     assert apply_whitehead(EXAMPLE_PHI, parse_word("y", AB4)) == parse_word("y", AB4)
     assert apply_whitehead(EXAMPLE_PHI, parse_word("z", AB4)) == parse_word("z", AB4)
+    # inverse letters by the same rule: X is not in A but x is; T is in A
+    assert apply_whitehead(EXAMPLE_PHI, parse_word("X", AB4)) == parse_word("XY", AB4)
+    assert apply_whitehead(EXAMPLE_PHI, parse_word("T", AB4)) == parse_word("yT", AB4)
 
 
 def test_whitehead_on_length_five_generator():
